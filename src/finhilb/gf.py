@@ -11,8 +11,11 @@ follow this order everywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_FIELD_SIZE = 2 ** 20
 
@@ -276,15 +279,56 @@ def frobenius(x: FieldElement) -> FieldElement:
 
 
 def field_trace(x: FieldElement) -> int:
-    """tr x = x + x^p + ... + x^(p^(k-1)), an integer residue mod p."""
-    acc = x
-    term = x
-    for _ in range(x.spec.k - 1):
-        term = frobenius(term)
-        acc = acc + term
-    if any(acc.coeffs[1:]):
-        raise ArithmeticError("trace left the prime subfield")  # impossible
-    return acc.coeffs[0]
+    """tr x = x + x^p + ... + x^(p^(k-1)), an integer residue mod p.
+
+    The trace is Z_p-linear, so it is evaluated as sum_i c_i tr(a^i) over
+    the coefficients c_i of x, with tr(a^i) read from :func:`trace_form`.
+    """
+    return int(np.dot(trace_form(x.spec)[:, 0], x.coeffs)) % x.spec.p
+
+
+# -- integer tables, built on first use and cached per field -----------------
+# Every table is O(q*k) or smaller: q x q addition or multiplication tables
+# would not fit at the 2**20 order guard of field_make.
+
+@functools.lru_cache(maxsize=32)
+def digit_table(spec: FieldSpec) -> np.ndarray:
+    """(q, k) integer array; row i holds the coefficients of element i,
+    constant term first (the base-p digits of i).  Treat as read-only."""
+    idx = np.arange(spec.order, dtype=np.int64)
+    out = (idx[:, None] // spec.p ** np.arange(spec.k, dtype=np.int64)) % spec.p
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def trace_form(spec: FieldSpec) -> np.ndarray:
+    """(k, k) integer matrix G[i, j] = tr(a^(i+j)), so tr(x y) = cx . G . cy
+    mod p for coefficient vectors cx, cy.  Treat as read-only.
+
+    tr(a^m) is the matrix trace of multiplication by a^m, i.e. of C^m for
+    the companion matrix C of the modulus.
+    """
+    p, k = spec.p, spec.k
+    comp = np.zeros((k, k), dtype=np.int64)
+    comp[np.arange(1, k), np.arange(k - 1)] = 1
+    comp[:, k - 1] = [-c % p for c in spec.poly[:k]]
+    traces = []
+    power = np.eye(k, dtype=np.int64)
+    for _ in range(2 * k - 1):
+        traces.append(int(np.trace(power)) % p)
+        power = (comp @ power) % p
+    out = np.array(traces, dtype=np.int64)[np.add.outer(np.arange(k), np.arange(k))]
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def roots_of_unity(p: int) -> np.ndarray:
+    """omega**j = exp(2*pi*i*j/p) for j = 0 .. p-1.  Treat as read-only."""
+    out = np.exp(2j * np.pi * np.arange(p) / p)
+    out.setflags(write=False)
+    return out
 
 
 def multiplicative_order(x: FieldElement) -> int:

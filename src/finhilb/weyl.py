@@ -152,35 +152,37 @@ def reconstruct_operator(coef) -> np.ndarray:
 
 def field_shift(spec, u) -> np.ndarray:
     """X_u |x> = |x + u> over the canonical element order."""
-    els = gf.elements(spec)
-    q = spec.order
-    X = np.zeros((q, q), dtype=complex)
-    for j, x in enumerate(els):
-        X[(x + u).index, j] = 1.0
-    return X
+    return field_displacement(spec, u, gf.zero(spec))
 
 
 def field_clock(spec, u) -> np.ndarray:
     """Z_u |x> = omega**tr(x u) |x> with omega = exp(2*pi*i/p)."""
-    els = gf.elements(spec)
-    phases = [np.exp(2j * np.pi * gf.field_trace(x * u) / spec.p) for x in els]
-    return np.diag(np.asarray(phases, dtype=complex))
+    return field_displacement(spec, gf.zero(spec), u)
 
 
 def field_displacement(spec, u1, u2) -> np.ndarray:
-    """D_u = tau**tr(u1 u2) X_{u1} Z_{u2} with tau = -exp(i*pi/p).
+    """D_u = tau**tr(u1 u2) X_{u1} Z_{u2} with tau = -exp(i*pi/p), i.e.
+    D_u |x> = tau**tr(u1 u2) omega**tr(x u2) |x + u1>.
 
-    For p = 2 tau = -i has order four while traces are defined mod 2, so
-    group-law phases are fixed only up to sign; odd p is exact.
+    Sign convention for p = 2: tau = -i has order four while traces are
+    residues mod 2, so the group law D_u D_v = tau**<u,v> D_{u+v} holds
+    only up to sign, and the residual checks of this module minimize over
+    that sign.  For odd p every phase is exact.
+
+    Built as one gather from the integer tables of :mod:`finhilb.gf`: the
+    row of column x is the index of x + u1, and tr(x u2) is the digit row
+    of x times G c2, with G the trace form and c2 the coefficients of u2.
     """
     if u1.spec != spec or u2.spec != spec:
         raise ValueError("mixed field specs")
-    els = gf.elements(spec)
-    q = spec.order
-    ph = tau_power(spec.p, gf.field_trace(u1 * u2))
+    p, q = spec.p, spec.order
+    digits = gf.digit_table(spec)
+    c1 = np.array(u1.coeffs, dtype=np.int64)
+    g2 = (gf.trace_form(spec) @ np.array(u2.coeffs, dtype=np.int64)) % p
+    rows = ((digits + c1) % p) @ p ** np.arange(spec.k, dtype=np.int64)
+    ph = tau_power(p, int(c1 @ g2) % p)
     D = np.zeros((q, q), dtype=complex)
-    for j, x in enumerate(els):
-        D[(x + u1).index, j] = ph * np.exp(2j * np.pi * gf.field_trace(x * u2) / spec.p)
+    D[rows, np.arange(q)] = ph * gf.roots_of_unity(p)[(digits @ g2) % p]
     return D
 
 
@@ -190,8 +192,8 @@ def field_symplectic_exponent(u, v) -> int:
 
 
 def field_group_law_residual(spec, u, v) -> float:
-    """Max-entry distance from D_u D_v = tau**<u,v> D_{u+v} (sign-minimized
-    when p = 2, where the phase is only defined mod 2)."""
+    """Max-entry distance from D_u D_v = tau**<u,v> D_{u+v}, minimized over
+    the overall sign when p = 2 (see :func:`field_displacement`)."""
     lhs = field_displacement(spec, *u) @ field_displacement(spec, *v)
     rhs = tau_power(spec.p, field_symplectic_exponent(u, v)) \
         * field_displacement(spec, u[0] + v[0], u[1] + v[1])
@@ -207,8 +209,8 @@ def tensor_isomorphism(spec, basis=None, exhaustive=True):
     products of p-dimensional displacements.
 
     Factor i of D_(u1,u2) carries indices (tr(u1*dual_i), tr(u2*e_i)).
-    Returns (S, report); report["max_residual"] is exact for odd p and
-    sign-minimized for p = 2.
+    Returns (S, report); for p = 2 report["max_residual"] is minimized over
+    the overall sign (see :func:`field_displacement`).
     """
     p, k = spec.p, spec.k
     q = spec.order

@@ -112,6 +112,18 @@ def test_mub_roundtrip_bitwise(capsys, tmp_path):
     assert run(capsys, "mub", "verify", str(first))[0] == 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_mub_verify_nonfinite_entry_fails(capsys, tmp_path, bad):
+    path = tmp_path / "mub3.json"
+    assert run(capsys, "mub", "gen", "--p", "3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["bases"][1][0][0][0] = bad
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "mub", "verify", str(path), "--json")
+    assert code == 1
+    assert not any(c["pass"] for c in json.loads(out)["checks"])
+
+
 def test_wrong_kind_names_both(capsys, tmp_path):
     path = tmp_path / "sic3.json"
     assert run(capsys, "sic", "search", "--n", "3", "--restarts", "4",
@@ -155,6 +167,12 @@ def test_mub_search6_env_threads(capsys, monkeypatch):
     assert json.loads(out)["result"] == base
     monkeypatch.setenv("HILBERT_THREADS", "nope")
     assert run(capsys, "mub", "search6", "--restarts", "2")[0] == 2
+
+
+def test_threads_default_is_one(monkeypatch):
+    monkeypatch.delenv("HILBERT_THREADS", raising=False)
+    args = cli.build_parser().parse_args(["mub", "search6"])
+    assert cli._threads(args) == 1
 
 
 def test_wigner_table_csv(capsys, tmp_path):

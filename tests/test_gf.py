@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhilb import gf
+
+# every field of order at most 81
+SMALL_FIELDS = [(p, k) for p in range(2, 82) if gf.is_prime(p)
+                for k in range(1, 7) if p ** k <= 81]
 
 
 def gf8():
@@ -98,6 +104,24 @@ def test_trace_in_prime_subfield_and_linear():
                     lhs = gf.field_trace(a * x + y)
                     rhs = (a * gf.field_trace(x) + gf.field_trace(y)) % p
                     assert lhs == rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_linear_trace_equals_frobenius_sum(data):
+    p, k = data.draw(st.sampled_from(SMALL_FIELDS))
+    spec = gf.field_make(p, k)
+    x = gf.element(spec, data.draw(st.integers(0, spec.order - 1)))
+    y = gf.element(spec, data.draw(st.integers(0, spec.order - 1)))
+    acc = term = x
+    for _ in range(k - 1):
+        term = gf.frobenius(term)
+        acc = acc + term
+    assert acc.coeffs[1:] == (0,) * (k - 1)
+    assert gf.field_trace(x) == acc.coeffs[0]
+    # the trace form evaluates tr(x y) from coefficient vectors
+    form = int(np.array(x.coeffs) @ gf.trace_form(spec) @ np.array(y.coeffs))
+    assert form % p == gf.field_trace(x * y)
 
 
 def test_trace_of_one_in_four_element_field():

@@ -34,6 +34,20 @@ def test_unbiasedness_rejects_bad_member():
         mub.unbiasedness_check([np.eye(3), bad])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_unbiasedness_nonfinite_entry_fails(bad):
+    bases = mub.ivanovic_mubs(3)
+    bases[1][0, 0] = bad
+    report = mub.unbiasedness_check(bases)
+    assert report["pass"] is False
+    assert np.isnan(report["max_deviation"])
+
+
+def test_unbiasedness_too_many_bases_raises():
+    with pytest.raises(RuntimeError, match="more than n \\+ 1"):
+        mub.unbiasedness_check([np.eye(2)] * 4, tol=1.0)
+
+
 def test_dim3_golden_set_is_unbiased():
     report = mub.unbiasedness_check(dim3_golden_set())
     assert report["pass"]

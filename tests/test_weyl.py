@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,43 @@ def test_field_group_law_gf9_exhaustive():
                     worst = max(worst, weyl.field_group_law_residual(
                         spec, (u1, u2), (v1, v2)))
     assert worst < 1e-10
+
+
+def _frobenius_trace(x):
+    acc = term = x
+    for _ in range(x.spec.k - 1):
+        term = gf.frobenius(term)
+        acc = acc + term
+    assert not any(acc.coeffs[1:])
+    return acc.coeffs[0]
+
+
+def _field_displacement_loop(spec, u1, u2):
+    """Reference D_u built element by element, traces as Frobenius sums."""
+    q = spec.order
+    ph = weyl.tau_power(spec.p, _frobenius_trace(u1 * u2))
+    D = np.zeros((q, q), dtype=complex)
+    for j, x in enumerate(gf.elements(spec)):
+        D[(x + u1).index, j] = ph * np.exp(2j * np.pi * _frobenius_trace(x * u2) / spec.p)
+    return D
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def test_field_displacement_matches_elementwise_loop(p, k):
+    spec = gf.field_make(p, k)
+    els = gf.elements(spec)
+    z = gf.zero(spec)
+    pairs = [(u1, u2) for u1 in els for u2 in els]
+    if spec.order > 9:
+        pairs = random.Random(spec.order).sample(pairs, 48)
+    for u1, u2 in pairs:
+        ref = _field_displacement_loop(spec, u1, u2)
+        assert np.abs(weyl.field_displacement(spec, u1, u2) - ref).max() <= 1e-15
+    for u in els[:16]:
+        assert np.abs(weyl.field_shift(spec, u)
+                      - _field_displacement_loop(spec, u, z)).max() <= 1e-15
+        assert np.abs(weyl.field_clock(spec, u)
+                      - _field_displacement_loop(spec, z, u)).max() <= 1e-15
 
 
 def test_field_displacement_dagger():
