@@ -381,6 +381,13 @@ def cmd_wigner_table(args):
     return rep.exit_code()
 
 
+def _random_density(rng, n):
+    """Full-rank density matrix Z Z^dag / Tr, Z complex Ginibre from rng."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
+
+
 def cmd_wigner_check(args):
     n = args.n
     pps = wigner.phase_point_set(n)
@@ -398,9 +405,7 @@ def cmd_wigner_check(args):
             target[a, b, a, b] = 1.0
     rep.check("orthogonality", float(np.max(np.abs(gram - target))), args.tol)
     rng = np.random.default_rng(args.seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = z @ z.conj().T
-    rho = rho / np.trace(rho)
+    rho = _random_density(rng, n)
     wtab = wigner.wigner_function(rho, pps)
     rep.check("roundtrip", float(np.max(np.abs(
         wigner.reconstruct_state(wtab, pps) - rho))), args.tol)
@@ -563,10 +568,7 @@ def cmd_suite(args):
         parity = pps[0, 0]
         rep.check("wigner_parity_square",
                   float(np.max(np.abs(parity @ parity - np.eye(n)))), 1e-10)
-        rng = np.random.default_rng(args.seed)
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rho = z @ z.conj().T
-        rho = rho / np.trace(rho)
+        rho = _random_density(np.random.default_rng(args.seed), n)
         wtab = wigner.wigner_function(rho, pps)
         rep.check("wigner_roundtrip", float(np.max(np.abs(
             wigner.reconstruct_state(wtab, pps) - rho))), 1e-10)

@@ -31,7 +31,9 @@ def sl2_enumerate(p: int):
     for a, b, c, d in itertools.product(range(p), repeat=4):
         if (a * d - b * c) % p == 1:
             out.append(np.array([[a, b], [c, d]]))
-    assert len(out) == p * (p * p - 1)
+    if len(out) != p * (p * p - 1):
+        raise RuntimeError("SL(2, Z_%d) has %d elements, expected %d"
+                           % (p, len(out), p * (p * p - 1)))
     return out
 
 
@@ -94,7 +96,8 @@ def order3_elements(p: int):
         if np.array_equal(g, eye):
             continue
         if np.array_equal((g @ g @ g) % p, eye):
-            assert (int(g[0, 0]) + int(g[1, 1])) % p == p - 1
+            if (int(g[0, 0]) + int(g[1, 1])) % p != p - 1:
+                raise RuntimeError("order-3 element with trace != -1")
             out.append(g)
     return out
 
@@ -105,7 +108,8 @@ def zauner_invariance(psi, g, p: int) -> float:
     psi = psi / np.linalg.norm(psi)
     u = metaplectic(g, p)
     ov = abs(np.vdot(psi, u @ psi))
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * ov)))
+    # np.maximum keeps a NaN that Python's max would drop
+    return float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * ov)))
 
 
 def zauner_scan(psi, p: int) -> dict:
@@ -113,20 +117,20 @@ def zauner_scan(psi, p: int) -> dict:
     prefactor D_b and return the smallest phase-minimized invariance
     residual of D_b U_G.  Pure symplectic rotations alone can miss the
     symmetry; the group element stabilizing a given fiducial generally
-    carries a displacement part.
+    carries a displacement part.  A non-finite psi gives a NaN residual.
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     table = weyl.displacement_table(p).reshape(p, p, p, p)
-    best = {"residual": np.inf, "g": None, "b": None}
+    found = []
     for g in order3_elements(p):
         phi = metaplectic(g, p) @ psi
         ov = np.abs(np.einsum("i,rsij,j->rs", psi.conj(), table, phi))
         r, s = np.unravel_index(int(np.argmax(ov)), ov.shape)
-        res = float(np.sqrt(max(0.0, 2.0 - 2.0 * float(ov[r, s]))))
-        if res < best["residual"]:
-            best = {"residual": res, "g": g, "b": (int(r), int(s))}
-    return best
+        res = float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * ov[r, s])))
+        found.append({"residual": res, "g": g, "b": (int(r), int(s))})
+    # np.argmin returns the first NaN when there is one
+    return found[int(np.argmin([f["residual"] for f in found]))]
 
 
 def clifford_group_single_qubit():
@@ -158,5 +162,7 @@ def clifford_group_single_qubit():
                     nxt.append(cand)
         frontier = nxt
     out = list(reps.values())
-    assert len(out) == 24
+    if len(out) != 24:
+        raise RuntimeError("expected 24 Clifford representatives, got %d"
+                           % len(out))
     return out

@@ -6,13 +6,12 @@ of maximal abelian two-qubit subgroups.
 Bases are (n, n) complex arrays whose *columns* are the basis vectors.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 import itertools
 import math
 
 import numpy as np
 
-from . import combinat, gf, weyl
+from . import combinat, gf, sic, weyl
 
 EPS_MAT = 1e-10
 EPS_MUB = 1e-9
@@ -133,20 +132,16 @@ def canonicalize_basis(basis, tol: float = 1e-8) -> np.ndarray:
     real) and sort columns lexicographically, so bases that agree up to
     these freedoms compare equal."""
     b = np.array(basis, dtype=complex)
-    n, m = b.shape
-    for j in range(m):
-        col = b[:, j]
-        for k in range(n):
-            if abs(col[k]) > tol:
-                b[:, j] = col * (col[k].conjugate() / abs(col[k]))
-                break
-    keys = []
-    for j in range(m):
-        keys.append(tuple(x for c in b[:, j]
-                          for x in (round(c.real, 8) + 0.0,
-                                    round(c.imag, 8) + 0.0)))
-    order = sorted(range(m), key=lambda j: keys[j])
-    return b[:, order]
+    above = np.abs(b) > tol
+    lead = b[np.argmax(above, axis=0), np.arange(b.shape[1])]
+    # a column with no entry above tol keeps its phase
+    lead[~above.any(axis=0)] = 1.0
+    b *= lead.conj() / np.abs(lead)
+    # keys re(b[0]), im(b[0]), re(b[1]), ...; lexsort's primary key is last
+    r = np.round(b, 8)
+    keys = np.empty((2 * b.shape[0], b.shape[1]))
+    keys[0::2], keys[1::2] = r.real + 0.0, r.imag + 0.0
+    return b[:, np.lexsort(keys[::-1])]
 
 
 def _joint_eigenbasis(mats, seed_key, validate_tol=1e-8):
@@ -420,59 +415,48 @@ def maximal_isotropic_count(p: int, k: int) -> int:
 
 # -- exploratory search for vectors unbiased to two bases in dimension 6 --
 
-def _descend6(v, rows, tol):
-    c = 1.0 / 6.0
-    amps = rows @ v
-    d = np.abs(amps) ** 2 - c
-    f = float(np.sum(d * d))
-    step = 0.1
-    for _ in range(4000):
-        if f < tol * 1e-4:
-            break
-        g = 2.0 * (rows.conj().T @ (d * amps))
-        g -= v * np.vdot(v, g)
-        gn2 = float(np.real(np.vdot(g, g)))
-        if gn2 < 1e-28:
-            break
-        eta = step
-        improved = False
-        while eta > 1e-13:
-            w = v - eta * g
-            w /= np.linalg.norm(w)
-            aw = rows @ w
-            dw = np.abs(aw) ** 2 - c
-            fw = float(np.sum(dw * dw))
-            if fw < f - 1e-4 * eta * gn2:
-                v, amps, d, f = w, aw, dw, fw
-                step = min(eta * 2.0, 1.0)
-                improved = True
-                break
-            eta /= 2.0
-        if not improved:
-            break
-    return v, f
+def _unbiased6_objective():
+    """(value, value_grad, residual_jacobian) of sum_k d_k^2 with residuals
+    d = |R v|^2 - 1/6 over the 12 rows R of I and F6^dag, in the forms
+    sic.descend and sic.polish take."""
+    rows = np.vstack([np.eye(6, dtype=complex),
+                      combinat.fourier_matrix(6).conj().T])
+
+    def residuals(v):
+        amps = rows @ v
+        return amps, np.abs(amps) ** 2 - 1.0 / 6.0
+
+    def value(v):
+        d = residuals(v)[1]
+        return float(d @ d)
+
+    def value_grad(v):
+        amps, d = residuals(v)
+        return float(d @ d), 4.0 * (rows.conj().T @ (d * amps))
+
+    def residual_jacobian(v):
+        amps, d = residuals(v)
+        da = amps.conj()[:, None] * rows
+        return d, np.hstack([2.0 * da.real, -2.0 * da.imag])
+
+    return value, value_grad, residual_jacobian
 
 
 def search_unbiased6(restarts: int = 24, seed: int = 0, threads: int = 1,
                      tol: float = 1e-18) -> dict:
     """Local search for unit vectors in dimension 6 unbiased to both the
-    computational and the Fourier basis.  Reports only what it finds:
-    the number of distinct solutions below tol among the restarts.
+    computational and the Fourier basis.  Each restart runs sic.descend
+    and sic.polish from a seeded Haar-random start.  Reports only what it
+    finds: the number of distinct solutions below tol among the restarts.
     """
-    rows = np.vstack([np.eye(6, dtype=complex),
-                      combinat.fourier_matrix(6).conj().T])
+    value, value_grad, residual_jacobian = _unbiased6_objective()
 
     def run(r):
-        rng = np.random.default_rng([seed, r])
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        v /= np.linalg.norm(v)
-        return _descend6(v, rows, tol)
+        v = sic._haar_start(np.random.default_rng([seed, r]), 6)
+        v, f = sic.descend(v, value, value_grad)
+        return sic.polish(v, value, residual_jacobian, f)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
+    results = sic.restart_results(run, restarts, threads)
 
     hits = []
     for v, f in results:

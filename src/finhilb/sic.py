@@ -2,6 +2,7 @@
 search on the unit sphere, orbit verification, and the exact
 dimension-4 fiducial with its overlap-phase fingerprint."""
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,9 +63,13 @@ def _value_grad(psi, table):
     return f, g
 
 
-def _descend(psi, table):
-    """Projected gradient descent with a BB1 step and Armijo backtracking."""
-    f, g = _value_grad(psi, table)
+def descend(psi, value, value_grad):
+    """Projected gradient descent on the unit sphere with a BB1 step and
+    Armijo backtracking, for any objective invariant under a global
+    phase.  value(psi) returns f; value_grad(psi) returns f and its
+    gradient in f_sic_grad's complex encoding.  Stops below
+    _POLISH_TRIGGER, on a stall, or at the iteration cap."""
+    f, g = value_grad(psi)
     step = 1.0
     prev = None
     f_ref, i_ref = f, 0
@@ -87,7 +92,7 @@ def _descend(psi, table):
         for _ in range(60):
             cand = psi - eta * gt
             cand = cand / np.linalg.norm(cand)
-            fc = _value(cand, table)
+            fc = value(cand)
             if fc <= f - 1e-4 * eta * gn2:
                 break
             eta *= 0.5
@@ -95,7 +100,7 @@ def _descend(psi, table):
             break
         prev = (psi, g)
         psi = cand
-        f, g = _value_grad(psi, table)
+        f, g = value_grad(psi)
         if it - i_ref >= _STALL_WINDOW:
             if f_ref - f <= _STALL_RTOL * max(f_ref, 1e-300):
                 break
@@ -118,14 +123,16 @@ def _residual_jacobian(psi, table):
     return d, jac
 
 
-def _polish(psi, table, f):
-    """Gauss-Newton on the residual vector; the least-squares step keeps
-    quadratic convergence even where the solution set is a manifold and
-    the Jacobian loses rank."""
+def polish(psi, value, residual_jacobian, f):
+    """Gauss-Newton on the residual vector, from psi with value f; the
+    least-squares step keeps quadratic convergence even where the
+    solution set is a manifold and the Jacobian loses rank.
+    residual_jacobian(psi) returns the residuals d (value is d @ d) and
+    their real Jacobian with respect to [Re psi, Im psi]."""
     for _ in range(40):
         if f < _FTOL:
             break
-        d, jac = _residual_jacobian(psi, table)
+        d, jac = residual_jacobian(psi)
         delta = np.linalg.lstsq(jac, -d, rcond=None)[0]
         step = delta[:psi.size] + 1j * delta[psi.size:]
         scale = 1.0
@@ -133,7 +140,7 @@ def _polish(psi, table, f):
         for _ in range(20):
             cand = psi + scale * step
             cand = cand / np.linalg.norm(cand)
-            fc = _value(cand, table)
+            fc = value(cand)
             if fc < f:
                 psi, f = cand, fc
                 improved = True
@@ -142,6 +149,17 @@ def _polish(psi, table, f):
         if not improved:
             break
     return psi, f
+
+
+def restart_results(run, restarts, threads):
+    """[run(r) for r in range(restarts)], in restart order, evaluated on
+    a pool of `threads` workers when threads > 1.  run must depend on r
+    alone (seeding its own generator from it), so the list does not
+    depend on the thread count."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(restarts)))
+    return [run(r) for r in range(restarts)]
 
 
 def _haar_start(rng, n):
@@ -182,6 +200,10 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
         proj = _zauner_projector(n)
     table = weyl.displacement_table(n)
 
+    value = functools.partial(_value, table=table)
+    value_grad = functools.partial(_value_grad, table=table)
+    residual_jacobian = functools.partial(_residual_jacobian, table=table)
+
     def run(r):
         rng = np.random.default_rng([seed, r])
         psi = _haar_start(rng, n)
@@ -190,16 +212,12 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
             nrm = np.linalg.norm(moved)
             if nrm > 1e-6:
                 psi = moved / nrm
-        psi, f = _descend(psi, table)
-        psi, f = _polish(psi, table, f)
+        psi, f = descend(psi, value, value_grad)
+        psi, f = polish(psi, value, residual_jacobian, f)
         return f, r, psi
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
-    f, r, psi = min(results, key=lambda item: (item[0], item[1]))
+    f, r, psi = min(restart_results(run, restarts, threads),
+                    key=lambda item: (item[0], item[1]))
     return {"n": n, "fiducial": psi, "fsic": f, "restart": r,
             "restarts": restarts, "seed": seed, "converged": bool(f < 1e-12)}
 

@@ -6,17 +6,10 @@ symplectic group.
 
 import numpy as np
 
-from . import clifford, combinat, gf, mub, weyl
+from . import clifford, combinat, mub, weyl
 
 EPS_MAT = 1e-10
 _MAX_N = 31
-
-
-def _check_odd_prime(n):
-    if not gf.is_prime(n):
-        raise ValueError("n must be prime")
-    if n == 2:
-        raise ValueError("n must be odd")
 
 
 def parity_operator(n: int) -> np.ndarray:
@@ -26,7 +19,7 @@ def parity_operator(n: int) -> np.ndarray:
     and it equals the sum of the a = 0 MUB projectors minus the
     identity; all three identities are verified on construction.
     """
-    _check_odd_prime(n)
+    clifford._check_odd_prime(n)
     a = np.zeros((n, n), dtype=complex)
     for i in range(n):
         a[(n - i) % n, i] = 1.0
@@ -53,7 +46,7 @@ def phase_point_set(n: int) -> np.ndarray:
     eigenvalues are +-1 with multiplicities m, m-1 where n = 2m-1),
     unit trace, and Tr(A_{0,0} A_{r,s}) = n delta.
     """
-    _check_odd_prime(n)
+    clifford._check_odd_prime(n)
     if n > _MAX_N:
         raise ValueError("n too large")
     a00 = parity_operator(n)

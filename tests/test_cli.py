@@ -208,6 +208,22 @@ def test_clifford_zauner_raw_vector(capsys, tmp_path):
     assert "zauner_residual" in text
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_clifford_zauner_nonfinite_fails(capsys, tmp_path, bad):
+    vec = [[bad, 0.0]] + [[0.5, 0.0]] * 4
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(vec))
+    doc = tmp_path / "sic.json"
+    doc.write_text(json.dumps({"kind": "sic", "version": 1, "n": 5,
+                               "fiducial": vec}))
+    for path in (raw, doc):
+        code, out, _ = run(capsys, "clifford", "zauner", "--p", "5",
+                           "--fiducial", str(path), "--json")
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "zauner_residual" and not check["pass"]
+
+
 def test_design_failure_exits_one(capsys, tmp_path):
     path = tmp_path / "mub5.json"
     assert run(capsys, "mub", "gen", "--p", "5", "--out", str(path))[0] == 0

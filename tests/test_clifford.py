@@ -188,6 +188,25 @@ def test_zauner_scan_reports_structure():
     assert 0 <= out["residual"] <= np.sqrt(2) + 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_zauner_nonfinite_input_gives_nan(bad):
+    psi = np.full(5, 0.5, dtype=complex)
+    psi[0] = bad
+    g = clifford.order3_elements(5)[0]
+    assert np.isnan(clifford.zauner_invariance(psi, g, 5))
+    out = clifford.zauner_scan(psi, 5)
+    assert np.isnan(out["residual"])
+    assert out["g"].shape == (2, 2) and len(out["b"]) == 2
+
+
+def test_order3_trace_invariant_raises(monkeypatch):
+    # diag(2, 2) cubes to one mod 7 but has trace 4, not -1
+    monkeypatch.setattr(clifford, "sl2_enumerate",
+                        lambda p: [np.diag([2, 2])])
+    with pytest.raises(RuntimeError, match="trace"):
+        clifford.order3_elements(7)
+
+
 def test_single_qubit_clifford_group():
     group = clifford.clifford_group_single_qubit()
     assert len(group) == 24

@@ -174,6 +174,15 @@ def test_design_target_matches_haar_monte_carlo():
     assert abs(vals.mean() - target) < 3 * se
 
 
+def test_design_test_lower_moment_invariant_raises(monkeypatch):
+    family = np.hstack(mub.ivanovic_mubs(3)).T
+    target = designs.design_target
+    monkeypatch.setattr(designs, "design_target",
+                        lambda n, t: target(n, t) + (t == 1))
+    with pytest.raises(RuntimeError, match="not a 1-design"):
+        designs.design_test(family, 2)
+
+
 def test_design_test_validates_norms():
     with pytest.raises(ValueError, match="unit norm"):
         designs.design_test(2 * np.eye(3), 1)
