@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from . import clifford, combinat, designs, gf, mub, sic, weyl, wigner
+from .tol import TOL_MATRIX, TOL_OVERLAP, TOL_SEARCH, TOL_SIC_GRAM
 
 FORMAT_VERSION = 1
 KINDS = ("mubset", "basisfamily", "sic", "wignertable", "field")
@@ -156,10 +157,10 @@ def _threads(args):
 
 # -- field -------------------------------------------------------------------
 
-def _poly_str(x):
+def _poly_str(coeffs):
     terms = []
-    for i in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
         if i == 0:
@@ -172,12 +173,13 @@ def _poly_str(x):
 
 def cmd_field_table(args):
     spec = gf.field_make(args.p, args.k)
-    rows = []
-    for x in gf.elements(spec):
-        rows.append({"index": x.index, "poly": _poly_str(x),
-                     "trace": gf.field_trace(x),
-                     "trace2": gf.field_trace(x * x),
-                     "order": gf.multiplicative_order(x) if x else None})
+    x = np.arange(spec.order)
+    columns = zip(gf.digit_table(spec).tolist(),
+                  gf.field_trace(spec, x).tolist(),
+                  gf.field_trace(spec, gf.mul(spec, x, x)).tolist(),
+                  [None] + gf.multiplicative_order(spec, x[1:]).tolist())
+    rows = [{"index": i, "poly": _poly_str(c), "trace": t, "trace2": t2,
+             "order": order} for i, (c, t, t2, order) in enumerate(columns)]
     rep = Report("field table", {"p": args.p, "k": args.k})
     rep.check("rows", len(rows), spec.order, mode="eq")
     doc = {"kind": "field", "version": FORMAT_VERSION, "p": args.p,
@@ -354,7 +356,7 @@ def cmd_wigner_table(args):
     if psi.size != args.n:
         raise ValueError("state dimension %d does not match --n %d"
                          % (psi.size, args.n))
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("state is not a unit vector")
     pps = wigner.phase_point_set(args.n)
     rho = np.outer(psi, psi.conj())
@@ -520,7 +522,7 @@ def cmd_sic_verify(args):
         cand["fsic"] = float(doc["fsic"])
     out = sic.sic_verify(cand, tol_gram=args.tol)
     rep = Report("sic verify", {"file": args.file, "tol": args.tol})
-    rep.check("identity_deviation", out["identityDeviation"], sic.EPS_MAT)
+    rep.check("identity_deviation", out["identityDeviation"], TOL_MATRIX)
     rep.check("gram_deviation", out["gramDeviation"], args.tol)
     rep.emit(args.json)
     return rep.exit_code()
@@ -548,35 +550,38 @@ def cmd_sic_fingerprint(args):
 def cmd_suite(args):
     n = args.n
     rep = Report("suite", {"n": n}, seed=args.seed)
-    rep.check("weyl_orthogonality", weyl.orthogonality_max_residual(n), 1e-10)
-    rep.check("weyl_group_law", weyl.group_law_max_residual(n), 1e-10)
+    rep.check("weyl_orthogonality", weyl.orthogonality_max_residual(n),
+              TOL_MATRIX)
+    rep.check("weyl_group_law", weyl.group_law_max_residual(n), TOL_MATRIX)
     prime = gf.is_prime(n)
     if prime:
         bases = mub.qubit_mubs() if n == 2 else mub.ivanovic_mubs(n)
         rep.check("mub_unbiasedness",
-                  mub.unbiasedness_check(bases)["max_deviation"], 1e-9)
+                  mub.unbiasedness_check(bases)["max_deviation"], TOL_OVERLAP)
         family = np.hstack(bases).T
         for t in (1, 2):
             out = designs.design_test(family, t)
             rep.check("design_t%d" % t, abs(out["value"] - out["target"]),
-                      1e-9)
+                      TOL_OVERLAP)
         if n == 2:
             out = designs.design_test(family, 3)
-            rep.check("design_t3", abs(out["value"] - out["target"]), 1e-9)
+            rep.check("design_t3", abs(out["value"] - out["target"]),
+                      TOL_OVERLAP)
     if prime and n % 2 and n <= 31:
         pps = wigner.phase_point_set(n)
         parity = pps[0, 0]
         rep.check("wigner_parity_square",
-                  float(np.max(np.abs(parity @ parity - np.eye(n)))), 1e-10)
+                  float(np.max(np.abs(parity @ parity - np.eye(n)))),
+                  TOL_MATRIX)
         rho = _random_density(np.random.default_rng(args.seed), n)
         wtab = wigner.wigner_function(rho, pps)
         rep.check("wigner_roundtrip", float(np.max(np.abs(
-            wigner.reconstruct_state(wtab, pps) - rho))), 1e-10)
+            wigner.reconstruct_state(wtab, pps) - rho))), TOL_MATRIX)
     if n <= 6:
         vecs = combinat.werner_basis(combinat.latin_from_group(n),
                                      combinat.fourier_matrix(n))
         rep.check("werner_gram", float(np.max(np.abs(
-            vecs @ vecs.conj().T - np.eye(n * n)))), 1e-10)
+            vecs @ vecs.conj().T - np.eye(n * n)))), TOL_MATRIX)
     rep.emit(args.json)
     return rep.exit_code()
 
@@ -619,12 +624,12 @@ def build_parser():
     sub = g.add_subparsers(dest="op", required=True)
     s = sub.add_parser("check", help="orthogonality and group-law residuals")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s, tol=1e-10)
+    _add_common(s, tol=TOL_MATRIX)
     s.set_defaults(func=cmd_weyl_check)
     s = sub.add_parser("expand", help="displacement coefficients of a matrix")
     s.add_argument("--matrix", required=True,
                    help="JSON file: row-major matrix of [re, im] pairs")
-    _add_common(s, tol=1e-10)
+    _add_common(s, tol=TOL_MATRIX)
     s.set_defaults(func=cmd_weyl_expand)
 
     g = groups.add_parser("latin", help="Latin squares")
@@ -646,7 +651,7 @@ def build_parser():
     s = groups.add_parser("werner",
                           help="maximally entangled basis from (L, H)")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s, tol=1e-10, out=True)
+    _add_common(s, tol=TOL_MATRIX, out=True)
     s.set_defaults(func=cmd_werner)
 
     g = groups.add_parser("mub", help="mutually unbiased bases")
@@ -654,11 +659,11 @@ def build_parser():
     s = sub.add_parser("gen", help="complete MUB set in dimension p^k")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--k", type=int, default=1)
-    _add_common(s, tol=1e-9, seed=7, out=True)
+    _add_common(s, tol=TOL_OVERLAP, seed=7, out=True)
     s.set_defaults(func=cmd_mub_gen)
     s = sub.add_parser("verify", help="orthonormality and unbiasedness")
     s.add_argument("file")
-    _add_common(s, tol=1e-9)
+    _add_common(s, tol=TOL_OVERLAP)
     s.set_defaults(func=cmd_mub_verify)
     s = sub.add_parser("mermin", help="petal/flower landscape of two qubits")
     _add_common(s, seed=11)
@@ -674,18 +679,18 @@ def build_parser():
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--state", required=True,
                    help="JSON file: vector of [re, im] pairs")
-    _add_common(s, tol=1e-10, out=True)
+    _add_common(s, tol=TOL_MATRIX, out=True)
     s.set_defaults(func=cmd_wigner_table)
     s = sub.add_parser("check", help="phase-point invariant suite")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s, tol=1e-10, seed=0)
+    _add_common(s, tol=TOL_MATRIX, seed=0)
     s.set_defaults(func=cmd_wigner_check)
 
     g = groups.add_parser("clifford", help="symplectic representation")
     sub = g.add_subparsers(dest="op", required=True)
     s = sub.add_parser("check", help="group order and normalizer residuals")
     s.add_argument("--p", type=int, required=True)
-    _add_common(s, tol=1e-10, seed=0)
+    _add_common(s, tol=TOL_MATRIX, seed=0)
     s.set_defaults(func=cmd_clifford_check)
     s = sub.add_parser("zauner", help="order-3 invariance scan of a fiducial")
     s.add_argument("--p", type=int, required=True)
@@ -700,12 +705,12 @@ def build_parser():
     s.add_argument("--family", required=True,
                    help="basisfamily, mubset, or sic JSON document")
     s.add_argument("--t", type=int, required=True)
-    _add_common(s, tol=1e-9)
+    _add_common(s, tol=TOL_OVERLAP)
     s.set_defaults(func=cmd_design_test)
     s = sub.add_parser("welch", help="Welch bound saturation")
     s.add_argument("--family", required=True)
     s.add_argument("--t", type=int, required=True)
-    _add_common(s, tol=1e-9)
+    _add_common(s, tol=TOL_OVERLAP)
     s.set_defaults(func=cmd_design_welch)
 
     g = groups.add_parser("sic", help="SIC fiducials")
@@ -715,17 +720,17 @@ def build_parser():
     s.add_argument("--restarts", type=int, default=32)
     s.add_argument("--zauner", action="store_true",
                    help="project starts onto an order-3 eigenspace")
-    _add_common(s, tol=1e-12, seed=0, threads=True, out=True)
+    _add_common(s, tol=TOL_SEARCH, seed=0, threads=True, out=True)
     s.set_defaults(func=cmd_sic_search)
     s = sub.add_parser("verify", help="orbit resolution and Gram moduli")
     s.add_argument("file")
-    _add_common(s, tol=1e-8)
+    _add_common(s, tol=TOL_SIC_GRAM)
     s.set_defaults(func=cmd_sic_verify)
     s = sub.add_parser("fingerprint",
                        help="overlap-phase fingerprint (n = 4)")
     s.add_argument("file", nargs="?", default=None,
                    help="sic JSON document (default: the exact fiducial)")
-    _add_common(s, tol=1e-8)
+    _add_common(s, tol=TOL_SIC_GRAM)
     s.set_defaults(func=cmd_sic_fingerprint)
 
     s = groups.add_parser("suite", help="cross-module invariant suite")

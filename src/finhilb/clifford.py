@@ -12,8 +12,6 @@ import numpy as np
 
 from . import gf, weyl
 
-EPS_MAT = 1e-10
-
 
 def _check_odd_prime(p):
     if not gf.is_prime(p):

@@ -15,8 +15,7 @@ from collections import Counter
 import numpy as np
 
 from . import gf
-
-EPS_MAT = 1e-10
+from .tol import TOL_MATRIX
 
 
 def latin_from_group(n: int) -> np.ndarray:
@@ -93,16 +92,9 @@ def mols_from_field(q: int):
     if q > 64:
         raise ValueError("order capped at 64")
     spec = gf.field_make(*pk)
-    els = gf.elements(spec)
-    squares = []
-    for a in els[1:]:
-        L = np.empty((q, q), dtype=int)
-        for x in els:
-            ax = a * x
-            for y in els:
-                L[x.index, y.index] = (ax + y).index
-        squares.append(L)
-    return squares
+    x = np.arange(q)
+    # axes (a, x, y) with a running over the nonzero elements
+    return list(gf.add(spec, gf.mul(spec, x[1:, None, None], x[:, None]), x))
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -113,7 +105,7 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
 
 
-def is_complex_hadamard(H, tol: float = EPS_MAT) -> bool:
+def is_complex_hadamard(H, tol: float = TOL_MATRIX) -> bool:
     """Flat unitary test: all entries of modulus 1/sqrt(n) and H unitary."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -214,7 +206,7 @@ def vector_from_unitary(U) -> np.ndarray:
     n = U.shape[0]
     if U.ndim != 2 or U.shape[1] != n:
         raise ValueError("expected a square matrix")
-    if np.abs(U @ U.conj().T - np.eye(n)).max() > EPS_MAT:
+    if np.abs(U @ U.conj().T - np.eye(n)).max() > TOL_MATRIX:
         raise ValueError("matrix is not unitary")
     return U.reshape(n * n) / np.sqrt(n)
 

@@ -10,20 +10,21 @@ import math
 
 import numpy as np
 
-EPS_MAT = 1e-10
-EPS_DESIGN = 1e-9
+from .tol import TOL_MATRIX, TOL_OVERLAP
 
 
 def _as_family(vectors):
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("expected a (K, n) array of row vectors")
+    if not np.isfinite(v).all():
+        raise ValueError("family has non-finite entries")
     return v
 
 
 def _check_unit_norms(v):
     norms = np.linalg.norm(v, axis=1)
-    if np.abs(norms - 1.0).max() > EPS_MAT:
+    if not np.abs(norms - 1.0).max() <= TOL_MATRIX:
         raise ValueError("family vectors are not unit norm")
 
 
@@ -42,7 +43,7 @@ def design_target(n: int, t: int) -> float:
     return 1.0 / math.comb(n + t - 1, t)
 
 
-def design_test(vectors, t: int, tol: float = EPS_DESIGN) -> dict:
+def design_test(vectors, t: int, tol: float = TOL_OVERLAP) -> dict:
     """Moment criterion: the family is a t-design iff the 2t-th overlap
     moment equals the Fubini-Study value."""
     v = _as_family(vectors)

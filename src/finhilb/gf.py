@@ -1,12 +1,17 @@
-"""Exact arithmetic in residue rings and finite fields GF(p^K).
+"""Exact arithmetic in finite fields GF(p^K) on enumeration indices.
 
-Field elements are coefficient vectors over Z_p with the constant term
-first: ``(c0, c1, ..., c_{K-1})`` stands for ``c0 + c1*a + ... +
+A field element is its enumeration index, a plain ``int`` or an integer
+array.  Index ``sum_i c_i * p**i`` stands for ``c0 + c1*a + ... +
 c_{K-1}*a^{K-1}`` where ``a`` is a root of the defining monic irreducible
-polynomial.  The canonical enumeration index of an element is
-``sum_i c_i * p**i``, so indices ``0 .. p-1`` are the prime subfield and
-index ``p`` is the generator ``a`` itself.  Hilbert-space basis labels
-follow this order everywhere in the package.
+polynomial, so indices ``0 .. p-1`` are the prime subfield and index ``p``
+is the generator ``a`` itself.  Hilbert-space basis labels follow this
+order everywhere in the package.
+
+The arithmetic functions take the field first and broadcast over integer
+arrays like numpy ufuncs; a scalar argument gives a numpy integer.  They
+work on the coefficient rows of :func:`digit_table`: addition is digit-wise
+mod p, and multiplication by y is the matrix sum_j y_j C^j for the
+companion matrix C of the modulus.
 """
 
 from __future__ import annotations
@@ -52,62 +57,15 @@ def prime_power(q: int):
     return None
 
 
-# -- dense polynomial helpers over Z_p; coefficient lists, constant first --
-
-def _trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_divmod(a, b, p):
-    b = _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
+def _poly_rem(a, b, p):
+    """Coefficients of a mod the monic b over Z_p, both constant first."""
     rem = list(a)
-    quot = [0] * max(0, len(rem) - len(b) + 1)
-    while len(_trim(rem)) >= len(b):
-        rem = _trim(rem)
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % p
-        quot[shift] = factor
+    d = len(b) - 1
+    for shift in range(len(rem) - 1 - d, -1, -1):
+        factor = rem[shift + d] % p
         for i, bi in enumerate(b):
             rem[shift + i] = (rem[shift + i] - factor * bi) % p
-    return _trim(quot), _trim(rem)
-
-
-def _poly_mulmod(a, b, mod, p):
-    return _poly_divmod(_poly_mul(a, b, p), mod, p)[1]
-
-
-def _poly_powmod(a, e, mod, p):
-    result = [1]
-    base = _poly_divmod(a, mod, p)[1]
-    while e > 0:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+    return rem[:d]
 
 
 def _is_irreducible(poly, p):
@@ -115,8 +73,7 @@ def _is_irreducible(poly, p):
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not _poly_divmod(poly, divisor, p)[1]:
+            if not any(_poly_rem(poly, list(tail) + [1], p)):
                 return False
     return True
 
@@ -155,136 +112,75 @@ def field_make(p: int, k: int) -> FieldSpec:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-class FieldElement:
-    """An element of GF(p^k), stored as a length-k coefficient tuple."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > spec.k:
-            coeffs = _poly_divmod(coeffs, list(spec.poly), spec.p)[1]
-        coeffs = [c % spec.p for c in coeffs]
-        coeffs += [0] * (spec.k - len(coeffs))
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if other.spec != self.spec:
-            raise ValueError("mixed field specs")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, _poly_add(self.coeffs, other.coeffs, self.spec.p))
-
-    def __neg__(self):
-        return FieldElement(self.spec, [-c % self.spec.p for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FieldElement(self.spec, [c * other % self.spec.p for c in self.coeffs])
-        other = self._check(other)
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(self.spec.poly),
-                            self.spec.p)
-        return FieldElement(self.spec, prod)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        if not any(self.coeffs):
-            raise ZeroDivisionError("division by zero")
-        return self ** (self.spec.order - 2)
-
-    def __truediv__(self, other):
-        return self * self._check(other).inv()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = _poly_powmod(list(self.coeffs), e, list(self.spec.poly), self.spec.p)
-        return FieldElement(self.spec, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return f"FieldElement({self.coeffs}, GF({self.spec.p}^{self.spec.k}))"
-
-    @property
-    def index(self) -> int:
-        return sum(c * self.spec.p ** i for i, c in enumerate(self.coeffs))
+def element(spec: FieldSpec, coeffs) -> int:
+    """Index of c0 + c1*a + ... from at most k coefficients, constant
+    first, each reduced mod p."""
+    coeffs = list(coeffs)
+    if len(coeffs) > spec.k:
+        raise ValueError("more than k coefficients")
+    return sum(c % spec.p * spec.p ** i for i, c in enumerate(coeffs))
 
 
-def element(spec: FieldSpec, value) -> FieldElement:
-    """Construct an element from a coefficient sequence or an enumeration
-    index (base-p digits of the index are the coefficients)."""
-    if isinstance(value, int):
-        if not 0 <= value < spec.order:
-            raise ValueError("index out of range")
-        digits = []
-        for _ in range(spec.k):
-            digits.append(value % spec.p)
-            value //= spec.p
-        return FieldElement(spec, digits)
-    return FieldElement(spec, value)
+def _digits(spec, x):
+    """Coefficient rows, shape x.shape + (k,), of the index array x."""
+    x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= spec.order):
+        raise ValueError("field element index out of range")
+    return digit_table(spec)[x]
 
 
-def zero(spec: FieldSpec) -> FieldElement:
-    return element(spec, 0)
+def _index(spec, coeffs):
+    """Indices of coefficient rows, each coefficient reduced mod p."""
+    return (coeffs % spec.p) @ spec.p ** np.arange(spec.k, dtype=np.int64)
 
 
-def one(spec: FieldSpec) -> FieldElement:
-    return element(spec, [1])
+def add(spec: FieldSpec, x, y):
+    """x + y, digit by digit mod p."""
+    return _index(spec, _digits(spec, x) + _digits(spec, y))
 
 
-def elements(spec: FieldSpec):
-    """All field elements in canonical enumeration order."""
-    return [element(spec, i) for i in range(spec.order)]
+def neg(spec: FieldSpec, x):
+    """-x, digit by digit mod p."""
+    return _index(spec, -_digits(spec, x))
 
 
-def field_arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatch arithmetic by name: op in {add, mul, inv, pow}.
-
-    ``inv`` ignores b; ``pow`` takes an integer exponent for b.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        return a ** int(b)
-    raise ValueError(f"unknown op {op!r}")
+def mul(spec: FieldSpec, x, y):
+    """x*y: the coefficients of x mapped by sum_j y_j C^j."""
+    cx, cy = _digits(spec, x), _digits(spec, y)
+    powers = _companion_powers(spec)
+    acc = 0
+    for j in range(spec.k):
+        acc = acc + cy[..., j, None] * ((cx @ powers[j].T) % spec.p)
+    return _index(spec, acc)
 
 
-def frobenius(x: FieldElement) -> FieldElement:
-    return x ** x.spec.p
+def power(spec: FieldSpec, x, e):
+    """x**e for integer exponents e >= 0, by repeated squaring."""
+    e = np.asarray(e)
+    if np.any(e < 0):
+        raise ValueError("negative exponent")
+    out = np.ones(np.broadcast_shapes(np.shape(x), e.shape), dtype=np.int64)
+    while np.any(e):
+        out = mul(spec, out, np.where(e & 1, x, 1))
+        x = mul(spec, x, x)
+        e = e >> 1
+    return out[()]
 
 
-def field_trace(x: FieldElement) -> int:
+def inverse(spec: FieldSpec, x):
+    """1/x = x**(q-2); raises ZeroDivisionError on zero."""
+    if np.any(np.asarray(x) == 0):
+        raise ZeroDivisionError("division by zero")
+    return power(spec, x, spec.order - 2)
+
+
+def field_trace(spec: FieldSpec, x):
     """tr x = x + x^p + ... + x^(p^(k-1)), an integer residue mod p.
 
     The trace is Z_p-linear, so it is evaluated as sum_i c_i tr(a^i) over
     the coefficients c_i of x, with tr(a^i) read from :func:`trace_form`.
     """
-    return int(np.dot(trace_form(x.spec)[:, 0], x.coeffs)) % x.spec.p
+    return (_digits(spec, x) @ trace_form(spec)[:, 0]) % spec.p
 
 
 # -- integer tables, built on first use and cached per field -----------------
@@ -309,16 +205,26 @@ def trace_form(spec: FieldSpec) -> np.ndarray:
     tr(a^m) is the matrix trace of multiplication by a^m, i.e. of C^m for
     the companion matrix C of the modulus.
     """
+    k = spec.k
+    traces = np.trace(_companion_powers(spec), axis1=1, axis2=2) % spec.p
+    out = traces[np.add.outer(np.arange(k), np.arange(k))]
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _companion_powers(spec: FieldSpec) -> np.ndarray:
+    """(2k-1, k, k) integer array of C^m mod p for m = 0 .. 2k-2, with C
+    the companion matrix of the modulus, so C^m maps the coefficients of x
+    to those of x a^m.  Treat as read-only."""
     p, k = spec.p, spec.k
     comp = np.zeros((k, k), dtype=np.int64)
     comp[np.arange(1, k), np.arange(k - 1)] = 1
     comp[:, k - 1] = [-c % p for c in spec.poly[:k]]
-    traces = []
-    power = np.eye(k, dtype=np.int64)
-    for _ in range(2 * k - 1):
-        traces.append(int(np.trace(power)) % p)
-        power = (comp @ power) % p
-    out = np.array(traces, dtype=np.int64)[np.add.outer(np.arange(k), np.arange(k))]
+    out = [np.eye(k, dtype=np.int64)]
+    for _ in range(2 * k - 2):
+        out.append((comp @ out[-1]) % p)
+    out = np.array(out)
     out.setflags(write=False)
     return out
 
@@ -331,64 +237,40 @@ def roots_of_unity(p: int) -> np.ndarray:
     return out
 
 
-def multiplicative_order(x: FieldElement) -> int:
-    if not x:
+def multiplicative_order(spec: FieldSpec, x):
+    """Least n >= 1 with x**n = 1, for nonzero x: the least divisor n of
+    q - 1 with x**n = 1."""
+    x = np.asarray(x)
+    if np.any(x == 0):
         raise ValueError("zero has no multiplicative order")
-    n = x.spec.order - 1
-    order = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            while order % f == 0 and x ** (order // f) == one(x.spec):
-                order //= f
-        f += 1
-    if m > 1 and order % m == 0 and x ** (order // m) == one(x.spec):
-        order //= m
-    return order
+    q1 = spec.order - 1
+    order = np.zeros(x.shape, dtype=np.int64)
+    for n in range(1, q1 + 1):
+        if q1 % n == 0:
+            order = np.where((order == 0) & (power(spec, x, n) == 1), n, order)
+    return order[()]
 
 
-def primitive_element(spec: FieldSpec) -> FieldElement:
+def primitive_element(spec: FieldSpec) -> int:
     """The first element in canonical enumeration order whose
     multiplicative order is p^k - 1."""
     target = spec.order - 1
-    for x in elements(spec)[1:]:
-        if multiplicative_order(x) == target:
+    for x in range(1, spec.order):
+        if multiplicative_order(spec, x) == target:
             return x
     raise RuntimeError("no primitive element found")  # unreachable
 
 
-def dual_basis(basis) -> list:
+def dual_basis(spec: FieldSpec, basis) -> list:
     """Given a Z_p-basis (e_1..e_k) of GF(p^k), return the dual basis
     with tr(e_i * dual_j) = delta_ij."""
-    basis = list(basis)
-    spec = basis[0].spec
     p, k = spec.p, spec.k
     if len(basis) != k:
         raise ValueError("not a basis")
-    powers = [element(spec, [0] * d + [1]) for d in range(k)]
-    # M[i][c] = tr(e_i * a^c); solve M * C^T = 1 mod p
-    M = [[field_trace(e * powers[c]) for c in range(k)] for e in basis]
-    aug = [row[:] + [1 if j == i else 0 for j in range(k)]
-           for i, row in enumerate(M)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col] % p), None)
-        if pivot is None:
-            raise ValueError("not a basis")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[col])]
-    # columns of the inverse give the dual elements in the a-power basis
-    dual = []
-    for j in range(k):
-        acc = zero(spec)
-        for c in range(k):
-            acc = acc + aug[c][k + j] * powers[c]
-        dual.append(acc)
-    return dual
+    # codes[x] has base-p digits tr(x e_i) = c_x . G . c_(e_i); the map
+    # x -> codes[x] is one-to-one exactly when the e_i are a basis
+    form = trace_form(spec) @ _digits(spec, basis).T
+    codes = ((digit_table(spec) @ form) % p) @ p ** np.arange(k)
+    if np.unique(codes).size != spec.order:
+        raise ValueError("not a basis")
+    return [int(np.flatnonzero(codes == p ** j)[0]) for j in range(k)]

@@ -12,9 +12,7 @@ import math
 import numpy as np
 
 from . import combinat, gf, sic, weyl
-
-EPS_MAT = 1e-10
-EPS_MUB = 1e-9
+from .tol import TOL_MATRIX, TOL_OVERLAP
 
 
 def family_deviations(bases) -> dict:
@@ -54,7 +52,7 @@ def family_deviations(bases) -> dict:
     return out
 
 
-def unbiasedness_check(bases, tol: float = EPS_MUB) -> dict:
+def unbiasedness_check(bases, tol: float = TOL_OVERLAP) -> dict:
     """Check that a family of orthonormal bases is mutually unbiased.
 
     Args:
@@ -73,7 +71,7 @@ def unbiasedness_check(bases, tol: float = EPS_MUB) -> dict:
     rep = family_deviations(bases)
     for i, orth in enumerate(rep.pop("orthonormality")):
         # NaN here comes from non-finite input and fails `pass` below
-        if orth > EPS_MAT:
+        if orth > TOL_MATRIX:
             raise ValueError("basis %d is not orthonormal" % i)
     rep["pass"] = bool(rep["max_deviation"] <= tol)
     if rep["pass"] and rep["bases"] > rep["n"] + 1:
@@ -112,7 +110,7 @@ def ivanovic_mubs(p: int):
     gens.append(weyl.displacement(p, p - 1, 0))
     for b, d in zip(bases, gens):
         res = np.abs(d @ b - b * pows[None, :]).max()
-        if res > EPS_MAT:
+        if res > TOL_MATRIX:
             raise RuntimeError("eigenvector property violated: %g" % res)
     return bases
 
@@ -183,13 +181,12 @@ def subgroup_eigenbases(p: int, k: int, seed: int = 7):
     if q > 32:
         raise ValueError("field too large")
     spec = gf.field_make(p, k)
-    els = gf.elements(spec)
-    z, o = gf.zero(spec), gf.one(spec)
-    directions = [(z, o)] + [(o, e) for e in els]
+    ts = np.arange(1, q)[:, None]
+    directions = [(0, 1)] + [(1, e) for e in range(q)]
     bases = []
-    for di, (d1, d2) in enumerate(directions):
-        mats = [weyl.field_displacement(spec, t * d1, t * d2)
-                for t in els if t != z]
+    for di, direction in enumerate(directions):
+        mats = [weyl.field_displacement(spec, u1, u2)
+                for u1, u2 in gf.mul(spec, ts, direction)]
         vecs = _joint_eigenbasis(mats, (seed, di))
         bases.append(canonicalize_basis(vecs))
     report = unbiasedness_check(bases)

@@ -9,9 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import clifford, gf, weyl
-
-EPS_MAT = 1e-10
-EPS_SIC = 1e-8
+from .tol import TOL_MATRIX, TOL_SIC_GRAM
 
 _FTOL = 1e-30
 _STALL_WINDOW = 100
@@ -21,9 +19,10 @@ _POLISH_TRIGGER = 1e-8
 
 
 def _check_unit(psi):
-    # gate loose enough for finite-difference probes of the raw quartic
+    # gate loose enough for finite-difference probes of the raw quartic;
+    # written so that a NaN norm fails it
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-5:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-5:
         raise ValueError("psi is not a unit vector")
     return psi
 
@@ -233,7 +232,8 @@ def make_candidate(psi) -> dict:
     return {"n": psi.size, "fiducial": psi, "fsic": f_sic(psi)}
 
 
-def sic_verify(cand, tol_identity: float = EPS_MAT, tol_gram: float = EPS_SIC) -> dict:
+def sic_verify(cand, tol_identity: float = TOL_MATRIX,
+               tol_gram: float = TOL_SIC_GRAM) -> dict:
     """Resolution of identity for the orbit within tol_identity and every
     cross Gram modulus squared at 1/(N+1) within tol_gram."""
     psi = np.asarray(cand["fiducial"], dtype=complex).reshape(-1)
@@ -241,7 +241,8 @@ def sic_verify(cand, tol_identity: float = EPS_MAT, tol_gram: float = EPS_SIC) -
     if psi.size != n:
         raise ValueError("dimension mismatch")
     psi = _check_unit(psi)
-    if "fsic" in cand and abs(float(cand["fsic"]) - f_sic(psi)) > EPS_MAT:
+    if "fsic" in cand and not abs(float(cand["fsic"]) - f_sic(psi)) \
+            <= TOL_MATRIX:
         raise ValueError("cached fsic does not match recomputation")
     orbit = sic_orbit(psi)
     res = np.einsum("ki,kj->ij", orbit, orbit.conj()) / n - np.eye(n)
@@ -280,7 +281,7 @@ def overlap_phases(cand) -> dict:
     phases = (math.sqrt(n + 1.0) * c).reshape(n, n)
     phases[0, 0] = complex(np.nan, np.nan)
     dev = float(np.max(np.abs(np.abs(phases.ravel()[1:]) - 1.0)))
-    if dev > EPS_SIC:
+    if dev > TOL_SIC_GRAM:
         raise RuntimeError("overlap phases are not unit modulus: %g" % dev)
     return {"n": n, "phases": phases}
 

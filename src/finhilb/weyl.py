@@ -9,8 +9,8 @@ Conventions, fixed once for the whole package:
   all phase exponents are reduced as exact integers before any floating
   evaluation, which keeps residuals at the 1e-15 level.
 
-The finite-field variants replace integer indices by elements of GF(p^K)
-ordered canonically by :mod:`finhilb.gf`.
+The finite-field variants label displacements by elements of GF(p^K),
+each given as its enumeration index in :mod:`finhilb.gf`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import gf
 
-EPS_MAT = 1e-10
 MAX_DIM = 64
 _MAX_TABLE_DIM = 32
 
@@ -152,17 +151,18 @@ def reconstruct_operator(coef) -> np.ndarray:
 
 def field_shift(spec, u) -> np.ndarray:
     """X_u |x> = |x + u> over the canonical element order."""
-    return field_displacement(spec, u, gf.zero(spec))
+    return field_displacement(spec, u, 0)
 
 
 def field_clock(spec, u) -> np.ndarray:
     """Z_u |x> = omega**tr(x u) |x> with omega = exp(2*pi*i/p)."""
-    return field_displacement(spec, gf.zero(spec), u)
+    return field_displacement(spec, 0, u)
 
 
 def field_displacement(spec, u1, u2) -> np.ndarray:
     """D_u = tau**tr(u1 u2) X_{u1} Z_{u2} with tau = -exp(i*pi/p), i.e.
-    D_u |x> = tau**tr(u1 u2) omega**tr(x u2) |x + u1>.
+    D_u |x> = tau**tr(u1 u2) omega**tr(x u2) |x + u1>, for the element
+    indices u1, u2 in [0, q).
 
     Sign convention for p = 2: tau = -i has order four while traces are
     residues mod 2, so the group law D_u D_v = tau**<u,v> D_{u+v} holds
@@ -173,12 +173,13 @@ def field_displacement(spec, u1, u2) -> np.ndarray:
     row of column x is the index of x + u1, and tr(x u2) is the digit row
     of x times G c2, with G the trace form and c2 the coefficients of u2.
     """
-    if u1.spec != spec or u2.spec != spec:
-        raise ValueError("mixed field specs")
     p, q = spec.p, spec.order
+    # a negative index would wrap silently in the gathers below
+    if not (0 <= u1 < q and 0 <= u2 < q):
+        raise ValueError("field element index out of range")
     digits = gf.digit_table(spec)
-    c1 = np.array(u1.coeffs, dtype=np.int64)
-    g2 = (gf.trace_form(spec) @ np.array(u2.coeffs, dtype=np.int64)) % p
+    c1 = digits[u1]
+    g2 = (gf.trace_form(spec) @ digits[u2]) % p
     rows = ((digits + c1) % p) @ p ** np.arange(spec.k, dtype=np.int64)
     ph = tau_power(p, int(c1 @ g2) % p)
     D = np.zeros((q, q), dtype=complex)
@@ -186,17 +187,18 @@ def field_displacement(spec, u1, u2) -> np.ndarray:
     return D
 
 
-def field_symplectic_exponent(u, v) -> int:
+def field_symplectic_exponent(spec, u, v) -> int:
     """<u, v> = tr(u2 v1 - u1 v2), an integer residue mod p."""
-    return gf.field_trace(u[1] * v[0] - u[0] * v[1])
+    return int(gf.field_trace(spec, gf.mul(spec, u[1], v[0]))
+               - gf.field_trace(spec, gf.mul(spec, u[0], v[1]))) % spec.p
 
 
 def field_group_law_residual(spec, u, v) -> float:
     """Max-entry distance from D_u D_v = tau**<u,v> D_{u+v}, minimized over
     the overall sign when p = 2 (see :func:`field_displacement`)."""
     lhs = field_displacement(spec, *u) @ field_displacement(spec, *v)
-    rhs = tau_power(spec.p, field_symplectic_exponent(u, v)) \
-        * field_displacement(spec, u[0] + v[0], u[1] + v[1])
+    rhs = tau_power(spec.p, field_symplectic_exponent(spec, u, v)) \
+        * field_displacement(spec, *gf.add(spec, u, v))
     res = np.abs(lhs - rhs).max()
     if spec.p == 2:
         res = min(res, np.abs(lhs + rhs).max())
@@ -209,28 +211,28 @@ def tensor_isomorphism(spec, basis=None, exhaustive=True):
     products of p-dimensional displacements.
 
     Factor i of D_(u1,u2) carries indices (tr(u1*dual_i), tr(u2*e_i)).
+    The default basis is the powers 1, a, ..., a^(K-1) of the generator.
     Returns (S, report); for p = 2 report["max_residual"] is minimized over
     the overall sign (see :func:`field_displacement`).
     """
     p, k = spec.p, spec.k
     q = spec.order
     if basis is None:
-        basis = [gf.element(spec, [0] * d + [1]) for d in range(k)]
-    dual = gf.dual_basis(basis)
+        basis = [p ** d for d in range(k)]
+    dual = gf.dual_basis(spec, basis)
+    x = np.arange(q)[:, None]
+    # row x, column i: tr(x * dual_i) and tr(x * e_i)
+    dual_digits = gf.field_trace(spec, gf.mul(spec, x, dual))
+    basis_digits = gf.field_trace(spec, gf.mul(spec, x, basis))
     S = np.zeros((q, q), dtype=complex)
-    for x in gf.elements(spec):
-        digits = [gf.field_trace(x * dual[i]) for i in range(k)]
-        tidx = 0
-        for d in digits:
-            tidx = tidx * p + d
-        S[tidx, x.index] = 1.0
-    pairs = [(u1, u2) for u1 in gf.elements(spec) for u2 in gf.elements(spec)]
+    S[dual_digits @ p ** np.arange(k - 1, -1, -1), np.arange(q)] = 1.0
+    pairs = [(u1, u2) for u1 in range(q) for u2 in range(q)]
     if not exhaustive and q > 16:
         pairs = pairs[:: max(1, len(pairs) // 64)]
     worst = 0.0
     for u1, u2 in pairs:
         lhs = S @ field_displacement(spec, u1, u2) @ S.conj().T
-        factors = [displacement(p, gf.field_trace(u1 * dual[i]), gf.field_trace(u2 * basis[i]))
+        factors = [displacement(p, dual_digits[u1, i], basis_digits[u2, i])
                    for i in range(k)]
         rhs = factors[0]
         for f in factors[1:]:

@@ -7,8 +7,7 @@ symplectic group.
 import numpy as np
 
 from . import clifford, combinat, mub, weyl
-
-EPS_MAT = 1e-10
+from .tol import TOL_MATRIX
 _MAX_N = 31
 
 
@@ -24,16 +23,16 @@ def parity_operator(n: int) -> np.ndarray:
     for i in range(n):
         a[(n - i) % n, i] = 1.0
     f = combinat.fourier_matrix(n)
-    if np.abs(a @ a - np.eye(n)).max() > EPS_MAT:
+    if np.abs(a @ a - np.eye(n)).max() > TOL_MATRIX:
         raise RuntimeError("parity operator does not square to identity")
-    if np.abs(f @ f - a).max() > EPS_MAT:
+    if np.abs(f @ f - a).max() > TOL_MATRIX:
         raise RuntimeError("Fourier squared does not give the parity")
     if n <= _MAX_N:
         total = -np.eye(n, dtype=complex)
         for b in mub.ivanovic_mubs(n):
             v = b[:, 0]
             total += np.outer(v, v.conj())
-        if np.abs(total - a).max() > EPS_MAT:
+        if np.abs(total - a).max() > TOL_MATRIX:
             raise RuntimeError("MUB-projector identity fails for parity")
     return a
 
@@ -62,12 +61,12 @@ def phase_point_set(n: int) -> np.ndarray:
     ortho_target[0, 0] = n
     ortho_dev = np.abs(ortho - ortho_target).max()
     worst = max(herm, invol, float(tr_dev), float(ortho_dev))
-    if worst > EPS_MAT:
+    if worst > TOL_MATRIX:
         raise RuntimeError("phase-point invariants violated: %g" % worst)
     vals = np.linalg.eigvalsh(a00)
     m = (n + 1) // 2
-    if (np.abs(vals[:m - 1] + 1).max() > EPS_MAT
-            or np.abs(vals[m - 1:] - 1).max() > EPS_MAT):
+    if (np.abs(vals[:m - 1] + 1).max() > TOL_MATRIX
+            or np.abs(vals[m - 1:] - 1).max() > TOL_MATRIX):
         raise RuntimeError("parity eigenvalue multiplicities are not "
                            "(%d, %d)" % (m, m - 1))
     pps.setflags(write=False)

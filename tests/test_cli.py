@@ -124,6 +124,31 @@ def test_mub_verify_nonfinite_entry_fails(capsys, tmp_path, bad):
     assert not any(c["pass"] for c in json.loads(out)["checks"])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_input_is_validation_error(capsys, tmp_path, bad):
+    vec = [[bad, 0.0]] + [[0.5, 0.0]] * 3
+    good = [[z.real, z.imag] for z in sic.dim4_fiducial()]
+    docs = {"sic.json": {"kind": "sic", "version": 1, "n": 4,
+                         "fiducial": vec},
+            "fsic.json": {"kind": "sic", "version": 1, "n": 4,
+                          "fsic": bad, "fiducial": good},
+            "family.json": {"kind": "basisfamily", "version": 1,
+                            "vectors": [[[1.0, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [1.0, 0.0]], vec[:2]]},
+            "state.json": vec[:3]}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    sic_doc, fsic_doc, family, state = (str(tmp_path / name) for name in docs)
+    calls = [["sic", "verify", sic_doc], ["sic", "verify", fsic_doc],
+             ["design", "test", "--family", family, "--t", "1"],
+             ["design", "welch", "--family", family, "--t", "1"],
+             ["wigner", "table", "--n", "3", "--state", state]]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
 def test_wrong_kind_names_both(capsys, tmp_path):
     path = tmp_path / "sic3.json"
     assert run(capsys, "sic", "search", "--n", "3", "--restarts", "4",

@@ -161,6 +161,18 @@ def test_verify_cached_value_mismatch():
         sic.sic_verify({"n": 4, "fiducial": sic.dim4_fiducial(), "fsic": 0.5})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_input_rejected(bad):
+    psi = np.full(4, 0.5, dtype=complex)
+    psi[0] = bad
+    with pytest.raises(ValueError, match="not a unit vector"):
+        sic._check_unit(psi)
+    with pytest.raises(ValueError, match="not a unit vector"):
+        sic.sic_verify({"n": 4, "fiducial": psi})
+    with pytest.raises(ValueError, match="cached fsic"):
+        sic.sic_verify({"n": 4, "fiducial": sic.dim4_fiducial(), "fsic": bad})
+
+
 def test_overlap_phases_requires_verified_candidate():
     with pytest.raises(ValueError):
         sic.overlap_phases(sic.make_candidate(np.array([1.0, 0.0, 0.0])))

@@ -139,83 +139,115 @@ def test_expand_rejects_non_square():
 
 def test_field_displacement_identity():
     spec = gf.field_make(3, 2)
-    z = gf.zero(spec)
-    assert np.allclose(weyl.field_displacement(spec, z, z), np.eye(9))
+    assert np.allclose(weyl.field_displacement(spec, 0, 0), np.eye(9))
 
 
 def test_gf4_clock_and_shift_commute():
     spec = gf.field_make(2, 2)
-    u = gf.one(spec)
-    X1 = weyl.field_shift(spec, u)
-    Z1 = weyl.field_clock(spec, u)
+    X1 = weyl.field_shift(spec, 1)
+    Z1 = weyl.field_clock(spec, 1)
     assert np.abs(X1 @ Z1 - Z1 @ X1).max() < 1e-12  # tr(1) = 0 in GF(4)
 
 
 def test_field_group_law_gf9_exhaustive():
     spec = gf.field_make(3, 2)
-    els = gf.elements(spec)
     worst = 0.0
-    for u1 in els:
-        for u2 in els:
-            for v1 in els[::2]:
-                for v2 in els[::2]:
+    for u1 in range(9):
+        for u2 in range(9):
+            for v1 in range(0, 9, 2):
+                for v2 in range(0, 9, 2):
                     worst = max(worst, weyl.field_group_law_residual(
                         spec, (u1, u2), (v1, v2)))
     assert worst < 1e-10
 
 
-def _frobenius_trace(x):
-    acc = term = x
-    for _ in range(x.spec.k - 1):
-        term = gf.frobenius(term)
-        acc = acc + term
-    assert not any(acc.coeffs[1:])
-    return acc.coeffs[0]
+class _Poly:
+    """Schoolbook element of GF(p^k) for the reference loop below: a
+    coefficient list, constant first, reduced modulo spec.poly.  Built
+    from spec.poly and base-p digits only, not from finhilb.gf."""
+
+    def __init__(self, spec, coeffs):
+        self.spec = spec
+        self.c = [c % spec.p for c in coeffs]
+
+    @classmethod
+    def of(cls, spec, index):
+        return cls(spec, [index // spec.p ** j for j in range(spec.k)])
+
+    @property
+    def index(self):
+        return sum(c * self.spec.p ** j for j, c in enumerate(self.c))
+
+    def __add__(self, other):
+        return _Poly(self.spec, [a + b for a, b in zip(self.c, other.c)])
+
+    def __mul__(self, other):
+        k, poly = self.spec.k, self.spec.poly
+        out = [0] * (2 * k - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        for d in range(2 * k - 2, k - 1, -1):  # a^d = -sum_i poly_i a^(d-k+i)
+            for i in range(k):
+                out[d - k + i] -= out[d] * poly[i]
+        return _Poly(self.spec, out[:k])
+
+    def trace(self):
+        """x + x^p + ... + x^(p^(k-1)), which lies in the prime field."""
+        acc = term = self
+        for _ in range(self.spec.k - 1):
+            prev = term
+            for _ in range(self.spec.p - 1):
+                term = term * prev
+            acc = acc + term
+        assert not any(acc.c[1:])
+        return acc.c[0]
 
 
 def _field_displacement_loop(spec, u1, u2):
     """Reference D_u built element by element, traces as Frobenius sums."""
     q = spec.order
-    ph = weyl.tau_power(spec.p, _frobenius_trace(u1 * u2))
+    u1, u2 = _Poly.of(spec, u1), _Poly.of(spec, u2)
+    ph = weyl.tau_power(spec.p, (u1 * u2).trace())
     D = np.zeros((q, q), dtype=complex)
-    for j, x in enumerate(gf.elements(spec)):
-        D[(x + u1).index, j] = ph * np.exp(2j * np.pi * _frobenius_trace(x * u2) / spec.p)
+    for j in range(q):
+        x = _Poly.of(spec, j)
+        D[(x + u1).index, j] = ph * np.exp(2j * np.pi * (x * u2).trace() / spec.p)
     return D
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
 def test_field_displacement_matches_elementwise_loop(p, k):
     spec = gf.field_make(p, k)
-    els = gf.elements(spec)
-    z = gf.zero(spec)
-    pairs = [(u1, u2) for u1 in els for u2 in els]
+    q = spec.order
+    pairs = [(u1, u2) for u1 in range(q) for u2 in range(q)]
     if spec.order > 9:
         pairs = random.Random(spec.order).sample(pairs, 48)
     for u1, u2 in pairs:
         ref = _field_displacement_loop(spec, u1, u2)
         assert np.abs(weyl.field_displacement(spec, u1, u2) - ref).max() <= 1e-15
-    for u in els[:16]:
+    for u in range(min(q, 16)):
         assert np.abs(weyl.field_shift(spec, u)
-                      - _field_displacement_loop(spec, u, z)).max() <= 1e-15
+                      - _field_displacement_loop(spec, u, 0)).max() <= 1e-15
         assert np.abs(weyl.field_clock(spec, u)
-                      - _field_displacement_loop(spec, z, u)).max() <= 1e-15
+                      - _field_displacement_loop(spec, 0, u)).max() <= 1e-15
 
 
 def test_field_displacement_dagger():
     spec = gf.field_make(5, 1)
-    els = gf.elements(spec)
-    for u1 in els:
-        for u2 in els:
+    for u1 in range(5):
+        for u2 in range(5):
             D = weyl.field_displacement(spec, u1, u2)
-            Dd = weyl.field_displacement(spec, -u1, -u2)
+            Dd = weyl.field_displacement(spec, gf.neg(spec, u1), gf.neg(spec, u2))
             assert np.abs(D.conj().T - Dd).max() < 1e-12
 
 
-def test_field_displacement_mixed_spec_rejected():
-    s1 = gf.field_make(3, 2)
-    s2 = gf.field_make(3, 1)
-    with pytest.raises(ValueError):
-        weyl.field_displacement(s1, gf.one(s1), gf.one(s2))
+def test_field_displacement_index_out_of_range():
+    spec = gf.field_make(3, 2)
+    for bad in (-1, spec.order):
+        for u in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                weyl.field_displacement(spec, *u)
 
 
 def test_tensor_isomorphism_k1_identity():
