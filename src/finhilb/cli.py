@@ -99,6 +99,7 @@ class Report:
         self.checks = []
         self.artifacts = []
         self.result = None
+        self.stats = None
 
     def check(self, name, value, threshold, mode="le"):
         value = float(value)
@@ -124,6 +125,8 @@ class Report:
             out["seed"] = self.seed
         if self.result is not None:
             out["result"] = self.result
+        if self.stats is not None:
+            out["stats"] = self.stats
         return out
 
     def emit(self, as_json, lines=None):
@@ -345,6 +348,7 @@ def cmd_mub_search6(args):
     rep.check("min_value", out["min_value"], args.tol)
     rep.result = {"count": out["count"],
                   "vectors": [_vec2j(v) for v in out["vectors"]]}
+    rep.stats = out["stats"]
     rep.emit(args.json)
     return rep.exit_code()
 
@@ -511,6 +515,7 @@ def cmd_sic_search(args):
         rep.artifacts.append(args.out)
     rep.result = {"fsic": out["fsic"], "restart": out["restart"],
                   "fiducial": _vec2j(out["fiducial"])}
+    rep.stats = out["stats"]
     rep.emit(args.json)
     return rep.exit_code()
 

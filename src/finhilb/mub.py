@@ -442,21 +442,20 @@ def _unbiased6_objective():
 def search_unbiased6(restarts: int = 24, seed: int = 0, threads: int = 1,
                      tol: float = 1e-18) -> dict:
     """Local search for unit vectors in dimension 6 unbiased to both the
-    computational and the Fourier basis.  Each restart runs sic.descend
-    and sic.polish from a seeded Haar-random start.  Reports only what it
-    finds: the number of distinct solutions below tol among the restarts.
+    computational and the Fourier basis.  Each restart runs sic.optimize
+    from a seeded Haar-random start.  Reports only what it finds: the
+    number of distinct solutions below tol among the restarts.
     """
     value, value_grad, residual_jacobian = _unbiased6_objective()
 
     def run(r):
         v = sic._haar_start(np.random.default_rng([seed, r]), 6)
-        v, f = sic.descend(v, value, value_grad)
-        return sic.polish(v, value, residual_jacobian, f)
+        return sic.optimize(v, value, value_grad, residual_jacobian)
 
     results = sic.restart_results(run, restarts, threads)
 
     hits = []
-    for v, f in results:
+    for v, f, _ in results:
         if f < tol:
             # at a solution every |v_i| = 1/sqrt(6), so v[0] fixes the phase
             ph = v[0]
@@ -467,8 +466,9 @@ def search_unbiased6(restarts: int = 24, seed: int = 0, threads: int = 1,
     for v, _ in hits:
         if all(np.abs(v - u).max() > 1e-6 for u in vectors):
             vectors.append(v)
-    min_value = min((f for _, f in results), default=math.inf)
+    min_value = min((f for _, f, _ in results), default=math.inf)
     return {"count": len(vectors),
             "vectors": np.array(vectors),
             "min_value": min_value,
-            "restarts": restarts}
+            "restarts": restarts,
+            "stats": sic.search_stats([(f, c) for _, f, c in results], tol)}

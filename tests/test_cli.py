@@ -273,6 +273,31 @@ def test_sic_search_seed_determinism(capsys):
     assert {"name", "value", "threshold", "pass"} <= set(doc["checks"][0])
 
 
+def test_search_reports_carry_stats(capsys, tmp_path):
+    path = tmp_path / "sic3.json"
+    code, out, _ = run(capsys, "sic", "search", "--n", "3", "--restarts",
+                       "4", "--seed", "9", "--out", str(path), "--json")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    code, out, _ = run(capsys, "mub", "search6", "--restarts", "4",
+                       "--seed", "1", "--json")
+    assert code == 0
+    for block in (stats, json.loads(out)["stats"]):
+        assert block["restarts"] == 4
+        for key in ("converged", "iterations", "value_calls", "grad_calls",
+                    "polish_steps"):
+            assert isinstance(block[key], int)
+        assert len(block["final_values"]) == 4
+        assert sum(block["stops"].values()) == 4
+    # the stats block stays out of the artifact and the human output
+    assert set(json.loads(path.read_text())) == {
+        "kind", "version", "n", "fsic", "fiducial", "seed", "restarts",
+        "restart"}
+    code, out, _ = run(capsys, "sic", "search", "--n", "3", "--restarts",
+                       "4", "--seed", "9")
+    assert code == 0 and len(out.splitlines()) == 1
+
+
 def test_sic_verify_and_fingerprint_files(capsys, tmp_path):
     path = tmp_path / "sic4.json"
     psi = sic.dim4_fiducial()

@@ -329,6 +329,10 @@ def test_search_unbiased6_thread_determinism():
     b = mub.search_unbiased6(restarts=24, seed=3, threads=2)
     assert a["count"] == b["count"]
     assert a["min_value"] == b["min_value"]
+    assert a["stats"] == b["stats"]
+    assert a["stats"]["restarts"] == 24
+    assert a["stats"]["converged"] == sum(
+        f < 1e-18 for f in a["stats"]["final_values"])
     if a["count"]:
         assert np.abs(a["vectors"] - b["vectors"]).max() < 1e-9
 

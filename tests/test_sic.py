@@ -93,6 +93,80 @@ def test_search_deterministic_and_threaded_merge():
     assert np.array_equal(seq["fiducial"], again["fiducial"])
 
 
+def counting_objective(n):
+    """f_sic's value and value_grad at dimension n, as sic_search binds
+    them, plus a dict counting their calls."""
+    table = weyl.displacement_table(n)
+    calls = {"value": 0, "grad": 0}
+
+    def value(psi):
+        calls["value"] += 1
+        return sic._value(psi, table)
+
+    def value_grad(psi):
+        calls["grad"] += 1
+        return sic._value_grad(psi, table)
+
+    return value, value_grad, calls
+
+
+def search_start(n, seed, r):
+    # the start of restart r of sic_search(n, seed=seed)
+    return sic._haar_start(np.random.default_rng([seed, r]), n)
+
+
+def test_descend_line_search_calls_per_gradient():
+    # a restart at its rounding floor must stop, not halve ~40 times per
+    # iteration back to a no-op step until the stall window fires (15.9
+    # value calls per gradient call over this search)
+    value, value_grad, calls = counting_objective(8)
+    for r in range(48):
+        sic.descend(search_start(8, 1, r), value, value_grad)
+    assert calls["value"] <= 3 * calls["grad"]
+
+
+def test_descend_stops_at_rounding_floor():
+    value, value_grad, calls = counting_objective(8)
+    psi, f, stop = sic.descend(search_start(8, 1, 6), value, value_grad)
+    assert stop == "no_decrease" and f > 1e-3
+    calls.update(value=0, grad=0)
+    again, f_again, stop = sic.descend(psi, value, value_grad)
+    assert stop == "no_decrease"
+    assert calls["grad"] <= 5 and calls["value"] <= 120
+    assert f_again <= f and f_again == sic.f_sic(again)
+
+
+def test_search_stats_keys_and_tally():
+    out = sic.sic_search(8, restarts=16, seed=1)
+    stats = out["stats"]
+    assert set(stats) == {"restarts", "converged", "iterations",
+                          "value_calls", "grad_calls", "polish_steps",
+                          "final_values", "stops"}
+    for key in ("restarts", "converged", "iterations", "value_calls",
+                "grad_calls", "polish_steps"):
+        assert isinstance(stats[key], int)
+    assert set(stats["stops"]) == {"trigger", "no_decrease", "stall",
+                                   "line_search", "cap"}
+    assert sum(stats["stops"].values()) == stats["restarts"] == 16
+    assert len(stats["final_values"]) == 16
+    assert all(isinstance(f, float) for f in stats["final_values"])
+    assert min(stats["final_values"]) == out["fsic"]
+    assert stats["final_values"][out["restart"]] == out["fsic"]
+    assert stats["converged"] == sum(f < 1e-12 for f in stats["final_values"])
+    # every step is one gradient call after the first
+    assert stats["iterations"] == stats["grad_calls"] - 16
+
+
+def test_search_threads_agree_where_restarts_stall():
+    # restarts 6 and 8 of this search stop on "no_decrease"
+    seq = sic.sic_search(8, restarts=16, seed=1, threads=1)
+    par = sic.sic_search(8, restarts=16, seed=1, threads=2)
+    assert seq["stats"]["stops"]["no_decrease"] >= 2
+    assert seq["fiducial"].tobytes() == par["fiducial"].tobytes()
+    assert (seq["fsic"], seq["restart"]) == (par["fsic"], par["restart"])
+    assert seq["stats"] == par["stats"]
+
+
 def test_search_zauner_starts():
     out = sic.sic_search(5, restarts=4, seed=2, zauner=True)
     assert out["converged"]
