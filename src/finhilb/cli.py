@@ -387,13 +387,6 @@ def cmd_wigner_table(args):
     return rep.exit_code()
 
 
-def _random_density(rng, n):
-    """Full-rank density matrix Z Z^dag / Tr, Z complex Ginibre from rng."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = z @ z.conj().T
-    return rho / np.trace(rho)
-
-
 def cmd_wigner_check(args):
     n = args.n
     pps = wigner.phase_point_set(n)
@@ -404,25 +397,21 @@ def cmd_wigner_check(args):
               float(np.max(np.abs(parity @ parity - np.eye(n)))), args.tol)
     rep.check("fourier_square",
               float(np.max(np.abs(four @ four - parity))), args.tol)
-    gram = np.einsum("abij,cdji->abcd", pps, pps) / n
-    target = np.zeros((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            target[a, b, a, b] = 1.0
-    rep.check("orthogonality", float(np.max(np.abs(gram - target))), args.tol)
+    flat = pps.reshape(n * n, n * n)
+    gram = flat @ pps.transpose(0, 1, 3, 2).reshape(n * n, n * n).T / n
+    rep.check("orthogonality", float(np.max(np.abs(gram - np.eye(n * n)))),
+              args.tol)
     rng = np.random.default_rng(args.seed)
-    rho = _random_density(rng, n)
+    rho = wigner.random_density(rng, n)
     wtab = wigner.wigner_function(rho, pps)
     rep.check("roundtrip", float(np.max(np.abs(
         wigner.reconstruct_state(wtab, pps) - rho))), args.tol)
     line_map = wigner.mub_line_map(pps)
     rep.check("line_map", max(entry["max_residual"] for entry in line_map),
               args.tol)
-    if n == 3:
-        gs = clifford.sl2_enumerate(n)
-    else:
-        all_g = clifford.sl2_enumerate(n)
-        gs = [all_g[i] for i in rng.choice(len(all_g), size=50, replace=False)]
+    gs = clifford.sl2_enumerate(n)
+    if n > 3:
+        gs = [gs[i] for i in rng.choice(len(gs), size=50, replace=False)]
     rep.check("covariance",
               max(wigner.clifford_covariance_check(pps, g) for g in gs),
               args.tol)
@@ -437,9 +426,8 @@ def cmd_clifford_check(args):
     group = clifford.sl2_enumerate(p)
     rep = Report("clifford check", {"p": p, "tol": args.tol}, seed=args.seed)
     rep.check("sl2_order", len(group), p * (p * p - 1), mode="eq")
-    if p == 3:
-        sample = group
-    else:
+    sample = group
+    if p > 3:
         rng = np.random.default_rng(args.seed)
         sample = [group[i]
                   for i in rng.choice(len(group), size=100, replace=False)]
@@ -578,7 +566,7 @@ def cmd_suite(args):
         rep.check("wigner_parity_square",
                   float(np.max(np.abs(parity @ parity - np.eye(n)))),
                   TOL_MATRIX)
-        rho = _random_density(np.random.default_rng(args.seed), n)
+        rho = wigner.random_density(np.random.default_rng(args.seed), n)
         wtab = wigner.wigner_function(rho, pps)
         rep.check("wigner_roundtrip", float(np.max(np.abs(
             wigner.reconstruct_state(wtab, pps) - rho))), TOL_MATRIX)

@@ -36,7 +36,8 @@ def sl2_enumerate(p: int):
 
 
 def sl2_apply(g, point, p: int):
-    """Image of a phase-space point (r, s) under G."""
+    """Image of a phase-space point (r, s) under G; r and s may be
+    integer arrays of one shape."""
     r, s = point
     a, b, c, d = int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1])
     return ((a * r + b * s) % p, (c * r + d * s) % p)
@@ -75,13 +76,11 @@ def normalizer_residual(g, p: int) -> float:
     between U_G D_p U_G^dag and D_{Gp}."""
     u = metaplectic(g, p)
     table = weyl.displacement_table(p).reshape(p, p, p, p)
-    moved = np.einsum("ab,rsbc,dc->rsad", u, table, u.conj())
-    idx = np.arange(p)
-    rr, ss = np.meshgrid(idx, idx, indexing="ij")
-    a, b, c, d = (int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1]))
-    targets = table[(a * rr + b * ss) % p, (c * rr + d * ss) % p]
-    lam = np.einsum("rsij,rsij->rs", targets.conj(), moved) / p
-    lam /= np.abs(lam)
+    moved = u @ table @ u.conj().T
+    targets = table[sl2_apply(g, np.indices((p, p)), p)]
+    # the phase of the overlap; 1 where the overlap vanishes
+    lam = np.exp(1j * np.angle(np.einsum("rsij,rsij->rs", targets.conj(),
+                                         moved)))
     return float(np.abs(moved - lam[:, :, None, None] * targets).max())
 
 
@@ -123,7 +122,7 @@ def zauner_scan(psi, p: int) -> dict:
     found = []
     for g in order3_elements(p):
         phi = metaplectic(g, p) @ psi
-        ov = np.abs(np.einsum("i,rsij,j->rs", psi.conj(), table, phi))
+        ov = np.abs((table @ phi) @ psi.conj())
         r, s = np.unravel_index(int(np.argmax(ov)), ov.shape)
         res = float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * ov[r, s])))
         found.append({"residual": res, "g": g, "b": (int(r), int(s))})

@@ -20,18 +20,14 @@ def parity_operator(n: int) -> np.ndarray:
     """
     clifford._check_odd_prime(n)
     a = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        a[(n - i) % n, i] = 1.0
+    a[-np.arange(n) % n, np.arange(n)] = 1.0
     f = combinat.fourier_matrix(n)
     if np.abs(a @ a - np.eye(n)).max() > TOL_MATRIX:
         raise RuntimeError("parity operator does not square to identity")
     if np.abs(f @ f - a).max() > TOL_MATRIX:
         raise RuntimeError("Fourier squared does not give the parity")
     if n <= _MAX_N:
-        total = -np.eye(n, dtype=complex)
-        for b in mub.ivanovic_mubs(n):
-            v = b[:, 0]
-            total += np.outer(v, v.conj())
+        total = face_point_operator(mub.ivanovic_mubs(n), [0] * (n + 1))
         if np.abs(total - a).max() > TOL_MATRIX:
             raise RuntimeError("MUB-projector identity fails for parity")
     return a
@@ -50,16 +46,13 @@ def phase_point_set(n: int) -> np.ndarray:
         raise ValueError("n too large")
     a00 = parity_operator(n)
     table = weyl.displacement_table(n).reshape(n, n, n, n)
-    pps = np.einsum("rsab,bc,rsdc->rsad", table, a00, table.conj())
+    pps = table @ a00 @ table.conj().transpose(0, 1, 3, 2)
     herm = np.abs(pps - pps.conj().transpose(0, 1, 3, 2)).max()
-    sq = np.einsum("rsab,rsbc->rsac", pps, pps)
-    invol = np.abs(sq - np.eye(n)[None, None]).max()
-    traces = np.einsum("rsaa->rs", pps)
-    tr_dev = np.abs(traces - 1.0).max()
+    invol = np.abs(pps @ pps - np.eye(n)).max()
+    tr_dev = np.abs(np.einsum("rsaa->rs", pps) - 1.0).max()
     ortho = np.einsum("ab,rsba->rs", a00, pps)
-    ortho_target = np.zeros((n, n))
-    ortho_target[0, 0] = n
-    ortho_dev = np.abs(ortho - ortho_target).max()
+    ortho[0, 0] -= n
+    ortho_dev = np.abs(ortho).max()
     worst = max(herm, invol, float(tr_dev), float(ortho_dev))
     if worst > TOL_MATRIX:
         raise RuntimeError("phase-point invariants violated: %g" % worst)
@@ -71,6 +64,13 @@ def phase_point_set(n: int) -> np.ndarray:
                            "(%d, %d)" % (m, m - 1))
     pps.setflags(write=False)
     return pps
+
+
+def random_density(rng, n: int) -> np.ndarray:
+    """Full-rank density matrix Z Z^dag / Tr, Z complex Ginibre from rng."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
 
 
 def wigner_function(rho, pps) -> np.ndarray:
@@ -192,10 +192,6 @@ def clifford_covariance_check(pps, g) -> float:
     needed."""
     n = pps.shape[0]
     u = clifford.metaplectic(g, n)
-    moved = np.einsum("ab,rsbc,dc->rsad", u, pps, u.conj())
-    idx = np.arange(n)
-    rr, ss = np.meshgrid(idx, idx, indexing="ij")
-    a, b = int(g[0, 0]), int(g[0, 1])
-    c, d = int(g[1, 0]), int(g[1, 1])
-    targets = pps[(a * rr + b * ss) % n, (c * rr + d * ss) % n]
+    moved = u @ pps @ u.conj().T
+    targets = pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
     return float(np.abs(moved - targets).max())

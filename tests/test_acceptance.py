@@ -115,9 +115,7 @@ def test_criterion_06_discrete_wigner():
         vals = np.linalg.eigvalsh(parity)
         assert np.max(np.abs(vals[:m - 1] + 1.0)) < 1e-10
         assert np.max(np.abs(vals[m - 1:] - 1.0)) < 1e-10
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rho = z @ z.conj().T
-        rho = rho / np.trace(rho)
+        rho = wigner.random_density(rng, n)
         wtab = wigner.wigner_function(rho, pps)
         assert np.max(np.abs(wigner.reconstruct_state(wtab, pps) - rho)) < 1e-10
     for n in (3, 5):

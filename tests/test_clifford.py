@@ -222,3 +222,26 @@ def test_single_qubit_clifford_group():
         m2 = group[rng.integers(24)]
         prod = m1 @ m2
         assert sum(phase_distance(prod, m) < 1e-9 for m in group) == 1
+
+
+def _wrong_g_metaplectic(monkeypatch):
+    """Make U_G the metaplectic of G transposed, so that the targets the
+    checks index by G no longer match the conjugation."""
+    right = clifford.metaplectic
+    monkeypatch.setattr(clifford, "metaplectic",
+                        lambda g, p: right(np.asarray(g).T, p))
+
+
+def test_normalizer_fails_on_wrong_g(monkeypatch):
+    g = np.array([[1, 1], [0, 1]])
+    assert clifford.normalizer_residual(g, 5) < 1e-10
+    _wrong_g_metaplectic(monkeypatch)
+    assert clifford.normalizer_residual(g, 5) > 0.1
+
+
+def test_normalizer_reads_displacement_table(monkeypatch):
+    p = 5
+    table = weyl.displacement_table(p).copy()
+    table[7] *= np.exp(0.3j * np.arange(p))[:, None]
+    monkeypatch.setattr(weyl, "displacement_table", lambda n: table)
+    assert clifford.normalizer_residual(np.array([[1, 1], [0, 1]]), p) > 0.1

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhilb import gf, weyl
+from finhilb.tol import TOL_MATRIX
 
 
 def test_clock_shift_pauli():
@@ -88,6 +90,62 @@ def test_group_law_and_orthogonality_all_dims():
     for n in [2, 3, 4, 5]:
         assert weyl.group_law_max_residual(n) < 1e-10
         assert weyl.orthogonality_max_residual(n) < 1e-10
+
+
+# Entries have modulus one and the per-pair and vectorized residuals round
+# their products and phases in different orders, so one pair's two
+# residuals may differ by a few ulps of 1.
+_ROUNDING_SLACK = 4 * np.finfo(float).eps
+
+
+@st.composite
+def _dims_and_pairs(draw):
+    n = draw(st.integers(2, 16))
+    index = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_dims_and_pairs())
+def test_group_law_max_residual_bounds_sampled_pairs(case):
+    n, pairs = case
+    worst = weyl.group_law_max_residual(n)
+    assert worst <= TOL_MATRIX
+    for p, q in pairs:
+        assert weyl.group_law_residual(n, p, q) <= worst + _ROUNDING_SLACK
+
+
+def _mutate_phase(t, k, col):
+    row = np.flatnonzero(t[k, :, col])[0]
+    t[k, row, col] *= np.exp(0.3j)
+
+
+def _mutate_stray(t, k, col):
+    row = np.flatnonzero(t[k, :, col] == 0)[0]
+    t[k, row, col] = 1e-6
+
+
+def _mutate_move(t, k, col):
+    t[k, :, col] = np.roll(t[k, :, col], 1)
+
+
+def _mutate_nan_on_support(t, k, col):
+    t[k, np.flatnonzero(t[k, :, col])[0], col] = np.nan
+
+
+def _mutate_nan_off_support(t, k, col):
+    t[k, np.flatnonzero(t[k, :, col] == 0)[0], col] = np.nan
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("mutate", [
+    _mutate_phase, _mutate_stray, _mutate_move, _mutate_nan_on_support,
+    _mutate_nan_off_support])
+def test_group_law_kernel_reads_the_table(n, mutate):
+    table = weyl.displacement_table(n).copy()
+    assert weyl._monomial_group_law_residual(table) <= TOL_MATRIX
+    mutate(table, n + 2, 1)
+    assert not weyl._monomial_group_law_residual(table) <= TOL_MATRIX
 
 
 def test_even_dim_index_shift():

@@ -4,13 +4,6 @@ import pytest
 from finhilb import clifford, combinat, mub, wigner
 
 
-def random_density(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
-
-
 def test_parity_golden_dim3():
     a = wigner.parity_operator(3)
     assert np.abs(a - np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])).max() == 0
@@ -85,7 +78,7 @@ def test_wigner_uniform_for_maximally_mixed():
 def test_wigner_normalization_and_roundtrip():
     for n in [3, 7]:
         pps = wigner.phase_point_set(n)
-        rho = random_density(n, seed=n)
+        rho = wigner.random_density(np.random.default_rng(n), n)
         w = wigner.wigner_function(rho, pps)
         assert w.dtype.kind == "f"
         assert abs(w.sum() - 1) < 1e-10
@@ -125,7 +118,7 @@ def test_line_sums_basics():
     for pencil in range(n + 1):
         sums = wigner.line_sums(w, pencil)
         assert np.abs(sums - 1 / n).max() < 1e-12
-    rho = random_density(n, seed=9)
+    rho = wigner.random_density(np.random.default_rng(9), n)
     w = wigner.wigner_function(rho, pps)
     for pencil in range(n + 1):
         assert abs(wigner.line_sums(w, pencil).sum() - 1) < 1e-10
@@ -232,3 +225,20 @@ def test_covariance_sampled_p5_p7():
         for _ in range(15):
             g = els[rng.integers(len(els))]
             assert wigner.clifford_covariance_check(pps, g) < 1e-10
+
+
+def test_covariance_fails_on_wrong_g(monkeypatch):
+    pps = wigner.phase_point_set(5)
+    g = np.array([[1, 1], [0, 1]])
+    assert wigner.clifford_covariance_check(pps, g) < 1e-10
+    right = clifford.metaplectic
+    monkeypatch.setattr(clifford, "metaplectic",
+                        lambda g, p: right(np.asarray(g).T, p))
+    assert wigner.clifford_covariance_check(pps, g) > 0.1
+
+
+def test_covariance_reads_phase_points():
+    pps = wigner.phase_point_set(5).copy()
+    pps[1, 2, 0, 0] += 0.3
+    assert wigner.clifford_covariance_check(pps, np.array([[1, 1], [0, 1]])) \
+        > 0.1
