@@ -2,6 +2,7 @@
 emission with stable machine-readable output."""
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -12,42 +13,50 @@ from . import clifford, combinat, designs, gf, mub, sic, weyl, wigner
 from .tol import TOL_MATRIX, TOL_OVERLAP, TOL_SEARCH, TOL_SIC_GRAM
 
 FORMAT_VERSION = 1
-KINDS = ("mubset", "basisfamily", "sic", "wignertable", "field")
 
 
 class KindMismatch(ValueError):
     """A loaded document carries the wrong `kind` tag."""
 
 
-# -- complex <-> JSON -------------------------------------------------------
+# -- artifact boundary --------------------------------------------------------
+# Complex arrays leave through `_encode` as nested [re, im] pairs and come
+# back through `_decode`, which every file and raw-array input passes once.
 
-def _c2j(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vec2j(v):
-    return [_c2j(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def _mat2j(m):
-    return [[_c2j(z) for z in row] for row in np.asarray(m, dtype=complex)]
+# Every document kind, with the complex field commands read and its axes.
+_ARRAYS = {"mubset": ("bases", 3), "basisfamily": ("vectors", 2),
+           "sic": ("fiducial", 1), "wignertable": ("state", 1),
+           "field": (None, 0)}
 
 
-def _j2vec(data):
-    return np.array([complex(a, b) for a, b in data], dtype=complex)
+def _encode(obj):
+    """`json.dumps` hook: a complex array or scalar becomes nested [re, im]
+    pairs, any other numpy value its `tolist()`."""
+    if np.iscomplexobj(obj):
+        obj = np.stack([np.real(obj), np.imag(obj)], -1)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
-def _j2mat(data):
-    return np.array([[complex(a, b) for a, b in row] for row in data],
-                    dtype=complex)
+def _decode(data, ndim):
+    """The complex array of `ndim` axes held as nested [re, im] pairs, bit
+    for bit; ValueError unless the pairs are numeric, that shape and finite."""
+    a = np.asarray(data)  # ragged entries raise ValueError here
+    if a.dtype.kind not in "iuf":
+        raise ValueError("array entries are not numbers")
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValueError("expected a %d-axis array of [re, im] pairs, got "
+                         "shape %s" % (ndim, a.shape))
+    if not np.isfinite(a).all():
+        raise ValueError("array entries are not finite")
+    return np.ascontiguousarray(a, float).view(complex)[..., 0]
 
-
-# -- persistence ------------------------------------------------------------
 
 def persist(doc: dict, path: str) -> None:
-    if doc.get("kind") not in KINDS:
+    if doc.get("kind") not in _ARRAYS:
         raise ValueError("unknown document kind: %r" % doc.get("kind"))
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = json.dumps(doc, sort_keys=True, indent=1, default=_encode)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -57,36 +66,37 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _check_version(doc):
+def _checked(doc, kinds):
+    """`doc` with its kind checked, its version warned on and its complex
+    field required and decoded in place."""
+    got = doc.get("kind") if isinstance(doc, dict) else None
+    if got not in kinds:
+        raise KindMismatch("expected kind %s, got '%s'"
+                           % (" or ".join("'%s'" % k for k in kinds), got))
     if doc.get("version") != FORMAT_VERSION:
         print("warning: format version %r differs from %d, loading best-effort"
               % (doc.get("version"), FORMAT_VERSION), file=sys.stderr)
-
-
-def load(path: str, kind: str) -> dict:
-    doc = _read_json(path)
-    got = doc.get("kind") if isinstance(doc, dict) else None
-    if got != kind:
-        raise KindMismatch("expected kind '%s', got '%s'" % (kind, got))
-    _check_version(doc)
+    field, ndim = _ARRAYS[got]
+    if field is not None:
+        if field not in doc:
+            raise ValueError("%s document has no '%s' field" % (got, field))
+        doc[field] = _decode(doc[field], ndim)
     return doc
+
+
+def load(path: str, *kinds: str) -> dict:
+    """Read a document of one of `kinds`, validated as `_checked` says."""
+    return _checked(_read_json(path), kinds)
 
 
 def _load_family(path):
     """Rows of unit vectors from a basisfamily, mubset, or sic document."""
-    doc = _read_json(path)
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "basisfamily":
-        _check_version(doc)
-        return np.array([_j2vec(v) for v in doc["vectors"]])
-    if kind == "mubset":
-        _check_version(doc)
-        return np.hstack([_j2mat(b) for b in doc["bases"]]).T
-    if kind == "sic":
-        _check_version(doc)
-        return sic.sic_orbit(_j2vec(doc["fiducial"]))
-    raise KindMismatch(
-        "expected kind 'basisfamily', 'mubset' or 'sic', got '%s'" % kind)
+    doc = load(path, "basisfamily", "mubset", "sic")
+    if doc["kind"] == "mubset":
+        return np.hstack(doc["bases"]).T
+    if doc["kind"] == "sic":
+        return sic.sic_orbit(doc["fiducial"])
+    return doc["vectors"]
 
 
 # -- run reports -------------------------------------------------------------
@@ -131,7 +141,7 @@ class Report:
 
     def emit(self, as_json, lines=None):
         if as_json:
-            print(json.dumps(self.as_dict(), sort_keys=True))
+            print(json.dumps(self.as_dict(), sort_keys=True, default=_encode))
             return
         for line in lines or ():
             print(line)
@@ -212,12 +222,12 @@ def cmd_weyl_check(args):
 
 
 def cmd_weyl_expand(args):
-    mat = _j2mat(_read_json(args.matrix))
+    mat = _decode(_read_json(args.matrix), 2)
     coef = weyl.expand_operator(mat)
     residual = float(np.max(np.abs(weyl.reconstruct_operator(coef) - mat)))
     rep = Report("weyl expand", {"matrix": args.matrix, "tol": args.tol})
     rep.check("reconstruction", residual, args.tol)
-    rep.result = {"coefficients": _mat2j(coef)}
+    rep.result = {"coefficients": coef}
     n = coef.shape[0]
     lines = ["r  s  coefficient"]
     for r in range(n):
@@ -235,7 +245,7 @@ def cmd_latin_gen(args):
     rep = Report("latin gen", {"n": args.n, "count": bool(args.count)})
     rep.check("is_latin", 1.0 if combinat.is_latin(square) else 0.0, 1.0,
               mode="eq")
-    result = {"square": square.tolist()}
+    result = {"square": square}
     lines = [" ".join(str(v) for v in row) for row in square]
     if args.count:
         reduced = combinat.count_reduced_latin(args.n)
@@ -254,10 +264,10 @@ def cmd_hadamard_fourier(args):
               mode="eq")
     if args.out:
         persist({"kind": "basisfamily", "version": FORMAT_VERSION,
-                 "n": args.n, "vectors": [_vec2j(col) for col in mat.T],
+                 "n": args.n, "vectors": mat.T,
                  "metadata": {"label": "fourier"}}, args.out)
         rep.artifacts.append(args.out)
-    rep.result = {"matrix": _mat2j(mat)}
+    rep.result = {"matrix": mat}
     lines = []
     for row in mat:
         lines.append("  ".join("%+.6f%+.6fj" % (z.real, z.imag) for z in row))
@@ -281,10 +291,9 @@ def cmd_werner(args):
     rep.check("reduced_states", red_dev, args.tol)
     if args.out:
         persist({"kind": "basisfamily", "version": FORMAT_VERSION,
-                 "n": args.n * args.n,
-                 "vectors": [_vec2j(v) for v in vecs],
-                 "metadata": {"label": "werner", "latin": latin.tolist(),
-                              "hadamard": _mat2j(had)}}, args.out)
+                 "n": args.n * args.n, "vectors": vecs,
+                 "metadata": {"label": "werner", "latin": latin,
+                              "hadamard": had}}, args.out)
         rep.artifacts.append(args.out)
     rep.emit(args.json)
     return rep.exit_code()
@@ -305,8 +314,7 @@ def cmd_mub_gen(args):
     rep.check("unbiasedness", report["max_deviation"], args.tol)
     if args.out:
         persist({"kind": "mubset", "version": FORMAT_VERSION, "p": args.p,
-                 "k": args.k, "n": n,
-                 "bases": [_mat2j(b) for b in bases]}, args.out)
+                 "k": args.k, "n": n, "bases": bases}, args.out)
         rep.artifacts.append(args.out)
     rep.emit(args.json)
     return rep.exit_code()
@@ -314,7 +322,7 @@ def cmd_mub_gen(args):
 
 def cmd_mub_verify(args):
     doc = load(args.file, "mubset")
-    devs = mub.family_deviations([_j2mat(b) for b in doc["bases"]])
+    devs = mub.family_deviations(doc["bases"])
     rep = Report("mub verify", {"file": args.file, "tol": args.tol})
     rep.check("orthonormality", np.max(devs["orthonormality"]), args.tol)
     rep.check("unbiasedness", devs["max_deviation"], args.tol)
@@ -346,8 +354,7 @@ def cmd_mub_search6(args):
                  seed=args.seed)
     rep.check("vectors_found", out["count"], 1, mode="ge")
     rep.check("min_value", out["min_value"], args.tol)
-    rep.result = {"count": out["count"],
-                  "vectors": [_vec2j(v) for v in out["vectors"]]}
+    rep.result = {"count": out["count"], "vectors": out["vectors"]}
     rep.stats = out["stats"]
     rep.emit(args.json)
     return rep.exit_code()
@@ -356,7 +363,7 @@ def cmd_mub_search6(args):
 # -- wigner -------------------------------------------------------------------
 
 def cmd_wigner_table(args):
-    psi = _j2vec(_read_json(args.state))
+    psi = _decode(_read_json(args.state), 1)
     if psi.size != args.n:
         raise ValueError("state dimension %d does not match --n %d"
                          % (psi.size, args.n))
@@ -373,15 +380,13 @@ def cmd_wigner_table(args):
     if args.out:
         if args.out.endswith(".json"):
             persist({"kind": "wignertable", "version": FORMAT_VERSION,
-                     "n": args.n, "state": _vec2j(psi),
-                     "wigner": [[float(x) for x in row] for row in table]},
-                    args.out)
+                     "n": args.n, "state": psi, "wigner": table}, args.out)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 for row in table:
                     fh.write(",".join("%.17g" % x for x in row) + "\n")
         rep.artifacts.append(args.out)
-    rep.result = {"wigner": [[float(x) for x in row] for row in table]}
+    rep.result = {"wigner": table}
     lines = ["  ".join("%+.6f" % x for x in row) for row in table]
     rep.emit(args.json, lines)
     return rep.exit_code()
@@ -444,19 +449,13 @@ def cmd_clifford_check(args):
 
 def cmd_clifford_zauner(args):
     doc = _read_json(args.fiducial)
-    if isinstance(doc, dict):
-        if doc.get("kind") != "sic":
-            raise KindMismatch("expected kind 'sic', got '%s'" % doc.get("kind"))
-        _check_version(doc)
-        psi = _j2vec(doc["fiducial"])
-    else:
-        psi = _j2vec(doc)
+    psi = (_decode(doc, 1) if isinstance(doc, list)
+           else _checked(doc, ("sic",))["fiducial"])
     scan = clifford.zauner_scan(psi, args.p)
     rep = Report("clifford zauner", {"p": args.p, "fiducial": args.fiducial,
                                      "tol": args.tol})
     rep.check("zauner_residual", scan["residual"], args.tol)
-    rep.result = {"g": np.asarray(scan["g"]).tolist(),
-                  "b": list(scan["b"])}
+    rep.result = {"g": scan["g"], "b": scan["b"]}
     rep.emit(args.json)
     return rep.exit_code()
 
@@ -497,12 +496,12 @@ def cmd_sic_search(args):
     rep.check("fsic", out["fsic"], args.tol)
     if args.out:
         persist({"kind": "sic", "version": FORMAT_VERSION, "n": out["n"],
-                 "fsic": out["fsic"], "fiducial": _vec2j(out["fiducial"]),
+                 "fsic": out["fsic"], "fiducial": out["fiducial"],
                  "seed": out["seed"], "restarts": out["restarts"],
                  "restart": out["restart"]}, args.out)
         rep.artifacts.append(args.out)
     rep.result = {"fsic": out["fsic"], "restart": out["restart"],
-                  "fiducial": _vec2j(out["fiducial"])}
+                  "fiducial": out["fiducial"]}
     rep.stats = out["stats"]
     rep.emit(args.json)
     return rep.exit_code()
@@ -510,10 +509,9 @@ def cmd_sic_search(args):
 
 def cmd_sic_verify(args):
     doc = load(args.file, "sic")
-    cand = {"n": int(doc["n"]), "fiducial": _j2vec(doc["fiducial"])}
-    if "fsic" in doc:
-        cand["fsic"] = float(doc["fsic"])
-    out = sic.sic_verify(cand, tol_gram=args.tol)
+    if type(doc.get("n")) is not int or type(doc.get("fsic", .0)) is not float:
+        raise ValueError("sic 'n' must be an integer and 'fsic' a float")
+    out = sic.sic_verify(doc, tol_gram=args.tol)
     rep = Report("sic verify", {"file": args.file, "tol": args.tol})
     rep.check("identity_deviation", out["identityDeviation"], TOL_MATRIX)
     rep.check("gram_deviation", out["gramDeviation"], args.tol)
@@ -523,8 +521,7 @@ def cmd_sic_verify(args):
 
 def cmd_sic_fingerprint(args):
     if args.file:
-        doc = load(args.file, "sic")
-        psi = _j2vec(doc["fiducial"])
+        psi = load(args.file, "sic")["fiducial"]
     else:
         psi = sic.dim4_fiducial()
     phases = sic.overlap_phases(sic.make_candidate(psi))
@@ -533,7 +530,7 @@ def cmd_sic_fingerprint(args):
     rep.check("u_deviation", out["uDeviation"], 1e-10)
     rep.check("minpoly_residual", out["minpolyResidual"], args.tol)
     rep.check("unit_residual", out["unitResidual"], args.tol)
-    rep.result = {"u": _c2j(out["u"])}
+    rep.result = {"u": out["u"]}
     rep.emit(args.json)
     return rep.exit_code()
 
@@ -598,6 +595,7 @@ def _add_common(sub, tol=None, seed=None, threads=False, out=False):
         sub.add_argument("--out", help="write the generated artifact here")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finhilb",

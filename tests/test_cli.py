@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from finhilb import cli, sic
+from finhilb import cli, combinat, mub, sic, wigner
 
 
 def run(capsys, *argv):
@@ -112,41 +114,207 @@ def test_mub_roundtrip_bitwise(capsys, tmp_path):
     assert run(capsys, "mub", "verify", str(first))[0] == 0
 
 
+def _entry_pairs(z):
+    """The per-entry encoder artifacts were first written with: one
+    [float(re), float(im)] list per complex entry."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        return [float(z.real), float(z.imag)]
+    return [_entry_pairs(x) for x in z]
+
+
+def _written(capsys, tmp_path):
+    """One artifact of each kind, written by the CLI, by name."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([[0.6, 0.0], [0.0, 0.8], [-0.0, 0.0]]))
+    calls = {"mubset": ["mub", "gen", "--p", "3"],
+             "sic": ["sic", "search", "--n", "3", "--restarts", "4",
+                     "--seed", "1"],
+             "fourier": ["hadamard", "fourier", "--n", "3"],
+             "werner": ["werner", "--n", "3"],
+             "wignertable": ["wigner", "table", "--n", "3", "--state",
+                             str(state)],
+             "field": ["field", "table", "--p", "2", "--k", "2"]}
+    paths = {}
+    for name, argv in calls.items():
+        paths[name] = tmp_path / (name + ".json")
+        assert run(capsys, *argv, "--out", str(paths[name]))[0] == 0
+    return paths
+
+
+def test_every_kind_reloads_byte_identical(capsys, tmp_path):
+    again = tmp_path / "again.json"
+    for name, path in _written(capsys, tmp_path).items():
+        kind = json.loads(path.read_text())["kind"]
+        cli.persist(cli.load(str(path), kind), str(again))
+        assert again.read_bytes() == path.read_bytes(), name
+
+
+def test_artifacts_match_per_entry_encoder(capsys, tmp_path):
+    paths = _written(capsys, tmp_path)
+    found = sic.sic_search(3, restarts=4, seed=1)
+    latin = combinat.latin_from_group(3)
+    had = combinat.fourier_matrix(3)
+    psi = np.array([0.6, 0.8j, -0.0])
+    table = wigner.wigner_function(np.outer(psi, psi.conj()),
+                                   wigner.phase_point_set(3))
+    expected = {
+        "mubset": {"kind": "mubset", "version": 1, "p": 3, "k": 1, "n": 3,
+                   "bases": [_entry_pairs(b) for b in mub.ivanovic_mubs(3)]},
+        "sic": {"kind": "sic", "version": 1, "n": 3, "fsic": found["fsic"],
+                "fiducial": _entry_pairs(found["fiducial"]),
+                "seed": found["seed"], "restarts": found["restarts"],
+                "restart": found["restart"]},
+        "werner": {"kind": "basisfamily", "version": 1, "n": 9,
+                   "vectors": _entry_pairs(combinat.werner_basis(latin, had)),
+                   "metadata": {"label": "werner", "latin": latin.tolist(),
+                                "hadamard": _entry_pairs(had)}},
+        "wignertable": {"kind": "wignertable", "version": 1, "n": 3,
+                        "state": _entry_pairs(psi),
+                        "wigner": [[float(x) for x in row] for row in table]},
+    }
+    for name, doc in expected.items():
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert paths[name].read_text() == text, name
+
+
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308,
+                                    -1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(complex, hnp.array_shapes(min_dims=1, max_dims=3,
+                                            max_side=4),
+                  elements=st.builds(complex, FINITE, FINITE)))
+def test_codec_roundtrip_is_bit_exact(tmp_path, z):
+    kind, field = {1: ("sic", "fiducial"), 2: ("basisfamily", "vectors"),
+                   3: ("mubset", "bases")}[z.ndim]
+    path = str(tmp_path / "doc.json")
+    cli.persist({"kind": kind, "version": cli.FORMAT_VERSION,
+                 "n": z.shape[0], field: z}, path)
+    back = cli.load(path, kind)[field]
+    assert back.shape == z.shape
+    assert back.view(float).tobytes() == z.view(float).tobytes()
+
+
+MISSING = object()
+
+
+def _doc(kind, field, pairs, **rest):
+    doc = dict(kind=kind, version=1, **rest)
+    if pairs is not MISSING:
+        doc[field] = pairs
+    return doc
+
+
+def _raw(pairs):
+    return None if pairs is MISSING else pairs
+
+
+# Each command that reads a file or raw array: its argv, with FILE for the
+# input, a valid complex array for it, and the input built around that
+# array as nested [re, im] pairs (or without it, for MISSING).
+READERS = [
+    (["mub", "verify", "FILE"], mub.ivanovic_mubs(3),
+     lambda a: _doc("mubset", "bases", a, p=3, k=1, n=3)),
+    (["sic", "verify", "FILE"], sic.dim4_fiducial(),
+     lambda a: _doc("sic", "fiducial", a, n=4)),
+    (["sic", "fingerprint", "FILE"], sic.dim4_fiducial(),
+     lambda a: _doc("sic", "fiducial", a, n=4)),
+    (["design", "test", "--family", "FILE", "--t", "1"], np.eye(3),
+     lambda a: _doc("basisfamily", "vectors", a, n=3)),
+    (["design", "welch", "--family", "FILE", "--t", "1"], np.eye(3),
+     lambda a: _doc("basisfamily", "vectors", a, n=3)),
+    (["weyl", "expand", "--matrix", "FILE"], np.eye(3), _raw),
+    (["wigner", "table", "--n", "3", "--state", "FILE"], np.eye(3)[0], _raw),
+    (["clifford", "zauner", "--p", "5", "--fiducial", "FILE"], np.eye(5)[0],
+     _raw),
+    (["clifford", "zauner", "--p", "5", "--fiducial", "FILE"], np.eye(5)[0],
+     lambda a: _doc("sic", "fiducial", a, n=5)),
+]
+
+
+def _malformed(z, bad):
+    """The nested [re, im] pairs of `z` with one defect `bad`."""
+    if bad == "missing":
+        return MISSING
+    pairs = np.stack([np.real(z), np.imag(z)], -1)
+    if bad in ("nan", "inf"):
+        pairs.flat[0] = float(bad)
+    if bad == "width3":
+        pairs = np.concatenate([pairs, pairs[..., :1]], -1)
+    out = pairs.tolist()
+    row, pair = None, out
+    while isinstance(pair[0], list):
+        row, pair = pair, pair[0]
+    if bad == "string":
+        pair[0] = str(pair[0])
+    if bad == "ragged":  # a vector's first pair, else its first row, short
+        (pair if pairs.ndim == 2 else row).pop()
+    return out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "string", "ragged", "width3",
+                                 "missing"])
+def test_nonfinite_input_is_validation_error(capsys, tmp_path, bad):
+    # non-finite, non-numeric, misshapen or missing array input is refused
+    # at the load boundary of every command that reads one: exit 2
+    path = tmp_path / "input.json"
+    for argv, z, build in READERS:
+        path.write_text(json.dumps(build(_malformed(z, bad))))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_mub_verify_nonfinite_entry_fails(capsys, tmp_path, bad):
+    # a non-finite entry in a written mubset is refused at load: exit 2
     path = tmp_path / "mub3.json"
     assert run(capsys, "mub", "gen", "--p", "3", "--out", str(path))[0] == 0
     doc = json.loads(path.read_text())
     doc["bases"][1][0][0][0] = bad
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "mub", "verify", str(path), "--json")
-    assert code == 1
-    assert not any(c["pass"] for c in json.loads(out)["checks"])
+    code, out, err = run(capsys, "mub", "verify", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "finite" in err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_nonfinite_input_is_validation_error(capsys, tmp_path, bad):
-    vec = [[bad, 0.0]] + [[0.5, 0.0]] * 3
-    good = [[z.real, z.imag] for z in sic.dim4_fiducial()]
-    docs = {"sic.json": {"kind": "sic", "version": 1, "n": 4,
-                         "fiducial": vec},
-            "fsic.json": {"kind": "sic", "version": 1, "n": 4,
-                          "fsic": bad, "fiducial": good},
-            "family.json": {"kind": "basisfamily", "version": 1,
-                            "vectors": [[[1.0, 0.0], [0.0, 0.0]],
-                                        [[0.0, 0.0], [1.0, 0.0]], vec[:2]]},
-            "state.json": vec[:3]}
-    for name, doc in docs.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    sic_doc, fsic_doc, family, state = (str(tmp_path / name) for name in docs)
-    calls = [["sic", "verify", sic_doc], ["sic", "verify", fsic_doc],
-             ["design", "test", "--family", family, "--t", "1"],
-             ["design", "welch", "--family", family, "--t", "1"],
-             ["wigner", "table", "--n", "3", "--state", state]]
-    for argv in calls:
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: "), argv
+def test_clifford_zauner_nonfinite_fails(capsys, tmp_path, bad):
+    # a non-finite fiducial, raw or in a sic document, is refused at load
+    vec = [[bad, 0.0]] + [[0.5, 0.0]] * 4
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(vec))
+    doc = tmp_path / "sic.json"
+    doc.write_text(json.dumps({"kind": "sic", "version": 1, "n": 5,
+                               "fiducial": vec}))
+    for path in (raw, doc):
+        code, out, err = run(capsys, "clifford", "zauner", "--p", "5",
+                             "--fiducial", str(path), "--json")
+        assert (code, out) == (2, ""), path.name
+        assert err.startswith("error: ") and "finite" in err, path.name
+
+
+def test_sic_scalar_fields_are_validated(capsys, tmp_path):
+    psi = sic.dim4_fiducial()
+    good = np.stack([psi.real, psi.imag], -1).tolist()
+    path = tmp_path / "sic.json"
+    for rest in ({}, {"n": "4"}, {"n": 4, "fsic": float("nan")},
+                 {"n": 4, "fsic": float("inf")}, {"n": 4, "fsic": 10 ** 400},
+                 {"n": 4, "fsic": [0.0]}):
+        path.write_text(json.dumps(_doc("sic", "fiducial", good, **rest)))
+        code, out, err = run(capsys, "sic", "verify", str(path))
+        assert (code, out) == (2, ""), rest
+        assert err.startswith("error: "), rest
+    # commands that read only the fiducial take a sic document without `n`
+    path.write_text(json.dumps(_doc("sic", "fiducial", good)))
+    assert run(capsys, "sic", "fingerprint", str(path))[0] == 0
+    assert run(capsys, "design", "test", "--family", str(path),
+               "--t", "2")[0] == 0
 
 
 def test_wrong_kind_names_both(capsys, tmp_path):
@@ -200,6 +368,28 @@ def test_threads_default_is_one(monkeypatch):
     assert cli._threads(args) == 1
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv("HILBERT_THREADS", raising=False)
+    threads = []
+    search = sic.sic_search
+
+    def recorded(*args, **kwargs):
+        threads.append(kwargs["threads"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(sic, "sic_search", recorded)
+    assert cli.build_parser() is cli.build_parser()
+    reports = []
+    for flags in (["--seed", "3", "--zauner", "--threads", "2"], []):
+        code, out, _ = run(capsys, "sic", "search", "--n", "3",
+                           "--restarts", "2", "--json", *flags)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert threads == [2, 1]
+    assert reports[1]["seed"] == 0
+    assert reports[1]["parameters"]["zauner"] is False
+
+
 def test_wigner_table_csv(capsys, tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
@@ -231,22 +421,6 @@ def test_clifford_zauner_raw_vector(capsys, tmp_path):
                         "--fiducial", str(path))
     assert code == 0
     assert "zauner_residual" in text
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_clifford_zauner_nonfinite_fails(capsys, tmp_path, bad):
-    vec = [[bad, 0.0]] + [[0.5, 0.0]] * 4
-    raw = tmp_path / "raw.json"
-    raw.write_text(json.dumps(vec))
-    doc = tmp_path / "sic.json"
-    doc.write_text(json.dumps({"kind": "sic", "version": 1, "n": 5,
-                               "fiducial": vec}))
-    for path in (raw, doc):
-        code, out, _ = run(capsys, "clifford", "zauner", "--p", "5",
-                           "--fiducial", str(path), "--json")
-        assert code == 1
-        check = json.loads(out)["checks"][0]
-        assert check["name"] == "zauner_residual" and not check["pass"]
 
 
 def test_design_failure_exits_one(capsys, tmp_path):
