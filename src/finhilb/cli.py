@@ -281,11 +281,10 @@ def cmd_werner(args):
     vecs = combinat.werner_basis(latin, had)
     gram_dev = float(np.max(np.abs(vecs @ vecs.conj().T
                                    - np.eye(args.n * args.n))))
-    red_dev = 0.0
-    for v in vecs:
-        for rho in combinat.reduced_density_matrices(v, args.n):
-            red_dev = max(red_dev, float(np.max(np.abs(
-                rho - np.eye(args.n) / args.n))))
+    # np.max keeps a NaN that Python's max would drop, here and below
+    red_dev = np.max([np.abs(rho - np.eye(args.n) / args.n).max()
+                      for v in vecs
+                      for rho in combinat.reduced_density_matrices(v, args.n)])
     rep = Report("werner", {"n": args.n, "tol": args.tol})
     rep.check("gram_identity", gram_dev, args.tol)
     rep.check("reduced_states", red_dev, args.tol)
@@ -412,13 +411,13 @@ def cmd_wigner_check(args):
     rep.check("roundtrip", float(np.max(np.abs(
         wigner.reconstruct_state(wtab, pps) - rho))), args.tol)
     line_map = wigner.mub_line_map(pps)
-    rep.check("line_map", max(entry["max_residual"] for entry in line_map),
+    rep.check("line_map", np.max([e["max_residual"] for e in line_map]),
               args.tol)
     gs = clifford.sl2_enumerate(n)
     if n > 3:
         gs = [gs[i] for i in rng.choice(len(gs), size=50, replace=False)]
     rep.check("covariance",
-              max(wigner.clifford_covariance_check(pps, g) for g in gs),
+              np.max([wigner.clifford_covariance_check(pps, g) for g in gs]),
               args.tol)
     rep.emit(args.json)
     return rep.exit_code()
@@ -437,7 +436,7 @@ def cmd_clifford_check(args):
         sample = [group[i]
                   for i in rng.choice(len(group), size=100, replace=False)]
     rep.check("normalizer",
-              max(clifford.normalizer_residual(g, p) for g in sample),
+              np.max([clifford.normalizer_residual(g, p) for g in sample]),
               args.tol)
     parity_dev = float(np.max(np.abs(
         clifford.metaplectic(-np.eye(2, dtype=int), p)

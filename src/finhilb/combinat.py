@@ -105,14 +105,15 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
 
 
-def is_complex_hadamard(H, tol: float = TOL_MATRIX) -> bool:
-    """Flat unitary test: all entries of modulus 1/sqrt(n) and H unitary."""
+def is_complex_hadamard(H) -> bool:
+    """Flat unitary test: all entries of modulus 1/sqrt(n) and H unitary,
+    both within 1e-8."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         return False
     n = H.shape[0]
-    flat = np.abs(np.abs(H) - 1 / np.sqrt(n)).max() < max(tol, 1e-8)
-    unitary = np.abs(H @ H.conj().T - np.eye(n)).max() < max(tol, 1e-8)
+    flat = np.abs(np.abs(H) - 1 / np.sqrt(n)).max() < 1e-8
+    unitary = np.abs(H @ H.conj().T - np.eye(n)).max() < 1e-8
     return bool(flat and unitary)
 
 
@@ -141,7 +142,7 @@ def _row_key(v, decimals=6):
     return tuple(np.round(v, decimals) + 0.0)
 
 
-def hadamard_equivalent(h1, h2, tol: float = 1e-8) -> bool:
+def hadamard_equivalent(h1, h2) -> bool:
     """Decide H2 = P D H1 D' P' existence (diagonal unitaries D, D' and
     permutations P, P') by exhaustive dephased search; order n <= 6."""
     h1 = np.asarray(h1, dtype=complex)

@@ -125,14 +125,14 @@ def qubit_mubs():
             np.array([[s, s], [1j * s, -1j * s]], dtype=complex)]
 
 
-def canonicalize_basis(basis, tol: float = 1e-8) -> np.ndarray:
-    """Fix per-vector phases (first component above tol made positive
+def canonicalize_basis(basis) -> np.ndarray:
+    """Fix per-vector phases (first component above 1e-8 made positive
     real) and sort columns lexicographically, so bases that agree up to
     these freedoms compare equal."""
     b = np.array(basis, dtype=complex)
-    above = np.abs(b) > tol
+    above = np.abs(b) > 1e-8
     lead = b[np.argmax(above, axis=0), np.arange(b.shape[1])]
-    # a column with no entry above tol keeps its phase
+    # a column with no entry above 1e-8 keeps its phase
     lead[~above.any(axis=0)] = 1.0
     b *= lead.conj() / np.abs(lead)
     # keys re(b[0]), im(b[0]), re(b[1]), ...; lexsort's primary key is last
@@ -142,10 +142,10 @@ def canonicalize_basis(basis, tol: float = 1e-8) -> np.ndarray:
     return b[:, np.lexsort(keys[::-1])]
 
 
-def _joint_eigenbasis(mats, seed_key, validate_tol=1e-8):
+def _joint_eigenbasis(mats, seed_key):
     """Common eigenbasis of a family of commuting normal matrices, via a
     random Hermitian combination of both quadratures; eigenvectors are
-    re-validated against every family member."""
+    re-validated against every family member to 1e-8."""
     n = mats[0].shape[0]
     stack = np.stack(mats)
     for attempt in range(5):
@@ -160,7 +160,7 @@ def _joint_eigenbasis(mats, seed_key, validate_tol=1e-8):
         lam = np.einsum("ij,fij->fj", vecs.conj(), images)
         resid = np.linalg.norm(images - lam[:, None, :] * vecs, axis=1)
         worst = float(np.max(resid))
-        if worst <= validate_tol:
+        if worst <= 1e-8:
             return vecs
     raise ValueError(
         "degenerate joint eigenbasis (residual %g after %d attempts)"
@@ -257,25 +257,6 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return m
 
 
-def _word_vector(word):
-    # (x1, z1, x2, z2) over F_2
-    (x1, z1), (x2, z2) = _XZ_BITS[word[0]], _XZ_BITS[word[1]]
-    return (x1, z1, x2, z2)
-
-
-def _words_commute(w1, w2):
-    a, b = _word_vector(w1), _word_vector(w2)
-    form = (a[0] * b[1] + a[1] * b[0] + a[2] * b[3] + a[3] * b[2]) % 2
-    return form == 0
-
-
-def _word_product(w1, w2):
-    a, b = _word_vector(w1), _word_vector(w2)
-    s = tuple((x + y) % 2 for x, y in zip(a, b))
-    inv = {v: k for k, v in _XZ_BITS.items()}
-    return inv[(s[0], s[1])] + inv[(s[2], s[3])]
-
-
 def mermin_landscape(seed: int = 11) -> dict:
     """Enumerate the maximal abelian subgroups ("petals") of the
     two-qubit Pauli group modulo phases and every partition of the 15
@@ -292,19 +273,12 @@ def mermin_landscape(seed: int = 11) -> dict:
     """
     words = ["".join(t) for t in itertools.product("1XYZ", repeat=2)
              if t != ("1", "1")]
-    found = set()
-    for w1, w2 in itertools.combinations(words, 2):
-        if not _words_commute(w1, w2):
-            continue
-        w3 = _word_product(w1, w2)
-        if w3 == "11":
-            continue
-        found.add(frozenset((w1, w2, w3)))
-    if len(found) != 15:
-        raise RuntimeError("expected 15 maximal abelian subgroups, got %d"
-                           % len(found))
-    table = [frozenset(t) for t in _PETAL_TABLE]
-    if found != set(table):
+    # each petal is the nonzero part of a maximal isotropic subspace of
+    # F_2^4, the vector (x1, z1, x2, z2) naming one word
+    letter = {bits: ch for ch, bits in _XZ_BITS.items()}
+    found = {frozenset(letter[v[:2]] + letter[v[2:]] for v in space if any(v))
+             for space in _maximal_isotropic_subspaces(2, 2)}
+    if found != {frozenset(t) for t in _PETAL_TABLE}:
         raise RuntimeError("subgroup enumeration disagrees with the "
                            "conventional table")
     petals = list(_PETAL_TABLE)
@@ -369,19 +343,18 @@ def stabilizer_count(p: int, k: int) -> int:
     return count
 
 
-def maximal_isotropic_count(p: int, k: int) -> int:
-    """Brute-force count of maximal totally isotropic subspaces of the
-    symplectic space F_p^{2k} (each is the phase-space footprint of one
-    stabilizer basis)."""
-    if p ** k > 8:
-        raise ValueError("too large for brute force")
+def _maximal_isotropic_subspaces(p: int, k: int) -> set:
+    """Brute-force enumeration of the maximal totally isotropic subspaces
+    of the symplectic space F_p^{2k}, each a frozenset of vectors
+    (x1, z1, ..., xk, zk); the form is weyl.symplectic_exponent summed
+    over the k coordinate pairs."""
     vectors = list(itertools.product(range(p), repeat=2 * k))
-
-    def form(u, v):
-        s = 0
-        for i in range(k):
-            s += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
-        return s % p
+    x = np.array(vectors).T[:, :, None]
+    form = sum(weyl.symplectic_exponent(x[i:i + 2],
+                                        x[i:i + 2].transpose(0, 2, 1))
+               for i in range(0, 2 * k, 2))
+    # orthogonal[a, b]: vectors a and b have zero form
+    orthogonal = (form % p == 0).tolist()
 
     def add(u, v):
         return tuple((a + b) % p for a, b in zip(u, v))
@@ -393,10 +366,8 @@ def maximal_isotropic_count(p: int, k: int) -> int:
         if len(basis) == k:
             found.add(frozenset(span))
             return
-        for v in vectors:
-            if v in span:
-                continue
-            if any(form(v, b) != 0 for b in basis):
+        for i, v in enumerate(vectors):
+            if v in span or not all(orthogonal[i][b] for b in basis):
                 continue
             new_span = set(span)
             for s in list(span):
@@ -404,10 +375,19 @@ def maximal_isotropic_count(p: int, k: int) -> int:
                 for _ in range(p - 1):
                     w = add(w, v)
                     new_span.add(w)
-            extend(basis + [v], new_span)
+            extend(basis + [i], new_span)
 
     extend([], {zero})
-    return len(found)
+    return found
+
+
+def maximal_isotropic_count(p: int, k: int) -> int:
+    """Number of maximal totally isotropic subspaces of the symplectic
+    space F_p^{2k} (each is the phase-space footprint of one stabilizer
+    basis), by brute force."""
+    if p ** k > 8:
+        raise ValueError("too large for brute force")
+    return len(_maximal_isotropic_subspaces(p, k))
 
 
 # -- exploratory search for vectors unbiased to two bases in dimension 6 --

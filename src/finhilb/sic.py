@@ -57,7 +57,8 @@ def _value_grad(psi, table):
     d = np.abs(c) ** 2 - 1.0 / (n + 1)
     d[0] = 0.0
     f = float(d @ d)
-    hpsi = np.einsum("kji,j->ki", table.conj(), psi)
+    # conj(table) psi, without a conjugated copy of the table
+    hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
     g = 4.0 * ((d * c.conj()) @ dpsi + (d * c) @ hpsi)
     return f, g
 
@@ -125,7 +126,7 @@ def descend(psi, value, value_grad):
 def _residual_jacobian(psi, table):
     n = psi.size
     dpsi = table @ psi
-    hpsi = np.einsum("kji,j->ki", table.conj(), psi)
+    hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
     c = dpsi @ psi.conj()
     d = np.abs(c) ** 2 - 1.0 / (n + 1)
     d[0] = 0.0
@@ -286,9 +287,8 @@ def make_candidate(psi) -> dict:
     return {"n": psi.size, "fiducial": psi, "fsic": f_sic(psi)}
 
 
-def sic_verify(cand, tol_identity: float = TOL_MATRIX,
-               tol_gram: float = TOL_SIC_GRAM) -> dict:
-    """Resolution of identity for the orbit within tol_identity and every
+def sic_verify(cand, tol_gram: float = TOL_SIC_GRAM) -> dict:
+    """Resolution of identity for the orbit within TOL_MATRIX and every
     cross Gram modulus squared at 1/(N+1) within tol_gram."""
     psi = np.asarray(cand["fiducial"], dtype=complex).reshape(-1)
     n = int(cand["n"])
@@ -304,7 +304,7 @@ def sic_verify(cand, tol_identity: float = TOL_MATRIX,
     gram2 = np.abs(orbit @ orbit.conj().T) ** 2
     off = ~np.eye(n * n, dtype=bool)
     gram_dev = float(np.max(np.abs(gram2[off] - 1.0 / (n + 1))))
-    passed = bool(identity_dev <= tol_identity and gram_dev <= tol_gram)
+    passed = bool(identity_dev <= TOL_MATRIX and gram_dev <= tol_gram)
     return {"n": n, "vectors": n * n, "identityDeviation": identity_dev,
             "gramDeviation": gram_dev, "pass": passed}
 

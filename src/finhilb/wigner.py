@@ -4,6 +4,8 @@ face-point operators built from MUB projectors, and covariance under the
 symplectic group.
 """
 
+import functools
+
 import numpy as np
 
 from . import clifford, combinat, mub, weyl
@@ -99,27 +101,50 @@ def pencil_directions(n: int):
     return [(0, 1)] + [(x, 1) for x in range(1, n)] + [(1, 0)]
 
 
-def line_points(n: int, direction, c: int):
-    """Points (v1, v2) of the line d2 v1 - d1 v2 = c (mod n)."""
+@functools.lru_cache(maxsize=16)
+def _line_table(n: int) -> np.ndarray:
+    """Every line as read-only index arrays (v1, v2), shape (2, n + 1, n,
+    n): entry (k, c, t) is base_c + t d_k on the line d2 v1 - d1 v2 = c,
+    with d_k = pencil_directions(n)[k] and base_c = (c, 0) when d2 = 1,
+    (0, -c) on the pencil (1, 0)."""
+    d1, d2 = np.array(pencil_directions(n)).T[:, :, None, None]
+    c, t = np.ogrid[:n, :n]
+    pts = np.stack([c * d2 + t * d1, t * d2 - c * (1 - d2)]) % n
+    pts.setflags(write=False)
+    return pts
+
+
+def _line(n: int, direction, c: int) -> np.ndarray:
+    """(v1, v2) of the line d2 v1 - d1 v2 = c in walking order base + t d.
+    d is mu d_k for a pencil direction d_k, so this is line c / mu of
+    pencil k walked in steps of mu."""
     d1, d2 = direction[0] % n, direction[1] % n
     if d1 == 0 and d2 == 0:
         raise ValueError("zero direction")
-    if d2:
-        base = ((c * pow(d2, n - 2, n)) % n, 0)
-    else:
-        base = (0, (-c * pow(d1, n - 2, n)) % n)
-    return [((base[0] + t * d1) % n, (base[1] + t * d2) % n)
-            for t in range(n)]
+    k, mu = (d1 * pow(d2, n - 2, n) % n, d2) if d2 else (n, d1)
+    return _line_table(n)[:, k, c * pow(mu, n - 2, n) % n,
+                          mu * np.arange(n) % n]
+
+
+def _walk_sum(a, v1, v2):
+    """sum over t of a[v1[..., t], v2[..., t]], added in walking order t =
+    0, 1, ... from zero as Python's sum would."""
+    out = 0.0
+    for t in range(v1.shape[-1]):
+        out = out + a[v1[..., t], v2[..., t]]
+    return out
+
+
+def line_points(n: int, direction, c: int):
+    """Points (v1, v2) of the line d2 v1 - d1 v2 = c (mod n)."""
+    return list(zip(*_line(n, direction, c).tolist()))
 
 
 def line_average(pps, direction, c: int) -> np.ndarray:
     """(1/n) sum of phase-point operators along one line; a rank-one
     MUB projector."""
     n = pps.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for v1, v2 in line_points(n, direction, c):
-        out += pps[v1, v2]
-    return out / n
+    return _walk_sum(pps, *_line(n, direction, c)) / n
 
 
 def line_sums(w, pencil: int) -> np.ndarray:
@@ -127,50 +152,40 @@ def line_sums(w, pencil: int) -> np.ndarray:
     pencil; a probability vector for a valid state."""
     w = np.asarray(w)
     n = w.shape[0]
-    dirs = pencil_directions(n)
-    if not 0 <= pencil < len(dirs):
+    if not 0 <= pencil <= n:
         raise ValueError("invalid pencil")
-    out = np.empty(n)
-    for c in range(n):
-        out[c] = sum(w[v1, v2] for v1, v2 in line_points(n, dirs[pencil], c))
-    return out
+    return _walk_sum(w, *_line_table(n)[:, pencil])
 
 
-def mub_line_map(pps, bases=None) -> list:
-    """Match every line average to a MUB projector.
+def mub_line_map(pps) -> list:
+    """Match every line average to a projector of ivanovic_mubs(n): the
+    lines of pencil k to the columns of basis k.
 
     Returns, per pencil direction, a dict with the basis index, the
     column index for each line offset c, and the worst matching
     residual.  Raises if some line fails to match a projector.
     """
     n = pps.shape[0]
-    if bases is None:
-        bases = mub.ivanovic_mubs(n)
-    out = []
-    for direction in pencil_directions(n):
-        entry = {"direction": direction, "basis": None, "columns": [],
-                 "max_residual": 0.0}
-        for c in range(n):
-            proj = line_average(pps, direction, c)
-            hit = None
-            for b_idx, b in enumerate(bases):
-                if entry["basis"] is not None and b_idx != entry["basis"]:
-                    continue
-                overlaps = np.einsum("ia,ij,ja->a", b.conj(), proj, b).real
-                j = int(np.argmax(overlaps))
-                v = b[:, j]
-                res = float(np.abs(proj - np.outer(v, v.conj())).max())
-                if res < 1e-8:
-                    hit = (b_idx, j, res)
-                    break
-            if hit is None:
-                raise RuntimeError("line %s,%d matches no MUB projector"
-                                   % (direction, c))
-            entry["basis"] = hit[0]
-            entry["columns"].append(hit[1])
-            entry["max_residual"] = max(entry["max_residual"], hit[2])
-        out.append(entry)
-    return out
+    dirs = pencil_directions(n)
+    # axes (k, c, i, j): the average over line c of pencil k
+    projs = _walk_sum(pps, *_line_table(n)) / n
+    bases = np.stack(mub.ivanovic_mubs(n))
+    overlaps = np.einsum("kia,kcia->kca", bases.conj(),
+                         projs @ bases[:, None]).real
+    cols = np.argmax(overlaps, axis=2)
+    # axes (k, c, i): the matched column of each line
+    v = np.take_along_axis(bases, cols[:, None, :], axis=2).transpose(0, 2, 1)
+    res = np.abs(projs - v[..., :, None] * v.conj()[..., None, :]).max(
+        axis=(2, 3))
+    # written so that a NaN residual is a miss
+    miss = np.argwhere(~(res < 1e-8))
+    if miss.size:
+        k, c = miss[0]
+        raise RuntimeError("line %s,%d matches no MUB projector"
+                           % (dirs[k], c))
+    return [{"direction": d, "basis": k, "columns": cols[k].tolist(),
+             "max_residual": float(res[k].max())}
+            for k, d in enumerate(dirs)]
 
 
 def face_point_operator(mubs, choice) -> np.ndarray:

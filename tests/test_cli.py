@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from finhilb import cli, combinat, mub, sic, wigner
+from finhilb import cli, clifford, combinat, mub, sic, wigner
 
 
 def run(capsys, *argv):
@@ -411,6 +411,41 @@ def test_wigner_table_csv(capsys, tmp_path):
 def test_wigner_and_clifford_checks(capsys):
     assert run(capsys, "wigner", "check", "--n", "3")[0] == 0
     assert run(capsys, "clifford", "check", "--p", "3")[0] == 0
+
+
+def _nan_after_first(i, out):
+    return out if i == 0 else np.nan
+
+
+# each command folds per-call residuals into one check value
+@pytest.mark.parametrize("argv, module, name, check, poison", [
+    (["werner", "--n", "3"], combinat, "reduced_density_matrices",
+     "reduced_states",
+     lambda i, out: out if i == 0 else tuple(r * np.nan for r in out)),
+    # one call: the residuals folded are its entries, NaN after the first
+    (["wigner", "check", "--n", "3"], wigner, "mub_line_map", "line_map",
+     lambda i, out: out[:1] + [dict(e, max_residual=np.nan)
+                               for e in out[1:]]),
+    (["wigner", "check", "--n", "3"], wigner, "clifford_covariance_check",
+     "covariance", _nan_after_first),
+    (["clifford", "check", "--p", "3"], clifford, "normalizer_residual",
+     "normalizer", _nan_after_first),
+], ids=["werner", "line_map", "covariance", "normalizer"])
+def test_nan_residual_after_a_finite_one_fails(capsys, monkeypatch, argv,
+                                               module, name, check, poison):
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        return poison(len(calls) - 1, real(*args))
+
+    monkeypatch.setattr(module, name, patched)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    failed = {c["name"]: c["value"] for c in json.loads(out)["checks"]
+              if not c["pass"]}
+    assert list(failed) == [check] and np.isnan(failed[check])
 
 
 def test_clifford_zauner_raw_vector(capsys, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhilb import clifford, combinat, weyl
+from finhilb.tol import TOL_MATRIX
 
 
 def test_sl2_counts():
@@ -117,6 +119,24 @@ def test_normalizer_sampled():
         for _ in range(10):
             g = els[rng.integers(len(els))]
             assert clifford.normalizer_residual(g, p) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 2 ** 32 - 1))
+def test_normalizer_residual_on_random_sl2(p, seed):
+    # a uniform element: a nonzero first column (a, c), then the second
+    # column on the line a d - b c = 1
+    rng = np.random.default_rng(seed)
+    a, c = 0, 0
+    while not (a or c):
+        a, c = (int(x) for x in rng.integers(p, size=2))
+    s = int(rng.integers(p))
+    if a:
+        b, d = s, (1 + s * c) * pow(a, -1, p) % p
+    else:
+        b, d = -pow(c, -1, p) % p, s
+    assert clifford.normalizer_residual(np.array([[a, b], [c, d]]), p) \
+        <= TOL_MATRIX
 
 
 def test_normalizer_identity_zero():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhilb import clifford, combinat, designs, mub, weyl
 
@@ -88,6 +89,18 @@ def test_welch_strict_for_random_vectors():
     v /= np.linalg.norm(v, axis=1)[:, None]
     out = designs.welch_bound(v, 2)
     assert out["slack"] > 1e-3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 3),
+       st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_welch_slack_is_nonnegative_on_random_families(n, t, count, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    # rows of random length: the bound holds for any family
+    v *= rng.uniform(0.2, 2.0, (count, 1)) / np.linalg.norm(v, axis=1,
+                                                            keepdims=True)
+    assert designs.welch_bound(v, t)["slack"] >= 0
 
 
 def test_frame_operator_properties():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finhilb import combinat, mub, weyl
+from finhilb import combinat, mub, weyl, wigner
 
 
 def dim3_golden_set():
@@ -303,6 +303,15 @@ def test_stabilizer_count_values():
         mub.stabilizer_count(4, 1)
     with pytest.raises(ValueError, match="too large"):
         mub.stabilizer_count(2, 13)
+
+
+def test_isotropic_lines_are_the_pencils():
+    # in F_p^2 the maximal isotropic subspaces are the lines through the
+    # origin, one per pencil of the Wigner phase space
+    for p in (2, 3, 5, 7):
+        spans = {frozenset((t * d1 % p, t * d2 % p) for t in range(p))
+                 for d1, d2 in wigner.pencil_directions(p)}
+        assert mub._maximal_isotropic_subspaces(p, 1) == spans
 
 
 def test_maximal_isotropic_counts():

@@ -1,7 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhilb import clifford, combinat, mub, wigner
+from finhilb.tol import TOL_MATRIX
+
+_PRIMES = st.sampled_from([3, 5, 7, 11, 13])
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+_phase_points = functools.lru_cache(maxsize=None)(wigner.phase_point_set)
 
 
 def test_parity_golden_dim3():
@@ -86,6 +94,15 @@ def test_wigner_normalization_and_roundtrip():
         assert np.abs(back - rho).max() < 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_PRIMES, _SEEDS)
+def test_wigner_roundtrip_on_random_states(n, seed):
+    pps = _phase_points(n)
+    rho = wigner.random_density(np.random.default_rng(seed), n)
+    back = wigner.reconstruct_state(wigner.wigner_function(rho, pps), pps)
+    assert np.abs(back - rho).max() <= TOL_MATRIX
+
+
 def test_wigner_rejects_bad_input():
     pps = wigner.phase_point_set(3)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -151,6 +168,21 @@ def test_mub_line_map_matches_pencils_to_bases():
         for e in entries:
             assert sorted(e["columns"]) == list(range(n))
             assert e["max_residual"] < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_PRIMES, _SEEDS)
+def test_line_sums_are_mub_marginals(n, seed):
+    # the sum of W along line c of pencil k is <b|rho|b> for the column b
+    # of basis k that mub_line_map assigns to that line
+    pps = _phase_points(n)
+    rho = wigner.random_density(np.random.default_rng(seed), n)
+    w = wigner.wigner_function(rho, pps)
+    bases = mub.ivanovic_mubs(n)
+    for k, entry in enumerate(wigner.mub_line_map(pps)):
+        b = bases[entry["basis"]][:, entry["columns"]]
+        probs = np.einsum("ic,ij,jc->c", b.conj(), rho, b).real
+        assert np.abs(wigner.line_sums(w, k) - probs).max() <= TOL_MATRIX
 
 
 def test_phase_point_from_line_projectors():
