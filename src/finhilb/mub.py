@@ -349,9 +349,9 @@ def _maximal_isotropic_subspaces(p: int, k: int) -> set:
     (x1, z1, ..., xk, zk); the form is weyl.symplectic_exponent summed
     over the k coordinate pairs."""
     vectors = list(itertools.product(range(p), repeat=2 * k))
-    x = np.array(vectors).T[:, :, None]
-    form = sum(weyl.symplectic_exponent(x[i:i + 2],
-                                        x[i:i + 2].transpose(0, 2, 1))
+    x = np.array(vectors).T
+    form = sum(weyl.symplectic_exponent(x[i:i + 2, :, None],
+                                        x[i:i + 2, None, :])
                for i in range(0, 2 * k, 2))
     # orthogonal[a, b]: vectors a and b have zero form
     orthogonal = (form % p == 0).tolist()
