@@ -139,7 +139,14 @@ class Report:
             out["stats"] = self.stats
         return out
 
-    def emit(self, as_json, lines=None):
+    def save(self, doc, path):
+        """Persist `doc` to `path` and record it as an artifact; nothing
+        when no path is given."""
+        if path:
+            persist(doc, path)
+            self.artifacts.append(path)
+
+    def emit(self, as_json, lines):
         if as_json:
             print(json.dumps(self.as_dict(), sort_keys=True, default=_encode))
             return
@@ -151,9 +158,6 @@ class Report:
                      "PASS" if c["pass"] else "FAIL"))
         for path in self.artifacts:
             print("wrote %s" % path)
-
-    def exit_code(self):
-        return 0 if self.passed else 1
 
 
 def _threads(args):
@@ -184,7 +188,7 @@ def _poly_str(coeffs):
     return " + ".join(terms) if terms else "0"
 
 
-def cmd_field_table(args):
+def cmd_field_table(args, rep):
     spec = gf.field_make(args.p, args.k)
     x = np.arange(spec.order)
     columns = zip(gf.digit_table(spec).tolist(),
@@ -193,39 +197,30 @@ def cmd_field_table(args):
                   [None] + gf.multiplicative_order(spec, x[1:]).tolist())
     rows = [{"index": i, "poly": _poly_str(c), "trace": t, "trace2": t2,
              "order": order} for i, (c, t, t2, order) in enumerate(columns)]
-    rep = Report("field table", {"p": args.p, "k": args.k})
     rep.check("rows", len(rows), spec.order, mode="eq")
-    doc = {"kind": "field", "version": FORMAT_VERSION, "p": args.p,
-           "k": args.k, "rows": rows}
-    if args.out:
-        persist(doc, args.out)
-        rep.artifacts.append(args.out)
-    rep.result = doc
+    rep.result = {"kind": "field", "version": FORMAT_VERSION, "p": args.p,
+                  "k": args.k, "rows": rows}
+    rep.save(rep.result, args.out)
     lines = ["%-6s %-14s %-5s %-6s %s" % ("index", "element", "tr x",
                                           "tr x2", "order")]
     for r in rows:
         lines.append("%-6d %-14s %-5d %-6d %s"
                      % (r["index"], r["poly"], r["trace"], r["trace2"],
                         "-" if r["order"] is None else r["order"]))
-    rep.emit(args.json, lines)
-    return rep.exit_code()
+    return lines
 
 
 # -- weyl --------------------------------------------------------------------
 
-def cmd_weyl_check(args):
-    rep = Report("weyl check", {"n": args.n, "tol": args.tol})
+def cmd_weyl_check(args, rep):
     rep.check("orthogonality", weyl.orthogonality_max_residual(args.n), args.tol)
     rep.check("group_law", weyl.group_law_max_residual(args.n), args.tol)
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
-def cmd_weyl_expand(args):
+def cmd_weyl_expand(args, rep):
     mat = _decode(_read_json(args.matrix), 2)
     coef = weyl.expand_operator(mat)
     residual = float(np.max(np.abs(weyl.reconstruct_operator(coef) - mat)))
-    rep = Report("weyl expand", {"matrix": args.matrix, "tol": args.tol})
     rep.check("reconstruction", residual, args.tol)
     rep.result = {"coefficients": coef}
     n = coef.shape[0]
@@ -234,15 +229,13 @@ def cmd_weyl_expand(args):
         for s in range(n):
             lines.append("%d  %d  %.12g %+.12gj"
                          % (r, s, coef[r, s].real, coef[r, s].imag))
-    rep.emit(args.json, lines)
-    return rep.exit_code()
+    return lines
 
 
 # -- combinatorics -----------------------------------------------------------
 
-def cmd_latin_gen(args):
+def cmd_latin_gen(args, rep):
     square = combinat.latin_from_group(args.n)
-    rep = Report("latin gen", {"n": args.n, "count": bool(args.count)})
     rep.check("is_latin", 1.0 if combinat.is_latin(square) else 0.0, 1.0,
               mode="eq")
     result = {"square": square}
@@ -252,30 +245,24 @@ def cmd_latin_gen(args):
         result["reduced_count"] = reduced
         lines.append("reduced squares of order %d: %d" % (args.n, reduced))
     rep.result = result
-    rep.emit(args.json, lines)
-    return rep.exit_code()
+    return lines
 
 
-def cmd_hadamard_fourier(args):
+def cmd_hadamard_fourier(args, rep):
     mat = combinat.fourier_matrix(args.n)
-    rep = Report("hadamard fourier", {"n": args.n})
     rep.check("is_hadamard",
               1.0 if combinat.is_complex_hadamard(mat) else 0.0, 1.0,
               mode="eq")
-    if args.out:
-        persist({"kind": "basisfamily", "version": FORMAT_VERSION,
-                 "n": args.n, "vectors": mat.T,
-                 "metadata": {"label": "fourier"}}, args.out)
-        rep.artifacts.append(args.out)
+    rep.save({"kind": "basisfamily", "version": FORMAT_VERSION, "n": args.n,
+              "vectors": mat.T, "metadata": {"label": "fourier"}}, args.out)
     rep.result = {"matrix": mat}
     lines = []
     for row in mat:
         lines.append("  ".join("%+.6f%+.6fj" % (z.real, z.imag) for z in row))
-    rep.emit(args.json, lines)
-    return rep.exit_code()
+    return lines
 
 
-def cmd_werner(args):
+def cmd_werner(args, rep):
     latin = combinat.latin_from_group(args.n)
     had = combinat.fourier_matrix(args.n)
     vecs = combinat.werner_basis(latin, had)
@@ -285,83 +272,61 @@ def cmd_werner(args):
     red_dev = np.max([np.abs(rho - np.eye(args.n) / args.n).max()
                       for v in vecs
                       for rho in combinat.reduced_density_matrices(v, args.n)])
-    rep = Report("werner", {"n": args.n, "tol": args.tol})
     rep.check("gram_identity", gram_dev, args.tol)
     rep.check("reduced_states", red_dev, args.tol)
-    if args.out:
-        persist({"kind": "basisfamily", "version": FORMAT_VERSION,
-                 "n": args.n * args.n, "vectors": vecs,
-                 "metadata": {"label": "werner", "latin": latin,
-                              "hadamard": had}}, args.out)
-        rep.artifacts.append(args.out)
-    rep.emit(args.json)
-    return rep.exit_code()
+    rep.save({"kind": "basisfamily", "version": FORMAT_VERSION,
+              "n": args.n * args.n, "vectors": vecs,
+              "metadata": {"label": "werner", "latin": latin,
+                           "hadamard": had}}, args.out)
 
 
 # -- mub ---------------------------------------------------------------------
 
-def cmd_mub_gen(args):
+def cmd_mub_gen(args, rep):
     if args.k == 1:
         bases = mub.qubit_mubs() if args.p == 2 else mub.ivanovic_mubs(args.p)
     else:
         bases = mub.subgroup_eigenbases(args.p, args.k, seed=args.seed)
     n = bases[0].shape[0]
     report = mub.unbiasedness_check(bases, tol=args.tol)
-    rep = Report("mub gen", {"p": args.p, "k": args.k, "tol": args.tol},
-                 seed=args.seed)
     rep.check("bases", report["bases"], n + 1, mode="eq")
     rep.check("unbiasedness", report["max_deviation"], args.tol)
-    if args.out:
-        persist({"kind": "mubset", "version": FORMAT_VERSION, "p": args.p,
-                 "k": args.k, "n": n, "bases": bases}, args.out)
-        rep.artifacts.append(args.out)
-    rep.emit(args.json)
-    return rep.exit_code()
+    rep.save({"kind": "mubset", "version": FORMAT_VERSION, "p": args.p,
+              "k": args.k, "n": n, "bases": bases}, args.out)
 
 
-def cmd_mub_verify(args):
+def cmd_mub_verify(args, rep):
     doc = load(args.file, "mubset")
     devs = mub.family_deviations(doc["bases"])
-    rep = Report("mub verify", {"file": args.file, "tol": args.tol})
     rep.check("orthonormality", np.max(devs["orthonormality"]), args.tol)
     rep.check("unbiasedness", devs["max_deviation"], args.tol)
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
-def cmd_mub_mermin(args):
+def cmd_mub_mermin(args, rep):
     land = mub.mermin_landscape(seed=args.seed)
     counts = [len([p for p in fl if p <= 6]) for fl in land["flowers"]]
-    rep = Report("mub mermin", {}, seed=args.seed)
     rep.check("petals", len(land["petals"]), 15, mode="eq")
     rep.check("flowers", len(land["flowers"]), 6, mode="eq")
     rep.check("mermin_petals_min", min(counts), 2, mode="eq")
     rep.check("mermin_petals_max", max(counts), 2, mode="eq")
     rep.check("stabilizer_states", len(land["stabilizer_states"]),
               mub.stabilizer_count(2, 2), mode="eq")
-    lines = ["flower %d: petals %s" % (i + 1, " ".join(map(str, fl)))
-             for i, fl in enumerate(land["flowers"])]
-    rep.emit(args.json, lines)
-    return rep.exit_code()
+    return ["flower %d: petals %s" % (i + 1, " ".join(map(str, fl)))
+            for i, fl in enumerate(land["flowers"])]
 
 
-def cmd_mub_search6(args):
+def cmd_mub_search6(args, rep):
     out = mub.search_unbiased6(restarts=args.restarts, seed=args.seed,
                                threads=_threads(args), tol=args.tol)
-    rep = Report("mub search6",
-                 {"restarts": args.restarts, "tol": args.tol},
-                 seed=args.seed)
     rep.check("vectors_found", out["count"], 1, mode="ge")
     rep.check("min_value", out["min_value"], args.tol)
     rep.result = {"count": out["count"], "vectors": out["vectors"]}
     rep.stats = out["stats"]
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
 # -- wigner -------------------------------------------------------------------
 
-def cmd_wigner_table(args):
+def cmd_wigner_table(args, rep):
     psi = _decode(_read_json(args.state), 1)
     if psi.size != args.n:
         raise ValueError("state dimension %d does not match --n %d"
@@ -371,32 +336,26 @@ def cmd_wigner_table(args):
     pps = wigner.phase_point_set(args.n)
     rho = np.outer(psi, psi.conj())
     table = wigner.wigner_function(rho, pps)
-    rep = Report("wigner table", {"n": args.n, "state": args.state,
-                                  "tol": args.tol})
     rep.check("total", abs(float(table.sum()) - 1.0), args.tol)
     rep.check("roundtrip", float(np.max(np.abs(
         wigner.reconstruct_state(table, pps) - rho))), args.tol)
-    if args.out:
-        if args.out.endswith(".json"):
-            persist({"kind": "wignertable", "version": FORMAT_VERSION,
-                     "n": args.n, "state": psi, "wigner": table}, args.out)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for row in table:
-                    fh.write(",".join("%.17g" % x for x in row) + "\n")
+    if args.out and not args.out.endswith(".json"):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for row in table:
+                fh.write(",".join("%.17g" % x for x in row) + "\n")
         rep.artifacts.append(args.out)
+    else:
+        rep.save({"kind": "wignertable", "version": FORMAT_VERSION,
+                  "n": args.n, "state": psi, "wigner": table}, args.out)
     rep.result = {"wigner": table}
-    lines = ["  ".join("%+.6f" % x for x in row) for row in table]
-    rep.emit(args.json, lines)
-    return rep.exit_code()
+    return ["  ".join("%+.6f" % x for x in row) for row in table]
 
 
-def cmd_wigner_check(args):
+def cmd_wigner_check(args, rep):
     n = args.n
     pps = wigner.phase_point_set(n)
     parity = pps[0, 0]
     four = combinat.fourier_matrix(n)
-    rep = Report("wigner check", {"n": n, "tol": args.tol}, seed=args.seed)
     rep.check("parity_square",
               float(np.max(np.abs(parity @ parity - np.eye(n)))), args.tol)
     rep.check("fourier_square",
@@ -419,16 +378,13 @@ def cmd_wigner_check(args):
     rep.check("covariance",
               np.max([wigner.clifford_covariance_check(pps, g) for g in gs]),
               args.tol)
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
 # -- clifford ------------------------------------------------------------------
 
-def cmd_clifford_check(args):
+def cmd_clifford_check(args, rep):
     p = args.p
     group = clifford.sl2_enumerate(p)
-    rep = Report("clifford check", {"p": p, "tol": args.tol}, seed=args.seed)
     rep.check("sl2_order", len(group), p * (p * p - 1), mode="eq")
     sample = group
     if p > 3:
@@ -442,103 +398,75 @@ def cmd_clifford_check(args):
         clifford.metaplectic(-np.eye(2, dtype=int), p)
         - wigner.parity_operator(p))))
     rep.check("parity", parity_dev, args.tol)
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
-def cmd_clifford_zauner(args):
+def cmd_clifford_zauner(args, rep):
     doc = _read_json(args.fiducial)
     psi = (_decode(doc, 1) if isinstance(doc, list)
            else _checked(doc, ("sic",))["fiducial"])
     scan = clifford.zauner_scan(psi, args.p)
-    rep = Report("clifford zauner", {"p": args.p, "fiducial": args.fiducial,
-                                     "tol": args.tol})
     rep.check("zauner_residual", scan["residual"], args.tol)
     rep.result = {"g": scan["g"], "b": scan["b"]}
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
 # -- designs -------------------------------------------------------------------
 
-def cmd_design_test(args):
+def cmd_design_test(args, rep):
     vectors = _load_family(args.family)
     out = designs.design_test(vectors, args.t, tol=args.tol)
-    rep = Report("design test", {"family": args.family, "t": args.t,
-                                 "tol": args.tol})
     rep.check("moment_deviation", abs(out["value"] - out["target"]), args.tol)
     rep.result = {"value": out["value"], "target": out["target"],
                   "isDesign": out["isDesign"]}
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
-def cmd_design_welch(args):
+def cmd_design_welch(args, rep):
     vectors = _load_family(args.family)
     out = designs.welch_bound(vectors, args.t)
-    rep = Report("design welch", {"family": args.family, "t": args.t,
-                                  "tol": args.tol})
     rep.check("welch_slack", out["slack"], args.tol)
     rep.result = out
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
 # -- sic -----------------------------------------------------------------------
 
-def cmd_sic_search(args):
+def cmd_sic_search(args, rep):
     out = sic.sic_search(args.n, restarts=args.restarts, seed=args.seed,
                          threads=_threads(args), zauner=args.zauner)
-    rep = Report("sic search", {"n": args.n, "restarts": args.restarts,
-                                "tol": args.tol, "zauner": args.zauner},
-                 seed=args.seed)
     rep.check("fsic", out["fsic"], args.tol)
-    if args.out:
-        persist({"kind": "sic", "version": FORMAT_VERSION, "n": out["n"],
-                 "fsic": out["fsic"], "fiducial": out["fiducial"],
-                 "seed": out["seed"], "restarts": out["restarts"],
-                 "restart": out["restart"]}, args.out)
-        rep.artifacts.append(args.out)
+    rep.save({"kind": "sic", "version": FORMAT_VERSION, "n": out["n"],
+              "fsic": out["fsic"], "fiducial": out["fiducial"],
+              "seed": out["seed"], "restarts": out["restarts"],
+              "restart": out["restart"]}, args.out)
     rep.result = {"fsic": out["fsic"], "restart": out["restart"],
                   "fiducial": out["fiducial"]}
     rep.stats = out["stats"]
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
-def cmd_sic_verify(args):
+def cmd_sic_verify(args, rep):
     doc = load(args.file, "sic")
     if type(doc.get("n")) is not int or type(doc.get("fsic", .0)) is not float:
         raise ValueError("sic 'n' must be an integer and 'fsic' a float")
     out = sic.sic_verify(doc, tol_gram=args.tol)
-    rep = Report("sic verify", {"file": args.file, "tol": args.tol})
     rep.check("identity_deviation", out["identityDeviation"], TOL_MATRIX)
     rep.check("gram_deviation", out["gramDeviation"], args.tol)
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
-def cmd_sic_fingerprint(args):
+def cmd_sic_fingerprint(args, rep):
     if args.file:
         psi = load(args.file, "sic")["fiducial"]
     else:
         psi = sic.dim4_fiducial()
     phases = sic.overlap_phases(sic.make_candidate(psi))
     out = sic.u_fingerprint(phases)
-    rep = Report("sic fingerprint", {"file": args.file, "tol": args.tol})
     rep.check("u_deviation", out["uDeviation"], 1e-10)
     rep.check("minpoly_residual", out["minpolyResidual"], args.tol)
     rep.check("unit_residual", out["unitResidual"], args.tol)
     rep.result = {"u": out["u"]}
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
 # -- suite ---------------------------------------------------------------------
 
-def cmd_suite(args):
+def cmd_suite(args, rep):
     n = args.n
-    rep = Report("suite", {"n": n}, seed=args.seed)
     rep.check("weyl_orthogonality", weyl.orthogonality_max_residual(n),
               TOL_MATRIX)
     rep.check("weyl_group_law", weyl.group_law_max_residual(n), TOL_MATRIX)
@@ -571,8 +499,6 @@ def cmd_suite(args):
                                      combinat.fourier_matrix(n))
         rep.check("werner_gram", float(np.max(np.abs(
             vecs @ vecs.conj().T - np.eye(n * n)))), TOL_MATRIX)
-    rep.emit(args.json)
-    return rep.exit_code()
 
 
 # -- parser --------------------------------------------------------------------
@@ -731,14 +657,28 @@ def build_parser():
     return parser
 
 
+# Parsed options a report leaves out of its parameters: output and threading
+# switches, the seed (recorded on its own) and argparse's routing.
+_NOT_PARAMETERS = ("json", "out", "threads", "seed", "func", "group", "op")
+
+
 def dispatch(argv) -> int:
+    """Run one command line: the command fills a report read off the parse
+    (subcommand path, seed, every other option as a parameter) and returns
+    its text lines; the report is emitted and scored 0 if every check
+    passed, else 1.  Errors exit 2 (usage, validation), 3 (I/O) or 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    opts = vars(args)
+    rep = Report(" ".join(opts[k] for k in ("group", "op") if k in opts),
+                 {k: v for k, v in opts.items() if k not in _NOT_PARAMETERS},
+                 seed=opts.get("seed"))
     try:
-        return args.func(args)
+        rep.emit(args.json, args.func(args, rep))
+        return 0 if rep.passed else 1
     except json.JSONDecodeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -207,7 +207,7 @@ def vector_from_unitary(U) -> np.ndarray:
     n = U.shape[0]
     if U.ndim != 2 or U.shape[1] != n:
         raise ValueError("expected a square matrix")
-    if np.abs(U @ U.conj().T - np.eye(n)).max() > TOL_MATRIX:
+    if not np.abs(U @ U.conj().T - np.eye(n)).max() <= TOL_MATRIX:
         raise ValueError("matrix is not unitary")
     return U.reshape(n * n) / np.sqrt(n)
 

@@ -118,7 +118,7 @@ def unitary_design_moment(unitaries, t: int) -> dict:
     for u in mats:
         if u.shape != (n, n):
             raise ValueError("mixed dimensions")
-        if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-8:
+        if not np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-8:
             raise ValueError("matrix is not unitary")
     if t < 1:
         raise ValueError("t must be positive")

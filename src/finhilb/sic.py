@@ -42,20 +42,23 @@ def f_sic_grad(psi) -> np.ndarray:
     return _value_grad(psi, weyl.displacement_table(psi.size))[1]
 
 
-def _value(psi, table):
-    n = psi.size
-    c = (table @ psi) @ psi.conj()
-    d = np.abs(c) ** 2 - 1.0 / (n + 1)
+def _overlaps(psi, table):
+    """D_k psi, the overlaps c_k = <psi|D_k|psi> and the objective's terms
+    d_k = |c_k|^2 - 1/(N+1), with d_0 = 0 for the identity."""
+    dpsi = table @ psi
+    c = dpsi @ psi.conj()
+    d = np.abs(c) ** 2 - 1.0 / (psi.size + 1)
     d[0] = 0.0
+    return dpsi, c, d
+
+
+def _value(psi, table):
+    d = _overlaps(psi, table)[2]
     return float(d @ d)
 
 
 def _value_grad(psi, table):
-    n = psi.size
-    dpsi = table @ psi
-    c = dpsi @ psi.conj()
-    d = np.abs(c) ** 2 - 1.0 / (n + 1)
-    d[0] = 0.0
+    dpsi, c, d = _overlaps(psi, table)
     f = float(d @ d)
     # conj(table) psi, without a conjugated copy of the table
     hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
@@ -124,12 +127,8 @@ def descend(psi, value, value_grad):
 
 
 def _residual_jacobian(psi, table):
-    n = psi.size
-    dpsi = table @ psi
+    dpsi, c, d = _overlaps(psi, table)
     hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
-    c = dpsi @ psi.conj()
-    d = np.abs(c) ** 2 - 1.0 / (n + 1)
-    d[0] = 0.0
     dc_dx = dpsi + hpsi.conj()
     dc_dy = 1j * (hpsi.conj() - dpsi)
     jac = np.hstack([2.0 * np.real(c.conj()[:, None] * dc_dx),

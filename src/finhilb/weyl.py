@@ -100,7 +100,7 @@ def group_law_residual(n: int, p, q) -> float:
     om = symplectic_exponent(p, q)
     res_a = np.abs(lhs - tau_power(n, om) * displacement(n, p[0] + q[0], p[1] + q[1])).max()
     res_b = np.abs(lhs - _omega_power(n, om) * (Dq @ Dp)).max()
-    return float(max(res_a, res_b))
+    return float(np.maximum(res_a, res_b))
 
 
 def group_law_max_residual(n: int) -> float:

@@ -8,7 +8,7 @@ import functools
 
 import numpy as np
 
-from . import clifford, combinat, mub, weyl
+from . import clifford, combinat, gf, mub, weyl
 from .tol import TOL_MATRIX
 _MAX_N = 31
 
@@ -24,13 +24,13 @@ def parity_operator(n: int) -> np.ndarray:
     a = np.zeros((n, n), dtype=complex)
     a[-np.arange(n) % n, np.arange(n)] = 1.0
     f = combinat.fourier_matrix(n)
-    if np.abs(a @ a - np.eye(n)).max() > TOL_MATRIX:
+    if not np.abs(a @ a - np.eye(n)).max() <= TOL_MATRIX:
         raise RuntimeError("parity operator does not square to identity")
-    if np.abs(f @ f - a).max() > TOL_MATRIX:
+    if not np.abs(f @ f - a).max() <= TOL_MATRIX:
         raise RuntimeError("Fourier squared does not give the parity")
     if n <= _MAX_N:
         total = face_point_operator(mub.ivanovic_mubs(n), [0] * (n + 1))
-        if np.abs(total - a).max() > TOL_MATRIX:
+        if not np.abs(total - a).max() <= TOL_MATRIX:
             raise RuntimeError("MUB-projector identity fails for parity")
     return a
 
@@ -55,13 +55,14 @@ def phase_point_set(n: int) -> np.ndarray:
     ortho = np.einsum("ab,rsba->rs", a00, pps)
     ortho[0, 0] -= n
     ortho_dev = np.abs(ortho).max()
-    worst = max(herm, invol, float(tr_dev), float(ortho_dev))
-    if worst > TOL_MATRIX:
+    # np.max keeps a NaN that Python's max would drop
+    worst = np.max([herm, invol, tr_dev, ortho_dev])
+    if not worst <= TOL_MATRIX:
         raise RuntimeError("phase-point invariants violated: %g" % worst)
     vals = np.linalg.eigvalsh(a00)
     m = (n + 1) // 2
-    if (np.abs(vals[:m - 1] + 1).max() > TOL_MATRIX
-            or np.abs(vals[m - 1:] - 1).max() > TOL_MATRIX):
+    if not (np.abs(vals[:m - 1] + 1).max() <= TOL_MATRIX
+            and np.abs(vals[m - 1:] - 1).max() <= TOL_MATRIX):
         raise RuntimeError("parity eigenvalue multiplicities are not "
                            "(%d, %d)" % (m, m - 1))
     pps.setflags(write=False)
@@ -81,9 +82,9 @@ def wigner_function(rho, pps) -> np.ndarray:
     n = pps.shape[0]
     if rho.shape != (n, n):
         raise ValueError("dimension mismatch")
-    if np.abs(rho - rho.conj().T).max() > 1e-8:
+    if not np.abs(rho - rho.conj().T).max() <= 1e-8:
         raise ValueError("rho is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
+    if not abs(np.trace(rho) - 1.0) <= 1e-8:
         raise ValueError("rho does not have unit trace")
     w = np.einsum("rsij,ji->rs", pps, rho) / n
     return w.real
@@ -106,7 +107,10 @@ def _line_table(n: int) -> np.ndarray:
     """Every line as read-only index arrays (v1, v2), shape (2, n + 1, n,
     n): entry (k, c, t) is base_c + t d_k on the line d2 v1 - d1 v2 = c,
     with d_k = pencil_directions(n)[k] and base_c = (c, 0) when d2 = 1,
-    (0, -c) on the pencil (1, 0)."""
+    (0, -c) on the pencil (1, 0).  The walk needs inverses mod n, so n
+    must be prime."""
+    if not gf.is_prime(n):
+        raise ValueError("lines need a prime n, got %d" % n)
     d1, d2 = np.array(pencil_directions(n)).T[:, :, None, None]
     c, t = np.ogrid[:n, :n]
     pts = np.stack([c * d2 + t * d1, t * d2 - c * (1 - d2)]) % n

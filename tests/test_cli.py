@@ -523,3 +523,67 @@ def test_suite_command(capsys):
         code, out, _ = run(capsys, "suite", "--n", n)
         assert code == 0
         assert "FAIL" not in out
+
+
+# What each report records, as the hand-written per-command reports gave
+# it: minimal argv, subcommand path, parameters (value types included)
+# and seed.
+_REPORT_FIELDS = [
+    ("field table --p 2 --out f.json", "field table", {"k": 1, "p": 2},
+     None),
+    ("weyl check --n 2", "weyl check", {"n": 2, "tol": 1e-10}, None),
+    ("weyl expand --matrix m.json", "weyl expand",
+     {"matrix": "m.json", "tol": 1e-10}, None),
+    ("latin gen --n 2", "latin gen", {"count": False, "n": 2}, None),
+    ("hadamard fourier --n 2", "hadamard fourier", {"n": 2}, None),
+    ("werner --n 2", "werner", {"n": 2, "tol": 1e-10}, None),
+    ("mub gen --p 2", "mub gen", {"k": 1, "p": 2, "tol": 1e-09}, 7),
+    ("mub verify mubs.json", "mub verify",
+     {"file": "mubs.json", "tol": 1e-09}, None),
+    ("mub mermin", "mub mermin", {}, 11),
+    ("mub search6 --restarts 1 --threads 1", "mub search6",
+     {"restarts": 1, "tol": 1e-18}, 0),
+    ("wigner table --n 3 --state st.json", "wigner table",
+     {"n": 3, "state": "st.json", "tol": 1e-10}, None),
+    ("wigner check --n 3", "wigner check", {"n": 3, "tol": 1e-10}, 0),
+    ("clifford check --p 3", "clifford check", {"p": 3, "tol": 1e-10}, 0),
+    ("clifford zauner --p 3 --fiducial sic3.json", "clifford zauner",
+     {"fiducial": "sic3.json", "p": 3, "tol": 1e-06}, None),
+    ("design test --family sic3.json --t 1", "design test",
+     {"family": "sic3.json", "t": 1, "tol": 1e-09}, None),
+    ("design welch --family sic3.json --t 1", "design welch",
+     {"family": "sic3.json", "t": 1, "tol": 1e-09}, None),
+    ("sic search --n 2 --restarts 1 --out s.json", "sic search",
+     {"n": 2, "restarts": 1, "tol": 1e-12, "zauner": False}, 0),
+    ("sic verify sic3.json", "sic verify",
+     {"file": "sic3.json", "tol": 1e-08}, None),
+    ("sic fingerprint", "sic fingerprint", {"file": None, "tol": 1e-08},
+     None),
+    ("suite --n 2", "suite", {"n": 2}, 0),
+]
+
+
+@pytest.mark.parametrize("argv, command, parameters, seed", _REPORT_FIELDS,
+                         ids=[f[0].split(" --")[0] for f in _REPORT_FIELDS])
+def test_report_records_the_command_line(capsys, tmp_path, monkeypatch,
+                                         argv, command, parameters, seed):
+    monkeypatch.chdir(tmp_path)
+    s = 2 ** -0.5
+    cli.persist({"kind": "mubset", "version": cli.FORMAT_VERSION, "p": 2,
+                 "k": 1, "n": 2, "bases": mub.qubit_mubs()}, "mubs.json")
+    cli.persist({"kind": "sic", "version": cli.FORMAT_VERSION, "n": 3,
+                 "fiducial": np.array([0, s, -s], dtype=complex)},
+                "sic3.json")
+    (tmp_path / "m.json").write_text(json.dumps(
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    (tmp_path / "st.json").write_text(json.dumps(
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    code, out, _ = run(capsys, *argv.split(), "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["command"] == command
+    # compared as JSON text, so that False is not 0 and 1.0 is not 1
+    assert json.dumps(rep["parameters"], sort_keys=True) \
+        == json.dumps(parameters, sort_keys=True)
+    assert rep.get("seed") == seed
+    assert not {"out", "json", "threads"} & set(rep["parameters"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finhilb import clifford, combinat, mub, wigner
+from finhilb import clifford, combinat, designs, mub, weyl, wigner
 from finhilb.tol import TOL_MATRIX
 
 _PRIMES = st.sampled_from([3, 5, 7, 11, 13])
@@ -126,6 +126,57 @@ def test_line_points_geometry():
         assert len(seen) == n * n
     with pytest.raises(ValueError, match="zero"):
         wigner.line_points(5, (0, 0), 1)
+
+
+def test_lines_need_a_prime_n():
+    # pow(d, n - 2, n) is an inverse only mod a prime: at n = 9 the walk
+    # put (0, 3) through points with 3 v1 = 0, off the line 3 v1 = 1
+    with pytest.raises(ValueError, match="prime"):
+        wigner.line_points(9, (0, 3), 1)
+    with pytest.raises(ValueError, match="prime"):
+        wigner.line_average(np.zeros((9, 9, 9, 9)), (1, 1), 0)
+    with pytest.raises(ValueError, match="prime"):
+        wigner.line_sums(np.zeros((9, 9)), 1)
+    assert wigner.line_points(2, (1, 1), 1) == [(1, 0), (0, 1)]
+
+
+def _phase_points_from_nan_table(monkeypatch):
+    table = weyl.displacement_table
+
+    def poisoned(n):
+        out = table(n).copy()
+        out[5, 0, 0] = np.nan
+        return out
+    monkeypatch.setattr(weyl, "displacement_table", poisoned)
+    return wigner.phase_point_set(5)
+
+
+def _group_law_with_nan_phase(monkeypatch):
+    monkeypatch.setattr(weyl, "_omega_power", lambda n, m: np.nan)
+    return weyl.group_law_residual(5, (1, 2), (3, 4))
+
+
+_NAN3 = np.full((3, 3), np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize("call, error", [
+    (_phase_points_from_nan_table, "phase-point invariants"),
+    (lambda mp: wigner.wigner_function(_NAN3, wigner.phase_point_set(3)),
+     "not Hermitian"),
+    (lambda mp: combinat.vector_from_unitary(_NAN3), "not unitary"),
+    (lambda mp: designs.unitary_design_moment([_NAN3], 1), "not unitary"),
+    (lambda mp: mub.bbrv_flower([_NAN3] * 4), "petal union"),
+    (_group_law_with_nan_phase, None),
+], ids=["phase_point_set", "wigner_function", "vector_from_unitary",
+        "unitary_design_moment", "bbrv_flower", "group_law_residual"])
+def test_library_gates_fail_closed_on_nan(monkeypatch, call, error):
+    """A NaN that reaches a gate fails it, and a NaN residual is returned
+    rather than dropped from a fold."""
+    if error is None:
+        assert np.isnan(call(monkeypatch))
+        return
+    with pytest.raises((ValueError, RuntimeError), match=error):
+        call(monkeypatch)
 
 
 def test_line_sums_basics():
