@@ -161,15 +161,15 @@ class Report:
 
 
 def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
+    if args.threads < 0:
+        raise ValueError("--threads must not be negative")
     env = os.environ.get("HILBERT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("HILBERT_THREADS is not an integer: %r" % env)
-    return 1
+    if args.threads or not env:
+        return args.threads or 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError("HILBERT_THREADS is not an integer: %r" % env)
 
 
 # -- field -------------------------------------------------------------------

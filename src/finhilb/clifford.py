@@ -118,11 +118,12 @@ def zauner_scan(psi, p: int) -> dict:
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    table = weyl.displacement_table(p).reshape(p, p, p, p)
+    rows, vals = weyl._table_form(p)
     found = []
     for g in order3_elements(p):
         phi = metaplectic(g, p) @ psi
-        ov = np.abs((table @ phi) @ psi.conj())
+        # |<psi|D_b|phi>| for every b, gathered from the monomial form
+        ov = np.abs((psi.conj()[rows] * vals) @ phi).reshape(p, p)
         r, s = np.unravel_index(int(np.argmax(ov)), ov.shape)
         res = float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * ov[r, s])))
         found.append({"residual": res, "g": g, "b": (int(r), int(s))})

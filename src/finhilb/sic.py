@@ -31,7 +31,7 @@ def f_sic(psi) -> float:
     """Sum over (r, s) != (0, 0) of (|<psi|D_{r,s}|psi>|^2 - 1/(N+1))^2;
     zero exactly when the displacement orbit of psi is a SIC."""
     psi = _check_unit(psi)
-    return _value(psi, weyl.displacement_table(psi.size))
+    return _value(psi, _gathers(psi.size))
 
 
 def f_sic_grad(psi) -> np.ndarray:
@@ -39,31 +39,40 @@ def f_sic_grad(psi) -> np.ndarray:
     df/dRe(psi_j) is the real part of entry j, df/dIm(psi_j) the
     imaginary part."""
     psi = _check_unit(psi)
-    return _value_grad(psi, weyl.displacement_table(psi.size))[1]
+    return _value_grad(psi, _gathers(psi.size))[1]
 
 
-def _overlaps(psi, table):
+@functools.lru_cache(maxsize=16)
+def _gathers(n):
+    """(rows, conj(vals), cols, vals_t), cached: D_k^dag psi = conj(vals[k])
+    psi[rows[k]] and D_k psi = vals_t[k] psi[cols[k]], cols[k] = rows[k]^-1."""
+    # sic_verify holds the N^2 x N^2 Gram of the orbit, 16 MB at N = 32
+    if not 2 <= n <= 32:
+        raise ValueError("sic dimension must be between 2 and 32")
+    rows, vals = weyl._table_form(n)
+    cols = np.argsort(rows, axis=1)
+    return rows, vals.conj(), cols, np.take_along_axis(vals, cols, axis=1)
+
+
+def _overlaps(psi, form):
     """D_k psi, the overlaps c_k = <psi|D_k|psi> and the objective's terms
     d_k = |c_k|^2 - 1/(N+1), with d_0 = 0 for the identity."""
-    dpsi = table @ psi
+    dpsi = form[3] * psi[form[2]]
     c = dpsi @ psi.conj()
     d = np.abs(c) ** 2 - 1.0 / (psi.size + 1)
     d[0] = 0.0
     return dpsi, c, d
 
 
-def _value(psi, table):
-    d = _overlaps(psi, table)[2]
+def _value(psi, form):
+    d = _overlaps(psi, form)[2]
     return float(d @ d)
 
 
-def _value_grad(psi, table):
-    dpsi, c, d = _overlaps(psi, table)
-    f = float(d @ d)
-    # conj(table) psi, without a conjugated copy of the table
-    hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
-    g = 4.0 * ((d * c.conj()) @ dpsi + (d * c) @ hpsi)
-    return f, g
+def _value_grad(psi, form):
+    dpsi, c, d = _overlaps(psi, form)
+    hpsi = form[1] * psi[form[0]]  # D_k^dag psi
+    return float(d @ d), 4.0 * ((d * c.conj()) @ dpsi + (d * c) @ hpsi)
 
 
 def descend(psi, value, value_grad):
@@ -126,9 +135,9 @@ def descend(psi, value, value_grad):
     return psi, f, "cap"
 
 
-def _residual_jacobian(psi, table):
-    dpsi, c, d = _overlaps(psi, table)
-    hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
+def _residual_jacobian(psi, form):
+    dpsi, c, d = _overlaps(psi, form)
+    hpsi = form[1] * psi[form[0]]  # D_k^dag psi
     dc_dx = dpsi + hpsi.conj()
     dc_dy = 1j * (hpsi.conj() - dpsi)
     jac = np.hstack([2.0 * np.real(c.conj()[:, None] * dc_dx),
@@ -208,6 +217,8 @@ def restart_results(run, restarts, threads):
     a pool of `threads` workers when threads > 1.  run must depend on r
     alone (seeding its own generator from it), so the list does not
     depend on the thread count."""
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(restarts)))
@@ -243,18 +254,16 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
     result is identical under sequential and threaded execution."""
     if not 2 <= n <= 16:
         raise ValueError("n must be between 2 and 16")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
     proj = None
     if zauner:
         if n % 2 == 0 or not gf.is_prime(n):
             raise ValueError("zauner starts require an odd prime dimension")
         proj = _zauner_projector(n)
-    table = weyl.displacement_table(n)
+    form = _gathers(n)
 
-    value = functools.partial(_value, table=table)
-    value_grad = functools.partial(_value_grad, table=table)
-    residual_jacobian = functools.partial(_residual_jacobian, table=table)
+    value = functools.partial(_value, form=form)
+    value_grad = functools.partial(_value_grad, form=form)
+    residual_jacobian = functools.partial(_residual_jacobian, form=form)
 
     def run(r):
         rng = np.random.default_rng([seed, r])
@@ -278,7 +287,7 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
 def sic_orbit(psi) -> np.ndarray:
     """All N^2 displaced copies D_{r,s} psi as rows (row r*N+s)."""
     psi = _check_unit(psi)
-    return weyl.displacement_table(psi.size) @ psi
+    return _overlaps(psi, _gathers(psi.size))[0]
 
 
 def make_candidate(psi) -> dict:
@@ -289,15 +298,14 @@ def make_candidate(psi) -> dict:
 def sic_verify(cand, tol_gram: float = TOL_SIC_GRAM) -> dict:
     """Resolution of identity for the orbit within TOL_MATRIX and every
     cross Gram modulus squared at 1/(N+1) within tol_gram."""
-    psi = np.asarray(cand["fiducial"], dtype=complex).reshape(-1)
+    psi = _check_unit(cand["fiducial"])
     n = int(cand["n"])
     if psi.size != n:
         raise ValueError("dimension mismatch")
-    psi = _check_unit(psi)
-    if "fsic" in cand and not abs(float(cand["fsic"]) - f_sic(psi)) \
+    orbit, _, d = _overlaps(psi, _gathers(n))
+    if "fsic" in cand and not abs(float(cand["fsic"]) - float(d @ d)) \
             <= TOL_MATRIX:
         raise ValueError("cached fsic does not match recomputation")
-    orbit = sic_orbit(psi)
     res = np.einsum("ki,kj->ij", orbit, orbit.conj()) / n - np.eye(n)
     identity_dev = float(np.max(np.abs(res)))
     gram2 = np.abs(orbit @ orbit.conj().T) ** 2
@@ -325,12 +333,10 @@ def dim4_fiducial() -> np.ndarray:
 def overlap_phases(cand) -> dict:
     """sqrt(N+1) <psi|D_{r,s}|psi> as an (N, N) table; entry (0, 0) is
     nan.  For a verified SIC every defined entry is unit modulus."""
-    rep = sic_verify(cand)
-    if not rep["pass"]:
+    if not sic_verify(cand)["pass"]:
         raise ValueError("candidate does not verify as a SIC")
-    psi = np.asarray(cand["fiducial"], dtype=complex).reshape(-1)
-    n = psi.size
-    c = (weyl.displacement_table(n) @ psi) @ psi.conj()
+    n = int(cand["n"])
+    c = _overlaps(_check_unit(cand["fiducial"]), _gathers(n))[1]
     phases = (math.sqrt(n + 1.0) * c).reshape(n, n)
     phases[0, 0] = complex(np.nan, np.nan)
     dev = float(np.max(np.abs(np.abs(phases.ravel()[1:]) - 1.0)))

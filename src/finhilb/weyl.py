@@ -8,9 +8,9 @@ Conventions, fixed once for the whole package:
 * Index arithmetic lives modulo ``nbar(N)`` = N for odd N, 2N for even N;
   all phase exponents are reduced as exact integers before any floating
   evaluation, which keeps residuals at the 1e-15 level.
-* Every D_{r,s} is monomial, one nonzero per column.  The group-law check
-  reads each table entry in that (row, phase) form, composes products by
-  index gathers and counts any entry off that support in its residual.
+* Every displacement, over Z_N or GF(p^K), is monomial.  One builder turns
+  a batch of labels into that (row, phase) form; each dense matrix here
+  writes it out, and the group-law check reads the dense table back.
 
 The finite-field variants label displacements by elements of GF(p^K),
 each given as its enumeration index in :mod:`finhilb.gf`.
@@ -25,7 +25,6 @@ import numpy as np
 from . import gf
 
 MAX_DIM = 64
-_MAX_TABLE_DIM = 32
 
 
 def nbar(n: int) -> int:
@@ -49,39 +48,51 @@ def _omega_power(n, m):
 
 def clock_shift(n: int):
     """Return (Z, X) in dimension n: Z the clock, X the cyclic shift."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if n > MAX_DIM:
-        raise ValueError(f"dimension capped at {MAX_DIM}")
-    Z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    X = np.zeros((n, n), dtype=complex)
-    X[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return Z, X
+    return displacement(n, 0, 1), displacement(n, 1, 0)
 
 
 def displacement(n: int, r: int, s: int) -> np.ndarray:
     """D_{r,s} = tau**(r*s) X**r Z**s; indices may be any integers and are
     reduced internally (the phase uses the full product r*s mod nbar)."""
-    if n < 2 or n > MAX_DIM:
-        raise ValueError("dimension out of range")
-    ph = tau_power(n, r * s)
-    col = np.arange(n)
-    D = np.zeros((n, n), dtype=complex)
-    D[(col + r) % n, col] = ph * np.exp(2j * np.pi * ((col * s) % n) / n)
-    return D
+    return _densify(*_standard_form(n, np.array([r]), np.array([s])))[0]
 
 
 @functools.lru_cache(maxsize=16)
 def displacement_table(n: int) -> np.ndarray:
     """All N^2 standard displacements stacked as shape (N*N, N, N); entry
     r*N + s is D_{r,s}.  Cached; treat as read-only."""
-    if n > _MAX_TABLE_DIM:
-        raise ValueError(f"displacement table capped at {_MAX_TABLE_DIM}")
-    out = np.empty((n * n, n, n), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            out[r * n + s] = displacement(n, r, s)
+    if n > 32:
+        raise ValueError("displacement table capped at 32")
+    out = _densify(*_table_form(n))
     out.setflags(write=False)
+    return out
+
+
+def _table_form(n: int):
+    """The monomial form of displacement_table(n), rows and vals (N*N, N)."""
+    return _standard_form(n, *np.divmod(np.arange(n * n), n))
+
+
+def _standard_form(n, r, s):
+    """The monomial form of D_{r,s} for integer arrays r, s of shape (K,)."""
+    if n < 2 or n > MAX_DIM:
+        raise ValueError("dimension out of range")
+    x = np.arange(n)
+    return _form(n, (x + r[:, None]) % n, r * s, x * s[:, None])
+
+
+def _form(m, rows, tau_exp, omega_exp):
+    """Monomial form of K displacements: D_k[rows[k, x], x] = vals[k, x] =
+    tau**tau_exp[k] omega**omega_exp[k, x], tau and omega of modulus m."""
+    # one scalar tau_power per label: on an array it can differ by an ulp
+    taus = np.array([tau_power(m, a) for a in tau_exp.tolist()])
+    return rows, taus[:, None] * gf.roots_of_unity(m)[omega_exp % m]
+
+
+def _densify(rows, vals):
+    """The (K, N, N) dense matrices of a monomial form."""
+    out = np.zeros(rows.shape + rows.shape[1:], dtype=complex)
+    out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[1])] = vals
     return out
 
 
@@ -197,23 +208,20 @@ def field_displacement(spec, u1, u2) -> np.ndarray:
     residues mod 2, so the group law D_u D_v = tau**<u,v> D_{u+v} holds
     only up to sign, and the residual checks of this module minimize over
     that sign.  For odd p every phase is exact.
-
-    Built as one gather from the integer tables of :mod:`finhilb.gf`: the
-    row of column x is the index of x + u1, and tr(x u2) is the digit row
-    of x times G c2, with G the trace form and c2 the coefficients of u2.
     """
-    p, q = spec.p, spec.order
     # a negative index would wrap silently in the gathers below
-    if not (0 <= u1 < q and 0 <= u2 < q):
+    if not (0 <= u1 < spec.order and 0 <= u2 < spec.order):
         raise ValueError("field element index out of range")
-    digits = gf.digit_table(spec)
-    c1 = digits[u1]
-    g2 = (gf.trace_form(spec) @ digits[u2]) % p
-    rows = ((digits + c1) % p) @ p ** np.arange(spec.k, dtype=np.int64)
-    ph = tau_power(p, int(c1 @ g2) % p)
-    D = np.zeros((q, q), dtype=complex)
-    D[rows, np.arange(q)] = ph * gf.roots_of_unity(p)[(digits @ g2) % p]
-    return D
+    return _densify(*_field_form(spec, np.array([u1]), np.array([u2])))[0]
+
+
+def _field_form(spec, u1, u2):
+    """The monomial form of D_u for index arrays u1, u2 of shape (K,)."""
+    p, digits = spec.p, gf.digit_table(spec)
+    # tr(x y) = cx . G . cy mod p, G the symmetric trace form
+    c1, g2 = digits[u1], (digits[u2] @ gf.trace_form(spec)) % p
+    rows = gf._index(spec, digits + c1[:, None])
+    return _form(p, rows, (c1 * g2).sum(axis=1) % p, g2 @ digits.T)
 
 
 def field_symplectic_exponent(spec, u, v) -> int:
@@ -245,8 +253,7 @@ def tensor_isomorphism(spec):
     (S, report); for p = 2 report["max_residual"] is minimized over the
     overall sign (see :func:`field_displacement`).
     """
-    p, k = spec.p, spec.k
-    q = spec.order
+    p, k, q = spec.p, spec.k, spec.order
     basis = [p ** d for d in range(k)]
     dual = gf.dual_basis(spec, basis)
     x = np.arange(q)[:, None]
@@ -259,11 +266,8 @@ def tensor_isomorphism(spec):
     worst = 0.0
     for u1, u2 in pairs:
         lhs = S @ field_displacement(spec, u1, u2) @ S.conj().T
-        factors = [displacement(p, dual_digits[u1, i], basis_digits[u2, i])
-                   for i in range(k)]
-        rhs = factors[0]
-        for f in factors[1:]:
-            rhs = np.kron(rhs, f)
+        rhs = functools.reduce(np.kron, _densify(*_standard_form(
+            p, dual_digits[u1], basis_digits[u2])))
         res = np.abs(lhs - rhs).max()
         if p == 2:
             res = min(res, np.abs(lhs + rhs).max())

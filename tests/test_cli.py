@@ -18,6 +18,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "mub", "gen")[0] == 2  # --p missing
     assert run(capsys, "weyl", "check", "--n", "nope")[0] == 2
+    # a restart or thread count no run can use is a usage error, not a
+    # failed check; --threads 0 means HILBERT_THREADS
+    for argv in (["mub", "search6", "--restarts", "0"],
+                 ["mub", "search6", "--restarts", "2", "--threads", "-1"],
+                 ["sic", "search", "--n", "3", "--restarts", "2",
+                  "--threads", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_composite_p_rejected(capsys):
@@ -315,6 +324,19 @@ def test_sic_scalar_fields_are_validated(capsys, tmp_path):
     assert run(capsys, "sic", "fingerprint", str(path))[0] == 0
     assert run(capsys, "design", "test", "--family", str(path),
                "--t", "2")[0] == 0
+
+
+def test_sic_dimension_bound(capsys, tmp_path):
+    # the N^2 x N^2 orbit Gram of sic verify bounds SIC work at N = 32
+    flat = np.stack([np.full(33, 33 ** -0.5), np.zeros(33)], -1).tolist()
+    path = tmp_path / "sic33.json"
+    for rest in ({"n": 33}, {"n": 33, "fsic": 0.0}):
+        path.write_text(json.dumps(_doc("sic", "fiducial", flat, **rest)))
+        for argv in (["sic", "verify"], ["sic", "fingerprint"],
+                     ["design", "test", "--t", "2", "--family"]):
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (2, ""), (rest, argv)
+            assert err.startswith("error: ") and "32" in err, (rest, argv)
 
 
 def test_wrong_kind_names_both(capsys, tmp_path):

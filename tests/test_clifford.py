@@ -206,6 +206,25 @@ def test_zauner_scan_reports_structure():
     assert out["g"].shape == (2, 2)
     assert len(out["b"]) == 2
     assert 0 <= out["residual"] <= np.sqrt(2) + 1e-12
+    # a fiducial of another dimension is a ValueError, not an IndexError
+    for size in (2, 4):
+        with pytest.raises(ValueError):
+            clifford.zauner_scan(np.ones(size), 3)
+
+
+def test_zauner_scan_matches_dense_table():
+    # the scan gathers <psi|D_b on the monomial form; the reference
+    # multiplies by the dense displacement table
+    rng = np.random.default_rng(8)
+    for p in (3, 5, 7):
+        psi = rng.normal(size=p) + 1j * rng.normal(size=p)
+        psi /= np.linalg.norm(psi)
+        table = weyl.displacement_table(p)
+        best = max(np.abs((table @ (clifford.metaplectic(g, p) @ psi))
+                          @ psi.conj()).max()
+                   for g in clifford.order3_elements(p))
+        ref = np.sqrt(max(0.0, 2.0 - 2.0 * best))
+        assert abs(clifford.zauner_scan(psi, p)["residual"] - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finhilb import designs, mub, sic, weyl
 
@@ -96,18 +97,68 @@ def test_search_deterministic_and_threaded_merge():
 def counting_objective(n):
     """f_sic's value and value_grad at dimension n, as sic_search binds
     them, plus a dict counting their calls."""
-    table = weyl.displacement_table(n)
+    form = sic._gathers(n)
     calls = {"value": 0, "grad": 0}
 
     def value(psi):
         calls["value"] += 1
-        return sic._value(psi, table)
+        return sic._value(psi, form)
 
     def value_grad(psi):
         calls["grad"] += 1
-        return sic._value_grad(psi, table)
+        return sic._value_grad(psi, form)
 
     return value, value_grad, calls
+
+
+def _dense_overlaps(psi, table):
+    # the objective on the dense (N^2, N, N) table, the reference for the
+    # gathers on the monomial form
+    dpsi = table @ psi
+    c = dpsi @ psi.conj()
+    d = np.abs(c) ** 2 - 1.0 / (psi.size + 1)
+    d[0] = 0.0
+    hpsi = np.einsum("kji,j->ki", table, psi.conj()).conj()
+    return dpsi, hpsi, c, d
+
+
+def _dense_value_grad(psi, table):
+    dpsi, hpsi, c, d = _dense_overlaps(psi, table)
+    return float(d @ d), 4.0 * ((d * c.conj()) @ dpsi + (d * c) @ hpsi)
+
+
+def _dense_residual_jacobian(psi, table):
+    dpsi, hpsi, c, d = _dense_overlaps(psi, table)
+    dc_dx = dpsi + hpsi.conj()
+    dc_dy = 1j * (hpsi.conj() - dpsi)
+    jac = np.hstack([2.0 * np.real(c.conj()[:, None] * dc_dx),
+                     2.0 * np.real(c.conj()[:, None] * dc_dy)])
+    jac[0, :] = 0.0
+    return d, jac
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_gathers_match_dense_table(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = z / np.linalg.norm(z)
+    table, form = weyl.displacement_table(n), sic._gathers(n)
+    dpsi, _, c, _ = _dense_overlaps(psi, table)
+    f, g = _dense_value_grad(psi, table)
+    new_f, new_g = sic._value_grad(psi, form)
+    assert abs(new_f - f) <= 1e-13 * f
+    assert abs(sic._value(psi, form) - f) <= 1e-13 * f
+    assert _rel(new_g, g) <= 1e-13
+    d_new, jac_new = sic._residual_jacobian(psi, form)
+    d_ref, jac_ref = _dense_residual_jacobian(psi, table)
+    assert _rel(d_new, d_ref) <= 1e-13 and _rel(jac_new, jac_ref) <= 1e-13
+    assert _rel(sic.sic_orbit(psi), dpsi) <= 1e-13
+    assert _rel(sic._overlaps(psi, form)[1], c) <= 1e-13
 
 
 def search_start(n, seed, r):
@@ -181,6 +232,11 @@ def test_search_range_errors():
         sic.sic_search(17, restarts=2)
     with pytest.raises(ValueError):
         sic.sic_search(3, restarts=0)
+    with pytest.raises(ValueError, match="restarts must be positive"):
+        sic.restart_results(lambda r: r, 0, 1)
+    for bad in (np.ones(1), np.ones(33) / math.sqrt(33)):
+        with pytest.raises(ValueError, match="between 2 and 32"):
+            sic.f_sic(bad)
 
 
 def test_dim4_fiducial_exact():

@@ -263,18 +263,30 @@ class _Poly:
 
 
 def _field_displacement_loop(spec, u1, u2):
-    """Reference D_u built element by element, traces as Frobenius sums."""
+    """Reference D_u built element by element, traces as Frobenius sums.
+    The phases are one scalar tau_power times the column phases read from
+    gf.roots_of_unity, multiplied as one array so that the result is
+    pinned bit for bit."""
     q = spec.order
     u1, u2 = _Poly.of(spec, u1), _Poly.of(spec, u2)
     ph = weyl.tau_power(spec.p, (u1 * u2).trace())
-    D = np.zeros((q, q), dtype=complex)
+    rows, traces = [], []
     for j in range(q):
         x = _Poly.of(spec, j)
-        D[(x + u1).index, j] = ph * np.exp(2j * np.pi * (x * u2).trace() / spec.p)
+        rows.append((x + u1).index)
+        traces.append((x * u2).trace())
+    D = np.zeros((q, q), dtype=complex)
+    D[rows, np.arange(q)] = ph * gf.roots_of_unity(spec.p)[traces]
     return D
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19,
+                                                   23, 29, 31)
+                                  for k in range(1, 6) if p ** k <= 32])
 def test_field_displacement_matches_elementwise_loop(p, k):
     spec = gf.field_make(p, k)
     q = spec.order
@@ -283,12 +295,36 @@ def test_field_displacement_matches_elementwise_loop(p, k):
         pairs = random.Random(spec.order).sample(pairs, 48)
     for u1, u2 in pairs:
         ref = _field_displacement_loop(spec, u1, u2)
-        assert np.abs(weyl.field_displacement(spec, u1, u2) - ref).max() <= 1e-15
+        assert _same_bits(weyl.field_displacement(spec, u1, u2), ref)
     for u in range(min(q, 16)):
-        assert np.abs(weyl.field_shift(spec, u)
-                      - _field_displacement_loop(spec, u, 0)).max() <= 1e-15
-        assert np.abs(weyl.field_clock(spec, u)
-                      - _field_displacement_loop(spec, 0, u)).max() <= 1e-15
+        assert _same_bits(weyl.field_shift(spec, u),
+                          _field_displacement_loop(spec, u, 0))
+        assert _same_bits(weyl.field_clock(spec, u),
+                          _field_displacement_loop(spec, 0, u))
+
+
+def _displacement_loop(n, r, s):
+    """Reference D_{r,s}: one scalar tau_power times the column phases,
+    written into a zero matrix, as displacement was built before the
+    monomial form; the table stacked these one label at a time."""
+    ph = weyl.tau_power(n, r * s)
+    col = np.arange(n)
+    D = np.zeros((n, n), dtype=complex)
+    D[(col + r) % n, col] = ph * np.exp(2j * np.pi * ((col * s) % n) / n)
+    return D
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_displacement_matches_loop_bit_for_bit(n):
+    ref = np.stack([_displacement_loop(n, r, s)
+                    for r in range(n) for s in range(n)])
+    assert _same_bits(weyl.displacement_table(n), ref)
+    for r, s in ((-1, 2), (n + 1, n - 1), (3 * n, -2 * n - 1), (5, 0)):
+        assert _same_bits(weyl.displacement(n, r, s),
+                          _displacement_loop(n, r, s))
+    Z, X = weyl.clock_shift(n)
+    assert _same_bits(Z, _displacement_loop(n, 0, 1))
+    assert _same_bits(X, _displacement_loop(n, 1, 0))
 
 
 def test_field_displacement_dagger():
