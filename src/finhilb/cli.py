@@ -286,7 +286,7 @@ def cmd_mub_gen(args, rep):
     if args.k == 1:
         bases = mub.qubit_mubs() if args.p == 2 else mub.ivanovic_mubs(args.p)
     else:
-        bases = mub.subgroup_eigenbases(args.p, args.k, seed=args.seed)
+        bases = mub.subgroup_eigenbases(args.p, args.k)
     n = bases[0].shape[0]
     report = mub.unbiasedness_check(bases, tol=args.tol)
     rep.check("bases", report["bases"], n + 1, mode="eq")
@@ -303,7 +303,7 @@ def cmd_mub_verify(args, rep):
 
 
 def cmd_mub_mermin(args, rep):
-    land = mub.mermin_landscape(seed=args.seed)
+    land = mub.mermin_landscape()
     counts = [len([p for p in fl if p <= 6]) for fl in land["flowers"]]
     rep.check("petals", len(land["petals"]), 15, mode="eq")
     rep.check("flowers", len(land["flowers"]), 6, mode="eq")
@@ -514,8 +514,8 @@ def _add_common(sub, tol=None, seed=None, threads=False, out=False):
                          help="random seed (default %d)" % seed)
     if threads:
         sub.add_argument("--threads", type=int, default=0,
-                         help="worker threads (default: HILBERT_THREADS "
-                              "or 1)")
+                         help="thread count, validated only: restarts run "
+                              "serially (default: HILBERT_THREADS or 1)")
     if out:
         sub.add_argument("--out", help="write the generated artifact here")
 
@@ -575,14 +575,16 @@ def build_parser():
     s = sub.add_parser("gen", help="complete MUB set in dimension p^k")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--k", type=int, default=1)
-    _add_common(s, tol=TOL_OVERLAP, seed=7, out=True)
+    s.add_argument("--seed", type=int, default=7,
+                   help="ignored: every construction is deterministic")
+    _add_common(s, tol=TOL_OVERLAP, out=True)
     s.set_defaults(func=cmd_mub_gen)
     s = sub.add_parser("verify", help="orthonormality and unbiasedness")
     s.add_argument("file")
     _add_common(s, tol=TOL_OVERLAP)
     s.set_defaults(func=cmd_mub_verify)
     s = sub.add_parser("mermin", help="petal/flower landscape of two qubits")
-    _add_common(s, seed=11)
+    _add_common(s)
     s.set_defaults(func=cmd_mub_mermin)
     s = sub.add_parser("search6", help="vectors unbiased to I and F in d=6")
     s.add_argument("--restarts", type=int, default=24)

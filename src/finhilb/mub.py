@@ -142,38 +142,45 @@ def canonicalize_basis(basis) -> np.ndarray:
     return b[:, np.lexsort(keys[::-1])]
 
 
-def _joint_eigenbasis(mats, seed_key):
-    """Common eigenbasis of a family of commuting normal matrices, via a
-    random Hermitian combination of both quadratures; eigenvectors are
-    re-validated against every family member to 1e-8."""
-    n = mats[0].shape[0]
-    stack = np.stack(mats)
-    for attempt in range(5):
-        rng = np.random.default_rng(list(seed_key) + [attempt])
-        h = np.zeros((n, n), dtype=complex)
-        for m in mats:
-            a, b = rng.normal(size=2)
-            h += a * (m + m.conj().T) + b * 1j * (m - m.conj().T)
-        _, vecs = np.linalg.eigh(h)
-        # column j of images[f] is mats[f] @ vecs[:, j]
-        images = stack @ vecs
-        lam = np.einsum("ij,fij->fj", vecs.conj(), images)
-        resid = np.linalg.norm(images - lam[:, None, :] * vecs, axis=1)
-        worst = float(np.max(resid))
-        if worst <= 1e-8:
-            return vecs
-    raise ValueError(
-        "degenerate joint eigenbasis (residual %g after %d attempts)"
-        % (worst, attempt + 1))
+def _stabilizer_basis(gens, p):
+    """Joint eigenbasis of commuting displacements G_1..G_k generating an
+    abelian group of order p^k, the dimension.  With each G_i phased so
+    that G_i^p = I, column a is the largest-diagonal column, normalized,
+    of the rank-1 projector P_a = p^-k sum_b omega^(-a.b) prod G_i^(b_i),
+    with eigenvalue omega^(a_i) under G_i.  Raises RuntimeError unless
+    every G_i^p is I and every column an eigenvector of every G_i, so
+    non-commuting or non-finite generators fail."""
+    eye = np.eye(gens[0].shape[0])
+    # divide by a p-th root of G^p, a scalar for a displacement
+    fixed = [g / np.linalg.matrix_power(g, p)[0, 0] ** (1.0 / p) for g in gens]
+    prods = [eye]
+    for g in fixed:
+        # b runs over Z_p^k in lexicographic order, last digit fastest
+        prods = [m @ h for m in prods for h in itertools.accumulate(
+            [g] * (p - 1), np.matmul, initial=eye)]
+    labels = np.array(list(itertools.product(range(p), repeat=len(gens))))
+    omega, q = gf.roots_of_unity(p), len(labels)
+    proj = np.tensordot(omega[(-labels @ labels.T) % p], prods, 1) / q
+    cols = np.argmax(np.diagonal(proj, axis1=1, axis2=2).real, axis=1)
+    vecs = proj[np.arange(q), :, cols].T
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    dev = np.max([[np.abs(np.linalg.matrix_power(g, p) - eye).max(),
+                   np.abs(g @ vecs - vecs * omega[a]).max()]
+                  for g, a in zip(fixed, labels.T)])
+    if not dev <= TOL_MATRIX:
+        raise RuntimeError("generators have no joint eigenbasis (residual "
+                           "%g)" % dev)
+    return vecs
 
 
-def subgroup_eigenbases(p: int, k: int, seed: int = 7):
+def subgroup_eigenbases(p: int, k: int):
     """Complete MUB set in dimension p^k from the eigenbases of the
     p^k + 1 maximal abelian subgroups of field displacements.
 
     One subgroup per line through the origin of the field phase space:
     direction (0, 1) first, then (1, e) for e running over the field in
-    index order.  Bases are canonicalized (phase + column order).
+    index order, generated by the k displacements D(a^i * direction)
+    (element p^i is a^i).  Bases are canonicalized (phase + column order).
     """
     if not gf.is_prime(p):
         raise ValueError("p must be prime")
@@ -181,19 +188,12 @@ def subgroup_eigenbases(p: int, k: int, seed: int = 7):
     if q > 32:
         raise ValueError("field too large")
     spec = gf.field_make(p, k)
-    ts = np.arange(1, q)[:, None]
+    ts = p ** np.arange(k)[:, None]
     directions = [(0, 1)] + [(1, e) for e in range(q)]
-    bases = []
-    for di, direction in enumerate(directions):
-        mats = [weyl.field_displacement(spec, u1, u2)
-                for u1, u2 in gf.mul(spec, ts, direction)]
-        vecs = _joint_eigenbasis(mats, (seed, di))
-        bases.append(canonicalize_basis(vecs))
-    report = unbiasedness_check(bases)
-    if not report["pass"]:
-        raise RuntimeError("subgroup eigenbases fail unbiasedness: %g"
-                           % report["max_deviation"])
-    return bases
+    return [canonicalize_basis(_stabilizer_basis(
+        [weyl.field_displacement(spec, u1, u2)
+         for u1, u2 in gf.mul(spec, ts, direction)], p))
+        for direction in directions]
 
 
 def bbrv_flower(bases):
@@ -257,7 +257,7 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return m
 
 
-def mermin_landscape(seed: int = 11) -> dict:
+def mermin_landscape() -> dict:
     """Enumerate the maximal abelian subgroups ("petals") of the
     two-qubit Pauli group modulo phases and every partition of the 15
     nonidentity words into five disjoint petals ("flowers").
@@ -302,11 +302,9 @@ def mermin_landscape(seed: int = 11) -> dict:
     if len(flowers) != 6:
         raise RuntimeError("expected 6 flowers, got %d" % len(flowers))
 
-    eigenbases = []
-    for i, petal in enumerate(petals):
-        mats = [pauli_word_matrix(w) for w in petal]
-        vecs = _joint_eigenbasis(mats, (seed, i))
-        eigenbases.append(canonicalize_basis(vecs))
+    # the first two words of a petal generate its group
+    eigenbases = [canonicalize_basis(_stabilizer_basis(
+        [pauli_word_matrix(w) for w in petal[:2]], 2)) for petal in petals]
 
     mub_sets = []
     for flower in flowers:
@@ -423,8 +421,9 @@ def search_unbiased6(restarts: int = 24, seed: int = 0, threads: int = 1,
                      tol: float = 1e-18) -> dict:
     """Local search for unit vectors in dimension 6 unbiased to both the
     computational and the Fourier basis.  Each restart runs sic.optimize
-    from a seeded Haar-random start.  Reports only what it finds: the
-    number of distinct solutions below tol among the restarts.
+    from a seeded Haar-random start; restarts run serially, so threads
+    does not change the result.  Reports only what it finds: the number
+    of distinct solutions below tol among the restarts.
     """
     value, value_grad, residual_jacobian = _unbiased6_objective()
 
@@ -432,7 +431,7 @@ def search_unbiased6(restarts: int = 24, seed: int = 0, threads: int = 1,
         v = sic._haar_start(np.random.default_rng([seed, r]), 6)
         return sic.optimize(v, value, value_grad, residual_jacobian)
 
-    results = sic.restart_results(run, restarts, threads)
+    results = sic.restart_results(run, restarts)
 
     hits = []
     for v, f, _ in results:

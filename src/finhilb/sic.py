@@ -4,7 +4,6 @@ dimension-4 fiducial with its overlap-phase fingerprint."""
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -212,16 +211,11 @@ def search_stats(runs, tol):
     return stats
 
 
-def restart_results(run, restarts, threads):
-    """[run(r) for r in range(restarts)], in restart order, evaluated on
-    a pool of `threads` workers when threads > 1.  run must depend on r
-    alone (seeding its own generator from it), so the list does not
-    depend on the thread count."""
+def restart_results(run, restarts):
+    """[run(r) for r in range(restarts)], in restart order.  run must
+    depend on r alone (seeding its own generator from it)."""
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(restarts)))
     return [run(r) for r in range(restarts)]
 
 
@@ -250,8 +244,9 @@ def _zauner_projector(n):
 def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
                zauner: bool = False) -> dict:
     """Minimize f_sic from seeded Haar-random starts; the returned
-    candidate is the (f, restart index) minimum over all restarts, so the
-    result is identical under sequential and threaded execution."""
+    candidate is the (f, restart index) minimum over all restarts.
+    Restarts run serially: threads is accepted and does not change the
+    result."""
     if not 2 <= n <= 16:
         raise ValueError("n must be between 2 and 16")
     proj = None
@@ -276,7 +271,7 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
         psi, f, counts = optimize(psi, value, value_grad, residual_jacobian)
         return f, r, psi, counts
 
-    runs = restart_results(run, restarts, threads)
+    runs = restart_results(run, restarts)
     f, r, psi, _ = min(runs, key=lambda item: (item[0], item[1]))
     stats = search_stats([(item[0], item[3]) for item in runs], TOL_SEARCH)
     return {"n": n, "fiducial": psi, "fsic": f, "restart": r,

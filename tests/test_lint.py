@@ -18,3 +18,30 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, "%s: assert statement at line(s) %s" % (path.name, lines)
+
+
+def _unseeded_rng_lines(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "default_rng"
+            and not node.args and not node.keywords]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unseeded_default_rng(path):
+    # every random draw comes from a seeded generator, so a run is
+    # reproducible from its recorded seed
+    lines = _unseeded_rng_lines(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "%s: default_rng() without a seed at line(s) %s" % (
+        path.name, lines)
+
+
+def test_unseeded_rng_lint_catches_both_spellings():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.random import default_rng\n"
+                     "a = np.random.default_rng()\n"
+                     "b = default_rng()\n"
+                     "c = np.random.default_rng(3)\n"
+                     "d = default_rng(seed=[1, 2])\n")
+    assert _unseeded_rng_lines(tree) == [3, 4]

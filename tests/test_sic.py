@@ -233,7 +233,7 @@ def test_search_range_errors():
     with pytest.raises(ValueError):
         sic.sic_search(3, restarts=0)
     with pytest.raises(ValueError, match="restarts must be positive"):
-        sic.restart_results(lambda r: r, 0, 1)
+        sic.restart_results(lambda r: r, 0)
     for bad in (np.ones(1), np.ones(33) / math.sqrt(33)):
         with pytest.raises(ValueError, match="between 2 and 32"):
             sic.f_sic(bad)
