@@ -4,7 +4,6 @@ emission with stable machine-readable output."""
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -160,18 +159,6 @@ class Report:
             print("wrote %s" % path)
 
 
-def _threads(args):
-    if args.threads < 0:
-        raise ValueError("--threads must not be negative")
-    env = os.environ.get("HILBERT_THREADS")
-    if args.threads or not env:
-        return args.threads or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError("HILBERT_THREADS is not an integer: %r" % env)
-
-
 # -- field -------------------------------------------------------------------
 
 def _poly_str(coeffs):
@@ -317,7 +304,7 @@ def cmd_mub_mermin(args, rep):
 
 def cmd_mub_search6(args, rep):
     out = mub.search_unbiased6(restarts=args.restarts, seed=args.seed,
-                               threads=_threads(args), tol=args.tol)
+                               tol=args.tol)
     rep.check("vectors_found", out["count"], 1, mode="ge")
     rep.check("min_value", out["min_value"], args.tol)
     rep.result = {"count": out["count"], "vectors": out["vectors"]}
@@ -430,7 +417,7 @@ def cmd_design_welch(args, rep):
 
 def cmd_sic_search(args, rep):
     out = sic.sic_search(args.n, restarts=args.restarts, seed=args.seed,
-                         threads=_threads(args), zauner=args.zauner)
+                         zauner=args.zauner)
     rep.check("fsic", out["fsic"], args.tol)
     rep.save({"kind": "sic", "version": FORMAT_VERSION, "n": out["n"],
               "fsic": out["fsic"], "fiducial": out["fiducial"],
@@ -503,7 +490,7 @@ def cmd_suite(args, rep):
 
 # -- parser --------------------------------------------------------------------
 
-def _add_common(sub, tol=None, seed=None, threads=False, out=False):
+def _add_common(sub, tol=None, seed=None, restarts=None, out=False):
     sub.add_argument("--json", action="store_true",
                      help="emit the run report as JSON")
     if tol is not None:
@@ -512,10 +499,10 @@ def _add_common(sub, tol=None, seed=None, threads=False, out=False):
     if seed is not None:
         sub.add_argument("--seed", type=int, default=seed,
                          help="random seed (default %d)" % seed)
-    if threads:
-        sub.add_argument("--threads", type=int, default=0,
-                         help="thread count, validated only: restarts run "
-                              "serially (default: HILBERT_THREADS or 1)")
+    if restarts is not None:
+        sub.add_argument("--restarts", type=int, default=restarts)
+        sub.add_argument("--threads", type=int, default=1,
+                         help="ignored: restarts run serially")
     if out:
         sub.add_argument("--out", help="write the generated artifact here")
 
@@ -587,8 +574,7 @@ def build_parser():
     _add_common(s)
     s.set_defaults(func=cmd_mub_mermin)
     s = sub.add_parser("search6", help="vectors unbiased to I and F in d=6")
-    s.add_argument("--restarts", type=int, default=24)
-    _add_common(s, tol=1e-18, seed=0, threads=True)
+    _add_common(s, tol=1e-18, seed=0, restarts=24)
     s.set_defaults(func=cmd_mub_search6)
 
     g = groups.add_parser("wigner", help="discrete Wigner functions")
@@ -635,10 +621,9 @@ def build_parser():
     sub = g.add_subparsers(dest="op", required=True)
     s = sub.add_parser("search", help="seeded random-restart fiducial search")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--restarts", type=int, default=32)
     s.add_argument("--zauner", action="store_true",
                    help="project starts onto an order-3 eigenspace")
-    _add_common(s, tol=TOL_SEARCH, seed=0, threads=True, out=True)
+    _add_common(s, tol=TOL_SEARCH, seed=0, restarts=32, out=True)
     s.set_defaults(func=cmd_sic_search)
     s = sub.add_parser("verify", help="orbit resolution and Gram moduli")
     s.add_argument("file")
@@ -659,8 +644,8 @@ def build_parser():
     return parser
 
 
-# Parsed options a report leaves out of its parameters: output and threading
-# switches, the seed (recorded on its own) and argparse's routing.
+# Parsed options a report leaves out of its parameters: output switches, the
+# ignored --threads, the seed (recorded on its own) and argparse's routing.
 _NOT_PARAMETERS = ("json", "out", "threads", "seed", "func", "group", "op")
 
 
@@ -679,6 +664,8 @@ def dispatch(argv) -> int:
                  {k: v for k, v in opts.items() if k not in _NOT_PARAMETERS},
                  seed=opts.get("seed"))
     try:
+        if opts.get("threads", 0) < 0:
+            raise ValueError("--threads must not be negative")
         rep.emit(args.json, args.func(args, rep))
         return 0 if rep.passed else 1
     except json.JSONDecodeError as exc:

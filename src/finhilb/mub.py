@@ -110,7 +110,7 @@ def ivanovic_mubs(p: int):
     gens.append(weyl.displacement(p, p - 1, 0))
     for b, d in zip(bases, gens):
         res = np.abs(d @ b - b * pows[None, :]).max()
-        if res > TOL_MATRIX:
+        if not res <= TOL_MATRIX:
             raise RuntimeError("eigenvector property violated: %g" % res)
     return bases
 
@@ -392,8 +392,8 @@ def maximal_isotropic_count(p: int, k: int) -> int:
 
 def _unbiased6_objective():
     """(value, value_grad, residual_jacobian) of sum_k d_k^2 with residuals
-    d = |R v|^2 - 1/6 over the 12 rows R of I and F6^dag, in the forms
-    sic.descend and sic.polish take."""
+    d = |R v|^2 - 1/6 over the 12 rows R of I and F6^dag, in the form
+    sic.multistart takes."""
     rows = np.vstack([np.eye(6, dtype=complex),
                       combinat.fourier_matrix(6).conj().T])
 
@@ -417,37 +417,25 @@ def _unbiased6_objective():
     return value, value_grad, residual_jacobian
 
 
-def search_unbiased6(restarts: int = 24, seed: int = 0, threads: int = 1,
+def search_unbiased6(restarts: int = 24, seed: int = 0,
                      tol: float = 1e-18) -> dict:
     """Local search for unit vectors in dimension 6 unbiased to both the
-    computational and the Fourier basis.  Each restart runs sic.optimize
-    from a seeded Haar-random start; restarts run serially, so threads
-    does not change the result.  Reports only what it finds: the number
-    of distinct solutions below tol among the restarts.
+    computational and the Fourier basis, by sic.multistart.  Reports only
+    what it finds: the number of distinct solutions below tol among the
+    restarts.
     """
-    value, value_grad, residual_jacobian = _unbiased6_objective()
-
-    def run(r):
-        v = sic._haar_start(np.random.default_rng([seed, r]), 6)
-        return sic.optimize(v, value, value_grad, residual_jacobian)
-
-    results = sic.restart_results(run, restarts)
-
-    hits = []
-    for v, f, _ in results:
-        if f < tol:
-            # at a solution every |v_i| = 1/sqrt(6), so v[0] fixes the phase
-            ph = v[0]
-            hits.append((v * (ph.conjugate() / abs(ph)), f))
-    hits.sort(key=lambda vf: tuple(
-        x for c in vf[0] for x in (round(c.real, 6), round(c.imag, 6))))
+    runs, stats = sic.multistart(6, restarts, seed, _unbiased6_objective(),
+                                 tol)
+    # at a solution every |v_i| = 1/sqrt(6), so v[0] fixes the phase
+    hits = sorted((v * (v[0].conjugate() / abs(v[0])) for v, f in runs
+                   if f < tol), key=lambda v: tuple(
+        x for c in v for x in (round(c.real, 6), round(c.imag, 6))))
     vectors = []
-    for v, _ in hits:
+    for v in hits:
         if all(np.abs(v - u).max() > 1e-6 for u in vectors):
             vectors.append(v)
-    min_value = min((f for _, f, _ in results), default=math.inf)
     return {"count": len(vectors),
             "vectors": np.array(vectors),
-            "min_value": min_value,
+            "min_value": min(stats["final_values"]),
             "restarts": restarts,
-            "stats": sic.search_stats([(f, c) for _, f, c in results], tol)}
+            "stats": stats}

@@ -193,32 +193,6 @@ def optimize(psi, value, value_grad, residual_jacobian):
     return psi, f, dict(calls, iterations=calls["grad_calls"] - 1, stop=stop)
 
 
-def search_stats(runs, tol):
-    """The optimizer counts of a search from its restarts' (f, counts)
-    pairs in restart order, counts as optimize returns them: restarts
-    converged below tol, summed iterations and calls, every final f, and
-    how many restarts each stop reason ended."""
-    stops = dict.fromkeys(("trigger", "no_decrease", "stall", "line_search",
-                           "cap"), 0)
-    for _, counts in runs:
-        stops[counts["stop"]] += 1
-    stats = {key: sum(counts[key] for _, counts in runs)
-             for key in ("iterations", "value_calls", "grad_calls",
-                         "polish_steps")}
-    stats.update(restarts=len(runs),
-                 converged=sum(1 for f, _ in runs if f < tol),
-                 final_values=[f for f, _ in runs], stops=stops)
-    return stats
-
-
-def restart_results(run, restarts):
-    """[run(r) for r in range(restarts)], in restart order.  run must
-    depend on r alone (seeding its own generator from it)."""
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    return [run(r) for r in range(restarts)]
-
-
 def _haar_start(rng, n):
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z / np.linalg.norm(z)
@@ -241,12 +215,44 @@ def _zauner_projector(n):
     return best[1]
 
 
-def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
+def multistart(n, restarts, seed, objective, tol, proj=None):
+    """optimize on objective, (value, value_grad, residual_jacobian), from
+    restarts seeded Haar-random unit vectors in dimension n: restart r
+    starts from default_rng([seed, r]), moved onto the range of the
+    projector proj when one is given and the move keeps norm above 1e-6.
+    Restarts run serially.  Returns every restart's (psi, f) in restart
+    order and the search's stats: restarts converged below tol, summed
+    iterations and calls, every final f, and how many restarts each stop
+    reason ended."""
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
+    runs = []
+    stops = dict.fromkeys(("trigger", "no_decrease", "stall", "line_search",
+                           "cap"), 0)
+    stats = dict.fromkeys(("iterations", "value_calls", "grad_calls",
+                           "polish_steps"), 0)
+    for r in range(restarts):
+        psi = _haar_start(np.random.default_rng([seed, r]), n)
+        if proj is not None:
+            moved = proj @ psi
+            nrm = np.linalg.norm(moved)
+            if nrm > 1e-6:
+                psi = moved / nrm
+        psi, f, counts = optimize(psi, *objective)
+        runs.append((psi, f))
+        stops[counts["stop"]] += 1
+        for key in stats:
+            stats[key] += counts[key]
+    stats.update(restarts=restarts,
+                 converged=sum(1 for _, f in runs if f < tol),
+                 final_values=[f for _, f in runs], stops=stops)
+    return runs, stats
+
+
+def sic_search(n: int, restarts: int = 32, seed: int = 0,
                zauner: bool = False) -> dict:
-    """Minimize f_sic from seeded Haar-random starts; the returned
-    candidate is the (f, restart index) minimum over all restarts.
-    Restarts run serially: threads is accepted and does not change the
-    result."""
+    """Minimize f_sic by multistart; the returned candidate is the
+    (f, restart index) minimum over all restarts."""
     if not 2 <= n <= 16:
         raise ValueError("n must be between 2 and 16")
     proj = None
@@ -255,26 +261,11 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0, threads: int = 1,
             raise ValueError("zauner starts require an odd prime dimension")
         proj = _zauner_projector(n)
     form = _gathers(n)
-
-    value = functools.partial(_value, form=form)
-    value_grad = functools.partial(_value_grad, form=form)
-    residual_jacobian = functools.partial(_residual_jacobian, form=form)
-
-    def run(r):
-        rng = np.random.default_rng([seed, r])
-        psi = _haar_start(rng, n)
-        if proj is not None:
-            moved = proj @ psi
-            nrm = np.linalg.norm(moved)
-            if nrm > 1e-6:
-                psi = moved / nrm
-        psi, f, counts = optimize(psi, value, value_grad, residual_jacobian)
-        return f, r, psi, counts
-
-    runs = restart_results(run, restarts)
-    f, r, psi, _ = min(runs, key=lambda item: (item[0], item[1]))
-    stats = search_stats([(item[0], item[3]) for item in runs], TOL_SEARCH)
-    return {"n": n, "fiducial": psi, "fsic": f, "restart": r,
+    objective = [functools.partial(fn, form=form)
+                 for fn in (_value, _value_grad, _residual_jacobian)]
+    runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH, proj)
+    f, r = min((f, r) for r, (_, f) in enumerate(runs))
+    return {"n": n, "fiducial": runs[r][0], "fsic": f, "restart": r,
             "restarts": restarts, "seed": seed,
             "converged": bool(f < TOL_SEARCH), "stats": stats}
 

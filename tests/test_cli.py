@@ -19,7 +19,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "mub", "gen")[0] == 2  # --p missing
     assert run(capsys, "weyl", "check", "--n", "nope")[0] == 2
     # a restart or thread count no run can use is a usage error, not a
-    # failed check; --threads 0 means HILBERT_THREADS
+    # failed check; --threads is otherwise ignored
     for argv in (["mub", "search6", "--restarts", "0"],
                  ["mub", "search6", "--restarts", "2", "--threads", "-1"],
                  ["sic", "search", "--n", "3", "--restarts", "2",
@@ -379,33 +379,27 @@ def test_mub_mermin_counts(capsys):
     assert checks["stabilizer_states"]["value"] == 60
 
 
-def test_mub_search6_env_threads(capsys, monkeypatch):
-    code, out, _ = run(capsys, "mub", "search6", "--restarts", "8",
-                       "--seed", "1", "--json")
-    assert code == 0
-    base = json.loads(out)["result"]
-    monkeypatch.setenv("HILBERT_THREADS", "2")
-    code, out, _ = run(capsys, "mub", "search6", "--restarts", "8",
-                       "--seed", "1", "--json")
-    assert code == 0
-    assert json.loads(out)["result"] == base
-    monkeypatch.setenv("HILBERT_THREADS", "nope")
-    assert run(capsys, "mub", "search6", "--restarts", "2")[0] == 2
-
-
-def test_threads_default_is_one(monkeypatch):
-    monkeypatch.delenv("HILBERT_THREADS", raising=False)
-    args = cli.build_parser().parse_args(["mub", "search6"])
-    assert cli._threads(args) == 1
+@pytest.mark.parametrize("argv", [
+    ["sic", "search", "--n", "3", "--restarts", "4", "--seed", "2"],
+    ["mub", "search6", "--restarts", "8", "--seed", "1"]],
+    ids=["sic search", "mub search6"])
+def test_threads_knob_is_inert(capsys, monkeypatch, argv):
+    outs = []
+    for flags, env in ((["--threads", "2"], None), ([], None), ([], "nope")):
+        if env is not None:
+            monkeypatch.setenv("HILBERT_THREADS", env)
+        code, out, _ = run(capsys, *argv, "--json", *flags)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
-    monkeypatch.delenv("HILBERT_THREADS", raising=False)
-    threads = []
+    calls = []
     search = sic.sic_search
 
     def recorded(*args, **kwargs):
-        threads.append(kwargs["threads"])
+        calls.append((kwargs["seed"], kwargs["zauner"]))
         return search(*args, **kwargs)
 
     monkeypatch.setattr(sic, "sic_search", recorded)
@@ -416,7 +410,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
                            "--restarts", "2", "--json", *flags)
         assert code == 0
         reports.append(json.loads(out))
-    assert threads == [2, 1]
+    assert calls == [(3, True), (0, False)]
     assert reports[1]["seed"] == 0
     assert reports[1]["parameters"]["zauner"] is False
 

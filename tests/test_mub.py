@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finhilb import combinat, gf, mub, weyl, wigner
+from finhilb import combinat, gf, mub, sic, weyl, wigner
 
 
 def dim3_golden_set():
@@ -79,6 +79,21 @@ def test_ivanovic_eigenvector_property():
                 + [weyl.displacement(p, p - 1, 0)])
         for b, d in zip(bases, gens):
             assert np.abs(d @ b - b * w[None, :]).max() < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_ivanovic_rejects_nan_displacement(monkeypatch):
+    # a NaN residual must fail the eigenvector gate, not slip past it
+    displacement = weyl.displacement
+
+    def poisoned(*args):
+        d = np.array(displacement(*args), dtype=complex)
+        d[0, 0] = np.nan
+        return d
+
+    monkeypatch.setattr(weyl, "displacement", poisoned)
+    with pytest.raises(RuntimeError, match="eigenvector property"):
+        mub.ivanovic_mubs(3)
 
 
 def test_ivanovic_rejects_bad_p():
@@ -418,8 +433,9 @@ def test_search_unbiased6_finds_verified_vectors():
 
 
 def test_search_unbiased6_thread_determinism():
-    a = mub.search_unbiased6(restarts=24, seed=3, threads=1)
-    b = mub.search_unbiased6(restarts=24, seed=3, threads=2)
+    # restarts run serially, so two runs from one seed agree exactly
+    a = mub.search_unbiased6(restarts=24, seed=3)
+    b = mub.search_unbiased6(restarts=24, seed=3)
     assert a["count"] == b["count"]
     assert a["min_value"] == b["min_value"]
     assert a["stats"] == b["stats"]
@@ -428,6 +444,15 @@ def test_search_unbiased6_thread_determinism():
         f < 1e-18 for f in a["stats"]["final_values"])
     if a["count"]:
         assert np.abs(a["vectors"] - b["vectors"]).max() < 1e-9
+
+
+def test_search_unbiased6_restart_r_starts_from_seed_r():
+    out = mub.search_unbiased6(restarts=8, seed=3)
+    objective = mub._unbiased6_objective()
+    for r in (0, 3, 7):
+        start = sic._haar_start(np.random.default_rng([3, r]), 6)
+        f = sic.optimize(start, *objective)[1]
+        assert out["stats"]["final_values"][r] == f
 
 
 def test_unbiased6_gradient_and_jacobian_finite_difference():
