@@ -19,13 +19,14 @@ class KindMismatch(ValueError):
 
 
 # -- artifact boundary --------------------------------------------------------
-# Complex arrays leave through `_encode` as nested [re, im] pairs and come
+# Complex arrays leave by `persist`/`_encode` as nested [re, im] pairs and come
 # back through `_decode`, which every file and raw-array input passes once.
 
 # Every document kind, with the complex field commands read and its axes.
 _ARRAYS = {"mubset": ("bases", 3), "basisfamily": ("vectors", 2),
            "sic": ("fiducial", 1), "wignertable": ("state", 1),
            "field": (None, 0)}
+_PLACEHOLDER = "\u0000finhilb array\u0000"
 
 
 def _encode(obj):
@@ -52,12 +53,45 @@ def _decode(data, ndim):
     return np.ascontiguousarray(a, float).view(complex)[..., 0]
 
 
+def _template(shape, level):
+    """The `indent=1` text of a float array of `shape` whose first line
+    sits at indent `level`, with a %r slot per entry."""
+    if not shape or not shape[0]:
+        return "[]" if shape else "%r"
+    pad = "\n" + " " * (level + 1)
+    inner = _template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + pad[:-1] + "]"
+
+
 def persist(doc: dict, path: str) -> None:
+    """Write `doc` as `json.dumps(doc, sort_keys=True, indent=1,
+    default=_encode)` plus a newline.  Each finite float or complex array
+    is left as a placeholder and written by `_template`, the same bytes
+    without json's pure-Python encoder."""
     if doc.get("kind") not in _ARRAYS:
         raise ValueError("unknown document kind: %r" % doc.get("kind"))
-    text = json.dumps(doc, sort_keys=True, indent=1, default=_encode)
+    arrays = []
+
+    def hook(obj):
+        if not (isinstance(obj, np.ndarray) and obj.dtype.char in "fdFD"
+                and np.isfinite(obj).all()):
+            return _encode(obj)
+        arrays.append(np.stack([obj.real, obj.imag], -1)
+                      if np.iscomplexobj(obj) else obj)
+        return _PLACEHOLDER
+
+    pieces = json.dumps(doc, sort_keys=True, indent=1,
+                        default=hook).split(json.dumps(_PLACEHOLDER))
+    if len(pieces) != len(arrays) + 1:  # a string of `doc` is the placeholder
+        pieces, arrays = [json.dumps(doc, sort_keys=True, indent=1,
+                                     default=_encode)], []
+    out = pieces[:1]
+    for a, piece in zip(arrays, pieces[1:]):
+        line = out[-1].rsplit("\n", 1)[-1]  # indent of the placeholder's line
+        out += [_template(a.shape, len(line) - len(line.lstrip(" ")))
+                % tuple(a.ravel().tolist()), piece]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.writelines(out + ["\n"])
 
 
 def _read_json(path):

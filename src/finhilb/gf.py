@@ -238,16 +238,24 @@ def roots_of_unity(p: int) -> np.ndarray:
 
 
 def multiplicative_order(spec: FieldSpec, x):
-    """Least n >= 1 with x**n = 1, for nonzero x: the least divisor n of
-    q - 1 with x**n = 1."""
+    """Least n >= 1 with x**n = 1, for nonzero x: the product, over each
+    l^e exactly dividing q - 1 with l prime, of the order l^j of x**((q -
+    1) / l^e), found by raising that power to the l-th power until 1."""
     x = np.asarray(x)
     if np.any(x == 0):
         raise ValueError("zero has no multiplicative order")
-    q1 = spec.order - 1
-    order = np.zeros(x.shape, dtype=np.int64)
-    for n in range(1, q1 + 1):
-        if q1 % n == 0:
-            order = np.where((order == 0) & (power(spec, x, n) == 1), n, order)
+    q1 = rest = spec.order - 1
+    order, ell = np.ones(x.shape, dtype=np.int64), 1
+    while rest > 1:
+        ell = rest if ell * ell > rest else ell + 1
+        if rest % ell:
+            continue
+        e = 0
+        while rest % ell == 0:
+            rest, e = rest // ell, e + 1
+        y = power(spec, x, q1 // ell ** e)
+        for _ in range(e):
+            order, y = np.where(y != 1, order * ell, order), power(spec, y, ell)
     return order[()]
 
 

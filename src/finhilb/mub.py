@@ -42,12 +42,19 @@ def family_deviations(bases) -> dict:
     if not np.isfinite(stack).all():
         out.update(orthonormality=[math.nan] * len(mats), max_deviation=math.nan)
         return out
-    gram = stack.conj().transpose(0, 2, 1) @ stack
-    out["orthonormality"] = np.abs(gram - np.eye(n)).max(axis=(1, 2)).tolist()
-    # member i against every later member in one batched product; np.max
-    # keeps a NaN that Python's max would drop
-    dev = [np.abs(np.abs(stack[i].conj().T @ stack[i + 1:]) ** 2 - 1.0 / n).max()
-           for i in range(len(mats) - 1)]
+    # `block` members at a time, so that a product holds O(block n^2)
+    # entries; any n <= 32 is one block
+    block = max(1, 33 * 32 * 32 // (n * n))
+    out["orthonormality"] = np.concatenate([np.abs(
+        stack[j:j + block].conj().transpose(0, 2, 1) @ stack[j:j + block]
+        - np.eye(n)).max(axis=(1, 2)) for j in range(0, len(mats), block)]
+    ).tolist()
+    # member i against the later members; np.max keeps a NaN that
+    # Python's max would drop
+    dev = [np.abs(np.abs(stack[i].conj().T @ stack[j:j + block]) ** 2
+                  - 1.0 / n).max()
+           for i in range(len(mats) - 1)
+           for j in range(i + 1, len(mats), block)]
     out["max_deviation"] = float(np.max(dev)) if dev else 0.0
     return out
 
@@ -142,31 +149,43 @@ def canonicalize_basis(basis) -> np.ndarray:
     return b[:, np.lexsort(keys[::-1])]
 
 
-def _stabilizer_basis(gens, p):
-    """Joint eigenbasis of commuting displacements G_1..G_k generating an
-    abelian group of order p^k, the dimension.  With each G_i phased so
-    that G_i^p = I, column a is the largest-diagonal column, normalized,
-    of the rank-1 projector P_a = p^-k sum_b omega^(-a.b) prod G_i^(b_i),
-    with eigenvalue omega^(a_i) under G_i.  Raises RuntimeError unless
-    every G_i^p is I and every column an eigenvector of every G_i, so
-    non-commuting or non-finite generators fail."""
-    eye = np.eye(gens[0].shape[0])
-    # divide by a p-th root of G^p, a scalar for a displacement
-    fixed = [g / np.linalg.matrix_power(g, p)[0, 0] ** (1.0 / p) for g in gens]
-    prods = [eye]
-    for g in fixed:
-        # b runs over Z_p^k in lexicographic order, last digit fastest
-        prods = [m @ h for m in prods for h in itertools.accumulate(
-            [g] * (p - 1), np.matmul, initial=eye)]
-    labels = np.array(list(itertools.product(range(p), repeat=len(gens))))
-    omega, q = gf.roots_of_unity(p), len(labels)
-    proj = np.tensordot(omega[(-labels @ labels.T) % p], prods, 1) / q
-    cols = np.argmax(np.diagonal(proj, axis1=1, axis2=2).real, axis=1)
-    vecs = proj[np.arange(q), :, cols].T
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    dev = np.max([[np.abs(np.linalg.matrix_power(g, p) - eye).max(),
-                   np.abs(g @ vecs - vecs * omega[a]).max()]
-                  for g, a in zip(fixed, labels.T)])
+def _stabilizer_basis(rows, vals, p):
+    """Joint eigenbasis of commuting displacements G_1..G_k, in monomial
+    form G_i[rows[i, x], x] = vals[i, x], generating an abelian group of
+    order p^k, the dimension.  With each G_i phased so that G_i^p = I,
+    column a is the largest-diagonal column, normalized, of the rank-1
+    projector P_a = p^-k sum_b omega^(-a.b) prod G_i^(b_i), with
+    eigenvalue omega^(a_i) under G_i.  Raises RuntimeError unless every
+    G_i^p is I and every column an eigenvector of every G_i."""
+    k, n = rows.shape
+    x = np.arange(n)
+    # G_i^j = G_i^(j-1) G_i for j = 0..p, then divided by the j-th power of
+    # a p-th root of G_i^p, a scalar for a displacement: its entry (0, 0)
+    r, v = [np.broadcast_to(x, (k, n))], [np.ones((k, n), complex)]
+    for _ in range(p):
+        r.append(np.take_along_axis(r[-1], rows, 1))
+        v.append(np.take_along_axis(v[-1], rows, 1) * vals)
+    r, v = np.array(r), np.array(v)
+    roots = [c ** (1.0 / p) for c in np.where(r[p, :, 0] == 0, v[p, :, 0], 0)]
+    v /= np.array(roots)[:, None] ** np.arange(p + 1)[:, None, None]
+    prod_r, prod_v = x[None], np.ones((1, n), complex)
+    for i in range(k):  # b over Z_p^k in lexicographic order
+        prod_r, prod_v = (prod_r[:, r[:p, i]].reshape(-1, n),
+                          (prod_v[:, r[:p, i]] * v[:p, i]).reshape(-1, n))
+    labels = np.array(list(itertools.product(range(p), repeat=k)))
+    omega = gf.roots_of_unity(p)
+    chars = omega[(-labels @ labels.T) % p]
+    # q P_a has diagonal chars @ where(rows == x, vals, 0) and column j
+    # sum_b chars[a, b] vals_b[j] |rows_b[j]>; the scale q drops out
+    cols = np.argmax((chars @ np.where(prod_r == x, prod_v, 0)).real, axis=1)
+    vecs = np.zeros((n, len(labels)), complex)
+    np.add.at(vecs, (prod_r[:, cols], np.arange(len(labels))),
+              chars.T * prod_v[:, cols])
+    vecs /= np.linalg.norm(vecs, axis=0)
+    # |G^p - I|, inf where G^p moves a row, and |G v - lambda v| at rows[x]
+    dev = np.max([np.where(r[p] == x, np.abs(v[p] - 1), np.inf).max(),
+                  np.abs(v[1, :, :, None] * vecs - vecs[r[1]]
+                         * omega[labels.T][:, None, :]).max()])
     if not dev <= TOL_MATRIX:
         raise RuntimeError("generators have no joint eigenbasis (residual "
                            "%g)" % dev)
@@ -185,14 +204,13 @@ def subgroup_eigenbases(p: int, k: int):
     if not gf.is_prime(p):
         raise ValueError("p must be prime")
     q = p ** k
-    if q > 32:
+    if q > 128:
         raise ValueError("field too large")
     spec = gf.field_make(p, k)
     ts = p ** np.arange(k)[:, None]
     directions = [(0, 1)] + [(1, e) for e in range(q)]
-    return [canonicalize_basis(_stabilizer_basis(
-        [weyl.field_displacement(spec, u1, u2)
-         for u1, u2 in gf.mul(spec, ts, direction)], p))
+    return [canonicalize_basis(_stabilizer_basis(*weyl._field_form(
+        spec, *gf.mul(spec, ts, direction).T), p))
         for direction in directions]
 
 
@@ -302,9 +320,13 @@ def mermin_landscape() -> dict:
     if len(flowers) != 6:
         raise RuntimeError("expected 6 flowers, got %d" % len(flowers))
 
-    # the first two words of a petal generate its group
-    eigenbases = [canonicalize_basis(_stabilizer_basis(
-        [pauli_word_matrix(w) for w in petal[:2]], 2)) for petal in petals]
+    # the first two words of a petal generate its group, read off as forms
+    rows, vals, off = weyl._dense_form(np.array(
+        [pauli_word_matrix(w) for petal in petals for w in petal[:2]]))
+    if not off <= TOL_MATRIX:
+        raise RuntimeError("petal words are not monomial")
+    eigenbases = [canonicalize_basis(_stabilizer_basis(r, v, 2)) for r, v
+                  in zip(rows.reshape(-1, 2, 4), vals.reshape(-1, 2, 4))]
 
     mub_sets = []
     for flower in flowers:

@@ -89,6 +89,16 @@ def _form(m, rows, tau_exp, omega_exp):
     return rows, taus[:, None] * gf.roots_of_unity(m)[omega_exp % m]
 
 
+def _dense_form(mats):
+    """Rows and values of each column's largest entry of (K, N, N)
+    matrices, and the largest modulus off that support; NaN propagates."""
+    mag = np.abs(mats)
+    rows = np.argmax(mag, axis=1)
+    vals = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0]
+    np.put_along_axis(mag, rows[:, None, :], 0.0, axis=1)
+    return rows, vals, mag.max()
+
+
 def _densify(rows, vals):
     """The (K, N, N) dense matrices of a monomial form."""
     out = np.zeros(rows.shape + rows.shape[1:], dtype=complex)
@@ -129,11 +139,7 @@ def _monomial_group_law_residual(table) -> float:
     propagates to the result.
     """
     n = table.shape[1]
-    mag = np.abs(table)
-    rows = np.argmax(mag, axis=1)
-    vals = np.take_along_axis(table, rows[:, None, :], axis=1)[:, 0]
-    np.put_along_axis(mag, rows[:, None, :], 0.0, axis=1)
-    res = mag.max()
+    rows, vals, res = _dense_form(table)
     idx = np.arange(n * n)
     r, s = np.divmod(idx, n)
     # one block of a = (r1, 0..N-1) at a time keeps each array at N^4;

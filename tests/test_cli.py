@@ -208,6 +208,53 @@ def test_codec_roundtrip_is_bit_exact(tmp_path, z):
     assert back.view(float).tobytes() == z.view(float).tobytes()
 
 
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+NONFINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+ARRAYS = st.one_of(
+    hnp.arrays(float, SHAPES, elements=FINITE),
+    hnp.arrays(complex, SHAPES, elements=st.builds(complex, FINITE, FINITE)),
+    hnp.arrays(np.int64, SHAPES, elements=st.integers(-2 ** 62, 2 ** 62)),
+    hnp.arrays(bool, SHAPES),
+    # finite entries with at least one NaN or inf among them
+    st.tuples(hnp.arrays(complex, hnp.array_shapes(max_dims=3, max_side=3),
+                         elements=st.builds(complex, FINITE, FINITE)),
+              st.integers(0), NONFINITE, st.booleans()).map(
+        lambda t: _with_entry(*t)))
+
+
+def _with_entry(a, index, bad, imag):
+    a.flat[index % a.size] = complex(0.0, bad) if imag else bad
+    return a
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ARRAYS, st.lists(ARRAYS, max_size=3))
+def test_persist_bytes_match_indent1_reference(tmp_path, vectors, extra):
+    # arrays at the top level and nested in metadata, as werner writes
+    # them; the reference is the pure-Python indent=1 encoder
+    doc = {"kind": "basisfamily", "version": cli.FORMAT_VERSION, "n": 3,
+           "vectors": vectors,
+           "metadata": {"label": "x", "arrays": extra,
+                        "nested": {"first": extra[0] if extra else None}}}
+    path = tmp_path / "doc.json"
+    cli.persist(doc, str(path))
+    reference = json.dumps(doc, sort_keys=True, indent=1,
+                           default=cli._encode) + "\n"
+    assert path.read_bytes() == reference.encode("utf-8")
+
+
+def test_persist_string_equal_to_the_placeholder(tmp_path):
+    # a document string that reads like the writer's placeholder leaves
+    # the whole document to the reference encoder
+    doc = {"kind": "sic", "version": 1, "n": 2, "fiducial": np.ones(2) + 0j,
+           "label": cli._PLACEHOLDER}
+    path = tmp_path / "doc.json"
+    cli.persist(doc, str(path))
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1,
+                                          default=cli._encode) + "\n"
+
+
 MISSING = object()
 
 

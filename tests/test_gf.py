@@ -261,6 +261,30 @@ def test_primitive_element():
     assert gf.multiplicative_order(spec9, gf.primitive_element(spec9)) == 8
 
 
+def _order_by_divisors(spec, x):
+    """The least divisor n of q - 1 with x**n = 1, each divisor's power
+    taken from scratch: the loop the prime-by-prime order replaced, kept
+    as its oracle."""
+    q1 = spec.order - 1
+    order = np.zeros(x.shape, dtype=np.int64)
+    for n in range(1, q1 + 1):
+        if q1 % n == 0:
+            order = np.where((order == 0) & (gf.power(spec, x, n) == 1), n,
+                             order)
+    return order
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_multiplicative_order_matches_divisor_loop(p, k):
+    spec = gf.field_make(p, k)
+    x = np.arange(1, spec.order)
+    assert gf.multiplicative_order(spec, x).tolist() \
+        == _order_by_divisors(spec, x).tolist()
+    assert gf.multiplicative_order(spec, 1) == 1
+    # x**order is 1
+    assert np.all(gf.power(spec, x, gf.multiplicative_order(spec, x)) == 1)
+
+
 def test_element_enumeration_order():
     spec = gf.field_make(3, 2)
     digits = gf.digit_table(spec)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -271,43 +273,134 @@ def test_petal_eigenbases_match_eigensolver_oracle():
         assert np.abs(b - oracle).max() <= 1e-10
 
 
+def _dense_stabilizer_basis(gens, p):
+    """The projector builder on dense generator matrices: q dense products
+    G^b and one (q, q, q) projector stack.  The form-based builder replaced
+    it; kept as its oracle, column for column."""
+    eye = np.eye(gens[0].shape[0])
+    fixed = [g / np.linalg.matrix_power(g, p)[0, 0] ** (1.0 / p) for g in gens]
+    prods = [eye]
+    for g in fixed:
+        prods = [m @ h for m in prods for h in itertools.accumulate(
+            [g] * (p - 1), np.matmul, initial=eye)]
+    labels = np.array(list(itertools.product(range(p), repeat=len(gens))))
+    omega, q = gf.roots_of_unity(p), len(labels)
+    proj = np.tensordot(omega[(-labels @ labels.T) % p], prods, 1) / q
+    cols = np.argmax(np.diagonal(proj, axis1=1, axis2=2).real, axis=1)
+    vecs = proj[np.arange(q), :, cols].T
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+def _line_forms(spec, direction):
+    """Forms of the k generators D(a^i * direction) of one line."""
+    ts = spec.p ** np.arange(spec.k)[:, None]
+    return weyl._field_form(spec, *gf.mul(spec, ts, direction).T)
+
+
+@pytest.mark.parametrize("p,k", _FIELDS_TO_32)
+def test_stabilizer_basis_matches_dense_oracle(p, k):
+    spec = gf.field_make(p, k)
+    for direction in [(0, 1)] + [(1, e) for e in range(p ** k)]:
+        rows, vals = _line_forms(spec, direction)
+        oracle = _dense_stabilizer_basis(weyl._densify(rows, vals), p)
+        assert np.abs(mub._stabilizer_basis(rows, vals, p) - oracle).max() \
+            <= 1e-12
+
+
+def test_petal_stabilizer_basis_matches_dense_oracle():
+    for petal in mub.mermin_landscape()["petals"]:
+        mats = np.array([mub.pauli_word_matrix(w) for w in petal[:2]])
+        rows, vals, off = weyl._dense_form(mats)
+        assert off == 0.0
+        assert np.abs(mub._stabilizer_basis(rows, vals, 2)
+                      - _dense_stabilizer_basis(mats, 2)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
 def test_stabilizer_basis_fixes_generator_phases(p, k):
     # a unit multiple of each generator, so G^p is a phase other than 1,
     # spans the same eigenbasis
-    spec = gf.field_make(p, k)
-    # the line through (1, 1): D(a^i, a^i), element p^i being a^i
-    gens = [weyl.field_displacement(spec, p ** i, p ** i) for i in range(k)]
-    phased = [np.exp(1j * (0.7 + i)) * g for i, g in enumerate(gens)]
-    assert np.abs(mub.canonicalize_basis(mub._stabilizer_basis(phased, p))
-                  - mub.canonicalize_basis(mub._stabilizer_basis(gens, p))
+    rows, vals = _line_forms(gf.field_make(p, k), (1, 1))
+    phased = np.exp(1j * (0.7 + np.arange(k)))[:, None] * vals
+    assert np.abs(mub.canonicalize_basis(mub._stabilizer_basis(rows, phased,
+                                                               p))
+                  - mub.canonicalize_basis(mub._stabilizer_basis(rows, vals,
+                                                                 p))
                   ).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_stabilizer_basis_rejects_noncommuting_generators(p):
-    gens = [weyl.displacement(p, 1, 0), weyl.displacement(p, 0, 1)]
+    rows, vals = weyl._standard_form(p, np.array([1, 0]), np.array([0, 1]))
     with pytest.raises(RuntimeError, match="joint eigenbasis"):
-        mub._stabilizer_basis(gens, p)
+        mub._stabilizer_basis(rows, vals, p)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
 def test_stabilizer_basis_rejects_nan_generator(entry):
-    spec = gf.field_make(2, 2)
-    gens = [weyl.field_displacement(spec, 0, 1),
-            weyl.field_displacement(spec, 0, 2)]
-    assert mub._stabilizer_basis(gens, 2).shape == (4, 4)
-    gens[1][entry] = np.nan
-    with pytest.raises(RuntimeError):
-        mub._stabilizer_basis(gens, 2)
+    # entry (generator, column) of the forms of Z_1 and Z_a in GF(4)
+    rows, vals = weyl._field_form(gf.field_make(2, 2), np.array([0, 0]),
+                                  np.array([1, 2]))
+    assert mub._stabilizer_basis(rows, vals, 2).shape == (4, 4)
+    vals = vals.copy()
+    vals[entry] = np.nan
+    with pytest.raises(RuntimeError, match="joint eigenbasis"):
+        mub._stabilizer_basis(rows, vals, 2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, 0.5])
+def test_petal_words_off_their_support_raise(monkeypatch, bad):
+    # a NaN or nonzero entry off a word's monomial support fails closed
+    word_matrix = mub.pauli_word_matrix
+
+    def poisoned(word):
+        m = np.array(word_matrix(word))
+        m.flat[np.flatnonzero(m == 0)[0]] = bad
+        return m
+
+    monkeypatch.setattr(mub, "pauli_word_matrix", poisoned)
+    with pytest.raises(RuntimeError, match="not monomial"):
+        mub.mermin_landscape()
 
 
 def test_subgroup_eigenbases_guards():
     with pytest.raises(ValueError, match="prime"):
         mub.subgroup_eigenbases(4, 1)
     with pytest.raises(ValueError, match="too large"):
-        mub.subgroup_eigenbases(2, 6)
+        mub.subgroup_eigenbases(3, 5)
+    with pytest.raises(ValueError, match="too large"):
+        mub.subgroup_eigenbases(131, 1)
+
+
+def test_family_deviations_blocks_agree_with_one_product():
+    # q = 64 runs in blocks of 8; a repeated basis in a late block shows,
+    # with the value of one product per member against all later ones
+    bases = mub.subgroup_eigenbases(2, 6)
+    bases[60] = bases[3]
+    stack = np.stack(bases)
+    whole = np.max([np.abs(np.abs(stack[i].conj().T @ stack[i + 1:]) ** 2
+                           - 1 / 64).max() for i in range(64)])
+    assert mub.family_deviations(bases)["max_deviation"] == whole == 1 - 1 / 64
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_family_deviations_keeps_a_late_nan():
+    # finite entries whose cross product overflows to inf - inf: only the
+    # last pair is NaN, after an infinite deviation
+    big = 1e200 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, -1 + 1j]])
+    assert np.isnan(mub.family_deviations([np.eye(2), big, big])
+                    ["max_deviation"])
+
+
+def test_subgroup_eigenbases_dim81():
+    # past the old q <= 32 cap; the cross products run in blocks
+    bases = mub.subgroup_eigenbases(3, 4)
+    assert len(bases) == 82
+    report = mub.unbiasedness_check(bases)
+    assert report["pass"]
+    assert report["max_deviation"] < 1e-12
 
 
 def test_bloch_orthogonality():
