@@ -6,8 +6,6 @@ Group elements are (2, 2) integer arrays [[alpha, beta], [gamma, delta]]
 reduced mod p with unit determinant.
 """
 
-import itertools
-
 import numpy as np
 
 from . import gf, weyl
@@ -23,12 +21,12 @@ def _check_odd_prime(p):
 def sl2_enumerate(p: int):
     """All elements of SL(2, Z_p); the count is p(p^2 - 1)."""
     _check_odd_prime(p)
-    if p > 13:
+    if p > 31:
         raise ValueError("p too large for exhaustive enumeration")
-    out = []
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        if (a * d - b * c) % p == 1:
-            out.append(np.array([[a, b], [c, d]]))
+    # every (a, b, c, d) in lexicographic order, kept where ad - bc = 1
+    a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
+    keep = (a * d - b * c) % p == 1
+    out = list(np.stack([a, b, c, d], axis=1)[keep].reshape(-1, 2, 2))
     if len(out) != p * (p * p - 1):
         raise RuntimeError("SL(2, Z_%d) has %d elements, expected %d"
                            % (p, len(out), p * (p * p - 1)))

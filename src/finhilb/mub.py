@@ -1,7 +1,7 @@
-"""Mutually unbiased bases: prime-dimension constructions, prime-power
-constructions from abelian subgroups of displacement operators, unitary
-operator bases built from complete sets, and the dimension-4 landscape
-of maximal abelian two-qubit subgroups.
+"""Mutually unbiased bases: complete sets in prime and prime-power
+dimensions, each basis the joint eigenbasis of an abelian subgroup of
+displacement operators, unitary operator bases built from complete sets,
+and the dimension-4 landscape of maximal abelian two-qubit subgroups.
 
 Bases are (n, n) complex arrays whose *columns* are the basis vectors.
 """
@@ -13,6 +13,20 @@ import numpy as np
 
 from . import combinat, gf, sic, weyl
 from .tol import TOL_MATRIX, TOL_OVERLAP
+
+
+def _block(n: int) -> int:
+    """Members per block of (n, n) arrays: a block holds O(33 32^2) entries."""
+    return max(1, 33 * 32 * 32 // (n * n))
+
+
+def _field(p: int, k: int):
+    """GF(p^k) for a complete MUB set, of order at most 128."""
+    if not gf.is_prime(p):
+        raise ValueError("p must be prime")
+    if p ** k > 128:
+        raise ValueError("field too large")
+    return gf.field_make(p, k)
 
 
 def family_deviations(bases) -> dict:
@@ -42,9 +56,7 @@ def family_deviations(bases) -> dict:
     if not np.isfinite(stack).all():
         out.update(orthonormality=[math.nan] * len(mats), max_deviation=math.nan)
         return out
-    # `block` members at a time, so that a product holds O(block n^2)
-    # entries; any n <= 32 is one block
-    block = max(1, 33 * 32 * 32 // (n * n))
+    block = _block(n)
     out["orthonormality"] = np.concatenate([np.abs(
         stack[j:j + block].conj().transpose(0, 2, 1) @ stack[j:j + block]
         - np.eye(n)).max(axis=(1, 2)) for j in range(0, len(mats), block)]
@@ -88,48 +100,26 @@ def unbiasedness_check(bases, tol: float = TOL_OVERLAP) -> dict:
 
 
 def ivanovic_mubs(p: int):
-    """Complete set of p + 1 mutually unbiased bases for odd prime p.
-
-    Basis 0 is computational, bases x = 1..p-1 have components
-    omega^((r-a)^2 / (2x)) / sqrt(p) with the inverse taken mod p, and
-    the last basis is the Fourier basis.  Column a of basis x is an
-    eigenvector of the displacement D_{x,1} with eigenvalue omega^a
-    (D_{0,1} for the computational basis, D_{p-1,0} for the Fourier one).
-    """
-    if not gf.is_prime(p):
-        raise ValueError("p must be prime")
+    """Complete set of p + 1 mutually unbiased bases for odd prime p, the
+    eigenbases of D_{0,1} (computational), D_{x,1} for x = 1..p-1 and
+    D_{p-1,0} (Fourier) in that order; column a has eigenvalue omega^a.
+    Up to one phase, column a of basis x is omega^((r-a)^2 / (2x)) / sqrt(p)
+    with the inverse taken mod p."""
+    spec = _field(p, 1)
     if p == 2:
-        raise ValueError("p must be odd (the exponent contains 1/2)")
-    if p > 31:
-        raise ValueError("p too large")
-    pows = np.exp(2j * np.pi * np.arange(p) / p)
-    idx = np.arange(p)
-    diff2 = np.subtract.outer(idx, idx) ** 2
-    bases = [np.eye(p, dtype=complex)]
-    for x in range(1, p):
-        inv2x = pow(2 * x, p - 2, p)
-        bases.append(pows[(diff2 * inv2x) % p] / np.sqrt(p))
-    bases.append(combinat.fourier_matrix(p))
-
-    # eigenvector property fixes the construction; check it
-    gens = [weyl.displacement(p, 0, 1)]
-    gens += [weyl.displacement(p, x, 1) for x in range(1, p)]
-    gens.append(weyl.displacement(p, p - 1, 0))
-    for b, d in zip(bases, gens):
-        res = np.abs(d @ b - b * pows[None, :]).max()
-        if not res <= TOL_MATRIX:
-            raise RuntimeError("eigenvector property violated: %g" % res)
-    return bases
+        raise ValueError("p must be odd (qubit_mubs covers p = 2)")
+    rows, vals = weyl._field_form(spec, np.r_[np.arange(p), p - 1],
+                                  np.r_[np.ones(p, int), 0])
+    return list(_stabilizer_basis(rows[:, None], vals[:, None], p))
 
 
 def qubit_mubs():
-    """The three qubit bases: computational plus the two conjugate ones
-    (eigenbases of Z, X and Y; the six columns form an octahedron on the
-    Bloch sphere)."""
-    s = 1 / np.sqrt(2)
-    return [np.eye(2, dtype=complex),
-            np.array([[s, s], [s, -s]], dtype=complex),
-            np.array([[s, s], [1j * s, -1j * s]], dtype=complex)]
+    """The three qubit bases, the eigenbases of Z = D_{0,1}, X = D_{1,0}
+    and Y = D_{1,-1} (D_{1,1} is -Y), eigenvalue +1 first; the six
+    columns form an octahedron on the Bloch sphere."""
+    rows, vals = weyl._standard_form(2, np.array([0, 1, 1]),
+                                     np.array([1, 0, -1]))
+    return list(_stabilizer_basis(rows[:, None], vals[:, None], 2))
 
 
 def canonicalize_basis(basis) -> np.ndarray:
@@ -150,38 +140,52 @@ def canonicalize_basis(basis) -> np.ndarray:
 
 
 def _stabilizer_basis(rows, vals, p):
-    """Joint eigenbasis of commuting displacements G_1..G_k, in monomial
-    form G_i[rows[i, x], x] = vals[i, x], generating an abelian group of
-    order p^k, the dimension.  With each G_i phased so that G_i^p = I,
-    column a is the largest-diagonal column, normalized, of the rank-1
-    projector P_a = p^-k sum_b omega^(-a.b) prod G_i^(b_i), with
-    eigenvalue omega^(a_i) under G_i.  Raises RuntimeError unless every
-    G_i^p is I and every column an eigenvector of every G_i."""
-    k, n = rows.shape
-    x = np.arange(n)
+    """Joint eigenbases of L sets of commuting displacements G_1..G_k, in
+    monomial form G_i[rows[l, i, x], x] = vals[l, i, x], each generating
+    an abelian group of order p^k, the dimension n; returns (L, n, n).
+    With each G_i phased so that G_i^p = I, column a of a basis is the
+    largest-diagonal column, normalized, of the rank-1 projector
+    P_a = p^-k sum_b omega^(-a.b) prod G_i^(b_i), with eigenvalue
+    omega^(a_i) under G_i.  The sets run in blocks of _block(n).  Raises
+    RuntimeError unless every G_i^p is I and every column an eigenvector
+    of every G_i."""
+    lines, k, n = rows.shape
+    step = _block(n)
+    if lines > step:
+        return np.concatenate([_stabilizer_basis(rows[j:j + step],
+                                                 vals[j:j + step], p)
+                               for j in range(0, lines, step)])
+    # one block as one direct sum: set l acts on the points ln..ln + n - 1
+    x = np.arange(lines * n)
+    rows = (rows + x[::n, None, None]).transpose(1, 0, 2).reshape(k, -1)
+    vals = vals.transpose(1, 0, 2).reshape(k, -1)
     # G_i^j = G_i^(j-1) G_i for j = 0..p, then divided by the j-th power of
-    # a p-th root of G_i^p, a scalar for a displacement: its entry (0, 0)
-    r, v = [np.broadcast_to(x, (k, n))], [np.ones((k, n), complex)]
+    # a p-th root of G_i^p, on each set a scalar: its entry (ln, ln)
+    r, v = [np.broadcast_to(x, rows.shape)], [np.ones(rows.shape, complex)]
     for _ in range(p):
         r.append(np.take_along_axis(r[-1], rows, 1))
         v.append(np.take_along_axis(v[-1], rows, 1) * vals)
     r, v = np.array(r), np.array(v)
-    roots = [c ** (1.0 / p) for c in np.where(r[p, :, 0] == 0, v[p, :, 0], 0)]
-    v /= np.array(roots)[:, None] ** np.arange(p + 1)[:, None, None]
-    prod_r, prod_v = x[None], np.ones((1, n), complex)
+    roots = [c ** (1.0 / p) for c in
+             np.where(r[p, :, ::n] == x[::n], v[p, :, ::n], 0).ravel()]
+    v /= np.repeat(np.reshape(roots, (k, lines)), n, axis=1) ** np.arange(
+        p + 1)[:, None, None]
+    prod_r, prod_v = x[None], np.ones((1, x.size), complex)
     for i in range(k):  # b over Z_p^k in lexicographic order
-        prod_r, prod_v = (prod_r[:, r[:p, i]].reshape(-1, n),
-                          (prod_v[:, r[:p, i]] * v[:p, i]).reshape(-1, n))
+        prod_r, prod_v = (prod_r[:, r[:p, i]].reshape(-1, x.size),
+                          (prod_v[:, r[:p, i]] * v[:p, i]).reshape(-1, x.size))
     labels = np.array(list(itertools.product(range(p), repeat=k)))
     omega = gf.roots_of_unity(p)
     chars = omega[(-labels @ labels.T) % p]
     # q P_a has diagonal chars @ where(rows == x, vals, 0) and column j
     # sum_b chars[a, b] vals_b[j] |rows_b[j]>; the scale q drops out
-    cols = np.argmax((chars @ np.where(prod_r == x, prod_v, 0)).real, axis=1)
-    vecs = np.zeros((n, len(labels)), complex)
-    np.add.at(vecs, (prod_r[:, cols], np.arange(len(labels))),
-              chars.T * prod_v[:, cols])
-    vecs /= np.linalg.norm(vecs, axis=0)
+    cols = x[::n] + np.argmax((chars @ np.where(prod_r == x, prod_v, 0))
+                              .real.reshape(-1, lines, n), axis=2)
+    vecs = np.zeros((x.size, len(labels)), complex)
+    np.add.at(vecs, (prod_r[:, cols], np.arange(len(labels))[:, None]),
+              chars.T[:, :, None] * prod_v[:, cols])
+    out = vecs.reshape(lines, n, -1)
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
     # |G^p - I|, inf where G^p moves a row, and |G v - lambda v| at rows[x]
     dev = np.max([np.where(r[p] == x, np.abs(v[p] - 1), np.inf).max(),
                   np.abs(v[1, :, :, None] * vecs - vecs[r[1]]
@@ -189,7 +193,7 @@ def _stabilizer_basis(rows, vals, p):
     if not dev <= TOL_MATRIX:
         raise RuntimeError("generators have no joint eigenbasis (residual "
                            "%g)" % dev)
-    return vecs
+    return out
 
 
 def subgroup_eigenbases(p: int, k: int):
@@ -201,17 +205,14 @@ def subgroup_eigenbases(p: int, k: int):
     index order, generated by the k displacements D(a^i * direction)
     (element p^i is a^i).  Bases are canonicalized (phase + column order).
     """
-    if not gf.is_prime(p):
-        raise ValueError("p must be prime")
+    spec = _field(p, k)
     q = p ** k
-    if q > 128:
-        raise ValueError("field too large")
-    spec = gf.field_make(p, k)
-    ts = p ** np.arange(k)[:, None]
-    directions = [(0, 1)] + [(1, e) for e in range(q)]
-    return [canonicalize_basis(_stabilizer_basis(*weyl._field_form(
-        spec, *gf.mul(spec, ts, direction).T), p))
-        for direction in directions]
+    directions = np.array([(0, 1)] + [(1, e) for e in range(q)])
+    # axes (line, generator, coordinate)
+    u = gf.mul(spec, p ** np.arange(k)[:, None], directions[:, None])
+    rows, vals = weyl._field_form(spec, u[..., 0].ravel(), u[..., 1].ravel())
+    return [canonicalize_basis(b) for b in _stabilizer_basis(
+        rows.reshape(q + 1, k, q), vals.reshape(q + 1, k, q), p)]
 
 
 def bbrv_flower(bases):
@@ -325,8 +326,8 @@ def mermin_landscape() -> dict:
         [pauli_word_matrix(w) for petal in petals for w in petal[:2]]))
     if not off <= TOL_MATRIX:
         raise RuntimeError("petal words are not monomial")
-    eigenbases = [canonicalize_basis(_stabilizer_basis(r, v, 2)) for r, v
-                  in zip(rows.reshape(-1, 2, 4), vals.reshape(-1, 2, 4))]
+    eigenbases = [canonicalize_basis(b) for b in _stabilizer_basis(
+        rows.reshape(-1, 2, 4), vals.reshape(-1, 2, 4), 2)]
 
     mub_sets = []
     for flower in flowers:

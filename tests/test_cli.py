@@ -485,6 +485,20 @@ def test_wigner_and_clifford_checks(capsys):
     assert run(capsys, "clifford", "check", "--p", "3")[0] == 0
 
 
+def test_wigner_check_past_p13(capsys):
+    # the symplectic group is enumerated up to p = 31
+    assert run(capsys, "wigner", "check", "--n", "17")[0] == 0
+
+
+def test_mub_gen_ivanovic_cap(capsys, tmp_path):
+    # k = 1 shares the q <= 128 cap of every complete set
+    path = str(tmp_path / "m61.json")
+    assert run(capsys, "mub", "gen", "--p", "61", "--out", path)[0] == 0
+    assert run(capsys, "mub", "verify", path)[0] == 0
+    code, _, err = run(capsys, "mub", "gen", "--p", "131")
+    assert code == 2 and "too large" in err
+
+
 def _nan_after_first(i, out):
     return out if i == 0 else np.nan
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,27 @@ def test_sl2_guards():
     with pytest.raises(ValueError, match="odd"):
         clifford.sl2_enumerate(2)
     with pytest.raises(ValueError, match="too large"):
-        clifford.sl2_enumerate(17)
+        clifford.sl2_enumerate(37)
+
+
+def _sl2_loop(p):
+    """The element-by-element enumeration sl2_enumerate replaced."""
+    return [np.array([[a, b], [c, d]])
+            for a, b, c, d in itertools.product(range(p), repeat=4)
+            if (a * d - b * c) % p == 1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 13])
+def test_sl2_enumerate_matches_loop_oracle(p):
+    els = clifford.sl2_enumerate(p)
+    oracle = _sl2_loop(p)
+    assert len(els) == len(oracle)
+    for g, h in zip(els, oracle):
+        assert g.dtype == h.dtype and np.array_equal(g, h)
+
+
+def test_sl2_enumerate_p31():
+    assert len(clifford.sl2_enumerate(31)) == 31 * (31 * 31 - 1)
 
 
 def test_metaplectic_identity():

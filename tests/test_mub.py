@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,12 +57,53 @@ def test_dim3_golden_set_is_unbiased():
     assert report["max_deviation"] < 1e-12
 
 
+def _ivanovic_oracle(p):
+    """The closed form the stabilizer builder replaced: basis 0
+    computational, bases x = 1..p-1 with components
+    omega^((r-a)^2 / (2x)) / sqrt(p), the inverse taken mod p, and the
+    Fourier basis last."""
+    pows = np.exp(2j * np.pi * np.arange(p) / p)
+    idx = np.arange(p)
+    diff2 = np.subtract.outer(idx, idx) ** 2
+    bases = [np.eye(p, dtype=complex)]
+    for x in range(1, p):
+        bases.append(pows[(diff2 * pow(2 * x, p - 2, p)) % p] / np.sqrt(p))
+    bases.append(combinat.fourier_matrix(p))
+    return bases
+
+
+def _qubit_oracle():
+    """The hand-written eigenbases of Z, X and Y the builder replaced."""
+    s = 1 / np.sqrt(2)
+    return [np.eye(2, dtype=complex),
+            np.array([[s, s], [s, -s]], dtype=complex),
+            np.array([[s, s], [1j * s, -1j * s]], dtype=complex)]
+
+
 def test_ivanovic_dim3_matches_golden_columns():
-    bases = mub.ivanovic_mubs(3)
+    bases = _ivanovic_oracle(3)
     golden = dim3_golden_set()
     assert len(bases) == 4
     for b, g in zip(bases, golden):
         assert np.abs(b - g).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_ivanovic_matches_closed_form_oracle(p):
+    # same column order; each column equal up to one unit phase, which
+    # makes component 0 real positive wherever every modulus is 1/sqrt(p)
+    bases = mub.ivanovic_mubs(p)
+    assert len(bases) == p + 1
+    for b, o in zip(bases, _ivanovic_oracle(p)):
+        assert np.abs(np.abs(np.sum(o.conj() * b, axis=0)) - 1).max() \
+            <= 1e-12
+    for b in bases[1:]:
+        assert np.all(b[0].imag == 0) and np.all(b[0].real > 0)
+
+
+def test_qubit_mubs_match_literal_oracle():
+    for b, o in zip(mub.qubit_mubs(), _qubit_oracle()):
+        assert np.abs(b - o).max() <= 1e-15
 
 
 def test_ivanovic_p5_exhaustive_overlaps():
@@ -85,16 +127,17 @@ def test_ivanovic_eigenvector_property():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_ivanovic_rejects_nan_displacement(monkeypatch):
-    # a NaN residual must fail the eigenvector gate, not slip past it
-    displacement = weyl.displacement
+    # a NaN residual must fail the eigenbasis gate, not slip past it
+    field_form = weyl._field_form
 
     def poisoned(*args):
-        d = np.array(displacement(*args), dtype=complex)
-        d[0, 0] = np.nan
-        return d
+        rows, vals = field_form(*args)
+        vals = vals.copy()
+        vals[0, 0] = np.nan
+        return rows, vals
 
-    monkeypatch.setattr(weyl, "displacement", poisoned)
-    with pytest.raises(RuntimeError, match="eigenvector property"):
+    monkeypatch.setattr(weyl, "_field_form", poisoned)
+    with pytest.raises(RuntimeError, match="no joint eigenbasis"):
         mub.ivanovic_mubs(3)
 
 
@@ -291,6 +334,11 @@ def _dense_stabilizer_basis(gens, p):
     return vecs / np.linalg.norm(vecs, axis=0)
 
 
+def _one_set(rows, vals, p):
+    """The builder on the forms (k, n) of one generator set."""
+    return mub._stabilizer_basis(rows[None], vals[None], p)[0]
+
+
 def _line_forms(spec, direction):
     """Forms of the k generators D(a^i * direction) of one line."""
     ts = spec.p ** np.arange(spec.k)[:, None]
@@ -303,7 +351,7 @@ def test_stabilizer_basis_matches_dense_oracle(p, k):
     for direction in [(0, 1)] + [(1, e) for e in range(p ** k)]:
         rows, vals = _line_forms(spec, direction)
         oracle = _dense_stabilizer_basis(weyl._densify(rows, vals), p)
-        assert np.abs(mub._stabilizer_basis(rows, vals, p) - oracle).max() \
+        assert np.abs(_one_set(rows, vals, p) - oracle).max() \
             <= 1e-12
 
 
@@ -312,8 +360,48 @@ def test_petal_stabilizer_basis_matches_dense_oracle():
         mats = np.array([mub.pauli_word_matrix(w) for w in petal[:2]])
         rows, vals, off = weyl._dense_form(mats)
         assert off == 0.0
-        assert np.abs(mub._stabilizer_basis(rows, vals, 2)
+        assert np.abs(_one_set(rows, vals, 2)
                       - _dense_stabilizer_basis(mats, 2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (3, 3), (2, 5), (5, 3)])
+def test_blocked_stabilizer_basis_equals_one_call_per_line(p, k):
+    # the field_mub sets in one block each, and q = 125 in blocks of 2
+    spec = gf.field_make(p, k)
+    forms = [_line_forms(spec, direction) for direction
+             in [(0, 1)] + [(1, e) for e in range(p ** k)]]
+    rows, vals = (np.array(f) for f in zip(*forms))
+    blocked = mub._stabilizer_basis(rows, vals, p)
+    assert blocked.shape == (p ** k + 1, p ** k, p ** k)
+    for b, (r, v) in zip(blocked, forms):
+        assert np.array_equal(b, _one_set(r, v, p))
+
+
+def test_stabilizer_basis_memory_is_blocked():
+    # q = 81 runs in blocks of 5 sets: the builder peaks at its output and
+    # the blocks it joins, where one block of all 82 sets peaks near 15x
+    spec = gf.field_make(3, 4)
+    forms = [_line_forms(spec, direction) for direction
+             in [(0, 1)] + [(1, e) for e in range(81)]]
+    rows, vals = (np.array(f) for f in zip(*forms))
+    tracemalloc.start()
+    try:
+        out = mub._stabilizer_basis(rows, vals, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes
+
+
+def test_blocked_petal_stabilizer_basis_equals_one_call_per_petal():
+    mats = np.array([mub.pauli_word_matrix(w)
+                     for petal in mub.mermin_landscape()["petals"]
+                     for w in petal[:2]]).reshape(15, 2, 4, 4)
+    forms = [weyl._dense_form(m)[:2] for m in mats]
+    rows, vals = (np.array(f) for f in zip(*forms))
+    blocked = mub._stabilizer_basis(rows, vals, 2)
+    for b, (r, v) in zip(blocked, forms):
+        assert np.array_equal(b, _one_set(r, v, 2))
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
@@ -322,10 +410,8 @@ def test_stabilizer_basis_fixes_generator_phases(p, k):
     # spans the same eigenbasis
     rows, vals = _line_forms(gf.field_make(p, k), (1, 1))
     phased = np.exp(1j * (0.7 + np.arange(k)))[:, None] * vals
-    assert np.abs(mub.canonicalize_basis(mub._stabilizer_basis(rows, phased,
-                                                               p))
-                  - mub.canonicalize_basis(mub._stabilizer_basis(rows, vals,
-                                                                 p))
+    assert np.abs(mub.canonicalize_basis(_one_set(rows, phased, p))
+                  - mub.canonicalize_basis(_one_set(rows, vals, p))
                   ).max() <= 1e-12
 
 
@@ -333,7 +419,7 @@ def test_stabilizer_basis_fixes_generator_phases(p, k):
 def test_stabilizer_basis_rejects_noncommuting_generators(p):
     rows, vals = weyl._standard_form(p, np.array([1, 0]), np.array([0, 1]))
     with pytest.raises(RuntimeError, match="joint eigenbasis"):
-        mub._stabilizer_basis(rows, vals, p)
+        _one_set(rows, vals, p)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -342,11 +428,11 @@ def test_stabilizer_basis_rejects_nan_generator(entry):
     # entry (generator, column) of the forms of Z_1 and Z_a in GF(4)
     rows, vals = weyl._field_form(gf.field_make(2, 2), np.array([0, 0]),
                                   np.array([1, 2]))
-    assert mub._stabilizer_basis(rows, vals, 2).shape == (4, 4)
+    assert _one_set(rows, vals, 2).shape == (4, 4)
     vals = vals.copy()
     vals[entry] = np.nan
     with pytest.raises(RuntimeError, match="joint eigenbasis"):
-        mub._stabilizer_basis(rows, vals, 2)
+        _one_set(rows, vals, 2)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
