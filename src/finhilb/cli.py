@@ -284,8 +284,8 @@ def cmd_hadamard_fourier(args, rep):
 
 
 def cmd_werner(args, rep):
+    had = combinat.fourier_matrix(args.n)  # capped before latin allocates
     latin = combinat.latin_from_group(args.n)
-    had = combinat.fourier_matrix(args.n)
     vecs = combinat.werner_basis(latin, had)
     gram_dev = float(np.max(np.abs(vecs @ vecs.conj().T
                                    - np.eye(args.n * args.n))))

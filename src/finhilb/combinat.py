@@ -98,9 +98,10 @@ def mols_from_field(q: int):
 
 
 def fourier_matrix(n: int) -> np.ndarray:
-    """F[j,k] = omega**(j*k) / sqrt(n), omega = exp(2*pi*i/n)."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    """F[j,k] = omega**(j*k) / sqrt(n), omega = exp(2*pi*i/n), for
+    1 <= n <= 128, the dimension cap of complete MUB sets."""
+    if not 1 <= n <= 128:
+        raise ValueError("order must be between 1 and 128")
     jk = np.outer(np.arange(n), np.arange(n)) % n
     return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
 
@@ -180,11 +181,14 @@ def werner_basis(L, H) -> np.ndarray:
 
     Only the phase table of H enters: entries are rescaled to unit modulus
     before use, so both the 1/sqrt(n)-flat and the unimodular
-    normalizations are accepted.
+    normalizations are accepted.  Orders above 32 (a 1024 x 1024 basis,
+    16 MB) are rejected before anything is built.
     """
+    n = len(L)
+    if n > 32:
+        raise ValueError("werner order must be at most 32")
     L = np.asarray(L)
     H = np.asarray(H, dtype=complex)
-    n = L.shape[0]
     if H.shape != (n, n):
         raise ValueError("order mismatch")
     if not is_latin(L):

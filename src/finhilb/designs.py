@@ -13,12 +13,15 @@ import numpy as np
 from .tol import TOL_MATRIX, TOL_OVERLAP
 
 
-def _as_family(vectors):
+def _as_family(vectors, t):
+    """A finite (K, n) complex family, for a moment order t >= 1."""
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("expected a (K, n) array of row vectors")
     if not np.isfinite(v).all():
         raise ValueError("family has non-finite entries")
+    if t < 1:
+        raise ValueError("t must be positive")
     return v
 
 
@@ -30,9 +33,7 @@ def _check_unit_norms(v):
 
 def design_moment(vectors, t: int) -> float:
     """(1/K^2) sum_{I,J} |<I|J>|^{2t}, diagonal terms included."""
-    v = _as_family(vectors)
-    if t < 1:
-        raise ValueError("t must be positive")
+    v = _as_family(vectors, t)
     g2 = np.abs(v.conj() @ v.T) ** 2
     return float((g2 ** t).mean())
 
@@ -46,7 +47,7 @@ def design_target(n: int, t: int) -> float:
 def design_test(vectors, t: int, tol: float = TOL_OVERLAP) -> dict:
     """Moment criterion: the family is a t-design iff the 2t-th overlap
     moment equals the Fubini-Study value."""
-    v = _as_family(vectors)
+    v = _as_family(vectors, t)
     _check_unit_norms(v)
     n = v.shape[1]
     g2 = np.abs(v.conj() @ v.T) ** 2
@@ -67,9 +68,7 @@ def welch_bound(vectors, t: int) -> dict:
     """lhs = C(n+t-1, t) sum |<I|J>|^{2t} against rhs = (sum <I|I>^t)^2;
     lhs >= rhs for every vector family, with equality exactly on
     t-designs of unit vectors."""
-    v = _as_family(vectors)
-    if t < 1:
-        raise ValueError("t must be positive")
+    v = _as_family(vectors, t)
     n = v.shape[1]
     gram = v.conj() @ v.T
     g2 = np.abs(gram) ** 2
@@ -85,7 +84,7 @@ def frame_operator(vectors, t: int) -> np.ndarray:
     """F = sum_I |Psi_I^(ox t)><Psi_I^(ox t)| on the t-fold tensor
     space.  Tr F = K; for a t-design the nonzero spectrum is flat at
     K / C(n+t-1, t)."""
-    v = _as_family(vectors)
+    v = _as_family(vectors, t)
     _check_unit_norms(v)
     n = v.shape[1]
     if n ** t > 4096:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from . import clifford, gf, weyl
+from . import gf, weyl
 from .tol import TOL_MATRIX, TOL_SEARCH, TOL_SIC_GRAM
 
 _FTOL = 1e-30
@@ -198,21 +198,26 @@ def _haar_start(rng, n):
     return z / np.linalg.norm(z)
 
 
+def _zauner_unitary(n):
+    """U[r, s] = tau^(r^2 + 2rs) / sqrt(N), tau = -exp(i pi / N): the
+    order-3 Clifford unitary of Appleby 2005, for every N.  At an odd
+    prime it is the metaplectic unitary of [[0, -1], [1, -1]], bit for
+    bit."""
+    m = weyl.nbar(n)
+    r, s = np.indices((n, n))
+    return gf.roots_of_unity(m)[(n + 1) * m // (2 * n) * (r * r + 2 * r * s)
+                                % m] / np.sqrt(n)
+
+
 def _zauner_projector(n):
-    """Projector onto the largest eigenspace of the standard order-3
-    metaplectic rotation, phase-fixed so the rotation cubes to one."""
-    u = clifford.metaplectic(np.array([[0, -1], [1, -1]]), n)
+    """Projector onto the largest eigenspace of the Zauner unitary,
+    phase-fixed so the unitary cubes to one; the first of equal ones."""
+    u = _zauner_unitary(n)
     u = u / (np.trace(u @ u @ u) / n) ** (1.0 / 3.0)
     usq = u @ u
-    eye = np.eye(n)
-    best = None
-    for m in range(3):
-        lam = np.exp(2j * np.pi * m / 3.0)
-        proj = (eye + np.conj(lam) * u + np.conj(lam) ** 2 * usq) / 3.0
-        dim = round(float(np.trace(proj).real))
-        if best is None or dim > best[0]:
-            best = (dim, proj)
-    return best[1]
+    projs = [(np.eye(n) + np.conj(lam) * u + np.conj(lam) ** 2 * usq) / 3.0
+             for lam in (np.exp(2j * np.pi * m / 3.0) for m in range(3))]
+    return max(projs, key=lambda proj: round(float(np.trace(proj).real)))
 
 
 def multistart(n, restarts, seed, objective, tol, proj=None):
@@ -253,14 +258,8 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0,
                zauner: bool = False) -> dict:
     """Minimize f_sic by multistart; the returned candidate is the
     (f, restart index) minimum over all restarts."""
-    if not 2 <= n <= 16:
-        raise ValueError("n must be between 2 and 16")
-    proj = None
-    if zauner:
-        if n % 2 == 0 or not gf.is_prime(n):
-            raise ValueError("zauner starts require an odd prime dimension")
-        proj = _zauner_projector(n)
     form = _gathers(n)
+    proj = _zauner_projector(n) if zauner else None
     objective = [functools.partial(fn, form=form)
                  for fn in (_value, _value_grad, _residual_jacobian)]
     runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH, proj)

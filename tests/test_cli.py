@@ -14,19 +14,30 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "mub", "gen")[0] == 2  # --p missing
     assert run(capsys, "weyl", "check", "--n", "nope")[0] == 2
+    family = str(tmp_path / "f3.json")
+    assert run(capsys, "hadamard", "fourier", "--n", "3", "--out",
+               family)[0] == 0
     # a restart or thread count no run can use is a usage error, not a
-    # failed check; --threads is otherwise ignored
+    # failed check; --threads is otherwise ignored.  So are a moment order
+    # below 1 and a size past its cap (checked before anything is built)
     for argv in (["mub", "search6", "--restarts", "0"],
                  ["mub", "search6", "--restarts", "2", "--threads", "-1"],
                  ["sic", "search", "--n", "3", "--restarts", "2",
-                  "--threads", "-1"]):
+                  "--threads", "-1"],
+                 ["design", "test", "--family", family, "--t", "0"],
+                 ["design", "test", "--family", family, "--t", "-1"],
+                 ["werner", "--n", "33"],
+                 ["hadamard", "fourier", "--n", "129"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+    for t in ("0", "-1"):
+        err = run(capsys, "design", "test", "--family", family, "--t", t)[2]
+        assert "t must be positive" in err
 
 
 def test_composite_p_rejected(capsys):
@@ -384,6 +395,18 @@ def test_sic_dimension_bound(capsys, tmp_path):
             code, out, err = run(capsys, *argv, str(path))
             assert (code, out) == (2, ""), (rest, argv)
             assert err.startswith("error: ") and "32" in err, (rest, argv)
+
+
+def test_sic_search_zauner_every_dimension(capsys):
+    # one Zauner unitary serves every N; the search's one dimension bound
+    # is the 2..32 of the orbit Gram
+    for n in range(2, 33):
+        code, _, err = run(capsys, "sic", "search", "--n", str(n),
+                           "--restarts", "1", "--zauner")
+        assert code in (0, 1) and err == "", n
+    for n in ("1", "33"):
+        code, out, err = run(capsys, "sic", "search", "--n", n, "--zauner")
+        assert (code, out) == (2, "") and "between 2 and 32" in err
 
 
 def test_wrong_kind_names_both(capsys, tmp_path):

@@ -171,6 +171,23 @@ def test_werner_rejects_mismatch():
                               combinat.fourier_matrix(3))
 
 
+def test_size_caps_fire_before_any_array_is_built(monkeypatch):
+    # uncapped, werner --n 200 would build a 40000 x 40000 complex basis
+    # (25.6 GB); each cap is checked before the first numpy call, so with
+    # numpy unreachable cap + 1 still raises ValueError
+    assert combinat.fourier_matrix(128).shape == (128, 128)
+    assert combinat.werner_basis(combinat.latin_from_group(32),
+                                 combinat.fourier_matrix(32)).shape \
+        == (1024, 1024)
+    latin, had = combinat.latin_from_group(33), combinat.fourier_matrix(33)
+    monkeypatch.setattr(combinat, "np", None)
+    with pytest.raises(ValueError, match="at most 32"):
+        combinat.werner_basis(latin, had)
+    for bad in (0, 129):
+        with pytest.raises(ValueError, match="between 1 and 128"):
+            combinat.fourier_matrix(bad)
+
+
 def test_vector_from_identity():
     v = combinat.vector_from_unitary(np.eye(2))
     assert np.abs(v - np.array([1, 0, 0, 1]) / np.sqrt(2)).max() < 1e-12

@@ -199,3 +199,13 @@ def test_design_test_lower_moment_invariant_raises(monkeypatch):
 def test_design_test_validates_norms():
     with pytest.raises(ValueError, match="unit norm"):
         designs.design_test(2 * np.eye(3), 1)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("fn", [designs.design_test, designs.design_moment,
+                                designs.welch_bound, designs.frame_operator])
+def test_family_moments_reject_nonpositive_t(fn, t):
+    # at t = 0 every unit-vector family would pass design_test: moment 1,
+    # target 1
+    with pytest.raises(ValueError, match="t must be positive"):
+        fn(np.eye(3), t)

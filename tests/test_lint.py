@@ -93,3 +93,52 @@ def test_env_and_thread_lint_catches_each_form():
                      "from . import sic\n"
                      "import numpy.random\n")
     assert _env_or_thread_lines(tree) == [2, 3, 4, 5, 6, 7, 8]
+
+
+# Declared module layers: a module may import, from inside the package, only
+# modules earlier in this order, so no import cycle can form (sic reads no
+# clifford: its Zauner unitary is its own closed form).
+LAYERS = ("tol", "gf", "weyl", "combinat", "designs", "sic", "clifford",
+          "mub", "wigner", "cli")
+
+
+def _layer_violations(name, tree):
+    """(line, imported module) for each intra-package import of module name
+    that does not name an earlier layer."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        # ".mub" and "finhilb.mub" name mub; "." and "finhilb" the aliases
+        package, _, module = ("." * node.level + (node.module or "")) \
+            .replace("finhilb", "", 1).partition(".")
+        if package:
+            continue
+        targets = [module] if module else [a.name for a in node.names]
+        out.extend((node.lineno, target) for target in targets
+                   if target not in LAYERS[:LAYERS.index(name)])
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_imports_follow_declared_layers(path):
+    assert path.stem in LAYERS, "%s has no declared layer" % path.name
+    bad = _layer_violations(path.stem, ast.parse(path.read_text(),
+                                                 filename=str(path)))
+    assert not bad, "%s imports a later layer: %s" % (path.name, bad)
+
+
+def test_layer_lint_catches_back_edges():
+    tree = ast.parse("from . import clifford, gf, weyl\n"
+                     "from .tol import TOL_MATRIX\n"
+                     "from .mub import canonicalize_basis\n"
+                     "import numpy as np\n"
+                     "from numpy.linalg import norm\n"
+                     "from finhilb import cli\n"
+                     "from finhilb.wigner import phase_point_set\n")
+    assert _layer_violations("sic", tree) == [(1, "clifford"), (3, "mub"),
+                                              (6, "cli"), (7, "wigner")]
+    assert _layer_violations("tol", ast.parse("from . import gf\n")) \
+        == [(1, "gf")]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finhilb import designs, mub, sic, weyl
+from finhilb import clifford, designs, gf, mub, sic, weyl
+from finhilb.tol import TOL_MATRIX
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,15 +233,56 @@ def test_search_threads_agree_where_restarts_stall():
 def test_search_zauner_starts():
     out = sic.sic_search(5, restarts=4, seed=2, zauner=True)
     assert out["converged"]
-    with pytest.raises(ValueError):
-        sic.sic_search(4, restarts=2, seed=0, zauner=True)
+    with pytest.raises(ValueError, match="between 2 and 32"):
+        sic.sic_search(33, restarts=2, seed=0, zauner=True)
+
+
+def _odd_primes(top):
+    return [p for p in range(3, top + 1, 2)
+            if all(p % k for k in range(3, p, 2))]
+
+
+@pytest.mark.parametrize("p", _odd_primes(31))
+def test_zauner_unitary_is_metaplectic_at_odd_primes(p):
+    # clifford.metaplectic is the reference: same exponent, same roots
+    # table, same scaling, so every --zauner output keeps its bytes
+    meta = clifford.metaplectic(np.array([[0, -1], [1, -1]]), p)
+    assert np.array_equal(sic._zauner_unitary(p), meta)
+
+
+def _cube_off_scalar(u):
+    cube = u @ u @ u
+    return np.abs(cube - np.trace(cube) / len(u) * np.eye(len(u))).max()
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_zauner_unitary_order3_clifford(n):
+    u = sic._zauner_unitary(n)
+    assert np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-12
+    assert _cube_off_scalar(u) <= 1e-12
+    # U D U^dag is a displacement up to phase: monomial for every label
+    moved = u @ weyl.displacement_table(n) @ u.conj().T
+    assert weyl._dense_form(moved)[2] <= TOL_MATRIX
+    proj = sic._zauner_projector(n)
+    assert np.linalg.matrix_rank(proj, tol=1e-8) == -(-(n + 1) // 3)
+    assert np.abs(proj @ proj - proj).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 12])
+def test_zauner_cube_check_catches_order4_exponent(n):
+    # the first exponent tried, N r^2 + 2rs, gives an order-4 unitary
+    m = weyl.nbar(n)
+    r, s = np.indices((n, n))
+    bad = gf.roots_of_unity(m)[(n + 1) * m // (2 * n) * (n * r * r + 2 * r * s)
+                               % m] / np.sqrt(n)
+    assert _cube_off_scalar(bad) > 0.3
 
 
 def test_search_range_errors():
     with pytest.raises(ValueError):
         sic.sic_search(1, restarts=2)
-    with pytest.raises(ValueError):
-        sic.sic_search(17, restarts=2)
+    with pytest.raises(ValueError, match="between 2 and 32"):
+        sic.sic_search(33, restarts=2)
     with pytest.raises(ValueError, match="restarts must be positive"):
         sic.sic_search(3, restarts=0)
     with pytest.raises(ValueError, match="restarts must be positive"):
