@@ -450,8 +450,7 @@ def cmd_design_welch(args, rep):
 # -- sic -----------------------------------------------------------------------
 
 def cmd_sic_search(args, rep):
-    out = sic.sic_search(args.n, restarts=args.restarts, seed=args.seed,
-                         zauner=args.zauner)
+    out = sic.sic_search(args.n, restarts=args.restarts, seed=args.seed)
     rep.check("fsic", out["fsic"], args.tol)
     rep.save({"kind": "sic", "version": FORMAT_VERSION, "n": out["n"],
               "fsic": out["fsic"], "fiducial": out["fiducial"],
@@ -653,10 +652,8 @@ def build_parser():
 
     g = groups.add_parser("sic", help="SIC fiducials")
     sub = g.add_subparsers(dest="op", required=True)
-    s = sub.add_parser("search", help="seeded random-restart fiducial search")
+    s = sub.add_parser("search", help="seeded search in the Zauner eigenspace")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--zauner", action="store_true",
-                   help="project starts onto an order-3 eigenspace")
     _add_common(s, tol=TOL_SEARCH, seed=0, restarts=32, out=True)
     s.set_defaults(func=cmd_sic_search)
     s = sub.add_parser("verify", help="orbit resolution and Gram moduli")

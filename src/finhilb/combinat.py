@@ -19,9 +19,9 @@ from .tol import TOL_MATRIX
 
 
 def latin_from_group(n: int) -> np.ndarray:
-    """Cyclic-group multiplication table L(i,j) = i + j mod n."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    """Cyclic-group table L(i,j) = i + j mod n, for 1 <= n <= 128."""
+    if not 1 <= n <= 128:
+        raise ValueError("order must be between 1 and 128")
     i = np.arange(n)
     return (i[:, None] + i[None, :]) % n
 

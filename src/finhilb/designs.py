@@ -7,6 +7,7 @@ Vector families are (K, n) arrays with rows as vectors.
 
 from functools import reduce
 import math
+import sys
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .tol import TOL_MATRIX, TOL_OVERLAP
 
 
 def _as_family(vectors, t):
-    """A finite (K, n) complex family, for a moment order t >= 1."""
+    """A finite (K, n) complex family, for t >= 1 with C(n+t-1, t) a float."""
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("expected a (K, n) array of row vectors")
@@ -22,6 +23,8 @@ def _as_family(vectors, t):
         raise ValueError("family has non-finite entries")
     if t < 1:
         raise ValueError("t must be positive")
+    if math.comb(v.shape[1] + t - 1, t) > sys.float_info.max:
+        raise ValueError("t is too large: C(n+t-1, t) overflows a float")
     return v
 
 

@@ -1,5 +1,5 @@
 """SIC fiducials: the quartic overlap objective, seeded random-restart
-search on the unit sphere, orbit verification, and the exact
+search from the Zauner eigenspace, orbit verification, and the exact
 dimension-4 fiducial with its overlap-phase fingerprint."""
 
 import functools
@@ -254,15 +254,14 @@ def multistart(n, restarts, seed, objective, tol, proj=None):
     return runs, stats
 
 
-def sic_search(n: int, restarts: int = 32, seed: int = 0,
-               zauner: bool = False) -> dict:
-    """Minimize f_sic by multistart; the returned candidate is the
-    (f, restart index) minimum over all restarts."""
+def sic_search(n: int, restarts: int = 32, seed: int = 0) -> dict:
+    """Minimize f_sic by multistart from starts in the Zauner eigenspace;
+    the candidate is the (f, restart index) minimum over all restarts."""
     form = _gathers(n)
-    proj = _zauner_projector(n) if zauner else None
     objective = [functools.partial(fn, form=form)
                  for fn in (_value, _value_grad, _residual_jacobian)]
-    runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH, proj)
+    runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH,
+                             _zauner_projector(n))
     f, r = min((f, r) for r, (_, f) in enumerate(runs))
     return {"n": n, "fiducial": runs[r][0], "fsic": f, "restart": r,
             "restarts": restarts, "seed": seed,

@@ -206,9 +206,9 @@ def test_criterion_09_sic_search_ladder():
         if n in (3, 5, 7):
             scan = clifford.zauner_scan(out["fiducial"], n)
             assert scan["residual"] < 1e-6
-    # past the plain-search range: Zauner starts at a composite N
-    out = sic.sic_search(24, restarts=32, seed=7, zauner=True)
-    assert out["fsic"] < 1e-12, "n=24 zauner stalled at %g" % out["fsic"]
+    # a composite N near the top of the 2..32 range
+    out = sic.sic_search(24, restarts=32, seed=7)
+    assert out["fsic"] < 1e-12, "n=24 stalled at %g" % out["fsic"]
     report = sic.sic_verify(out)
     assert report["pass"] and report["gramDeviation"] < 1e-8
     _done(9, "sic search ladder", t0, 600.0)

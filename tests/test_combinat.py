@@ -186,6 +186,8 @@ def test_size_caps_fire_before_any_array_is_built(monkeypatch):
     for bad in (0, 129):
         with pytest.raises(ValueError, match="between 1 and 128"):
             combinat.fourier_matrix(bad)
+        with pytest.raises(ValueError, match="between 1 and 128"):
+            combinat.latin_from_group(bad)
 
 
 def test_vector_from_identity():

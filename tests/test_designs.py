@@ -209,3 +209,16 @@ def test_family_moments_reject_nonpositive_t(fn, t):
     # target 1
     with pytest.raises(ValueError, match="t must be positive"):
         fn(np.eye(3), t)
+
+
+@pytest.mark.parametrize("fn", [designs.design_test, designs.design_moment,
+                                designs.welch_bound, designs.frame_operator])
+def test_family_moments_reject_t_past_float_range(fn):
+    # C(n+t-1, t) enters the target and the Welch bound as a float, and
+    # the CLI maps no OverflowError.  For n = 128 the float range ends
+    # between t = 12763 and 12764
+    with pytest.raises(ValueError, match="overflows a float"):
+        fn(np.eye(128), 12764)
+    with pytest.raises(ValueError, match="overflows a float"):
+        fn(np.eye(3), 10 ** 200)
+    assert designs.design_test(np.eye(128), 12763)["target"] > 0.0

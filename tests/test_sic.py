@@ -162,18 +162,21 @@ def test_gathers_match_dense_table(n, seed):
 
 
 def search_start(n, seed, r):
-    # the start of restart r of sic_search(n, seed=seed), pinned by
-    # test_search_restart_r_starts_from_seed_r
+    # the Haar vector of restart r of multistart(n, seed=seed), before
+    # sic_search moves it into the Zauner eigenspace; the descend tests
+    # below start from it as it is
     return sic._haar_start(np.random.default_rng([seed, r]), n)
 
 
 def test_search_restart_r_starts_from_seed_r():
     out = sic.sic_search(8, restarts=16, seed=1)
+    proj = sic._zauner_projector(8)
     objective = [functools.partial(fn, form=sic._gathers(8))
                  for fn in (sic._value, sic._value_grad,
                             sic._residual_jacobian)]
     for r in (0, 6, 15):
-        f = sic.optimize(search_start(8, 1, r), *objective)[1]
+        start = proj @ search_start(8, 1, r)
+        f = sic.optimize(start / np.linalg.norm(start), *objective)[1]
         assert out["stats"]["final_values"][r] == f
 
 
@@ -220,7 +223,7 @@ def test_search_stats_keys_and_tally():
 
 
 def test_search_threads_agree_where_restarts_stall():
-    # restarts 6 and 8 of this search stop on "no_decrease"; a rerun from
+    # restarts 9 and 11 of this search stop on "no_decrease"; a rerun from
     # the same seed repeats them exactly
     seq = sic.sic_search(8, restarts=16, seed=1)
     again = sic.sic_search(8, restarts=16, seed=1)
@@ -231,10 +234,19 @@ def test_search_threads_agree_where_restarts_stall():
 
 
 def test_search_zauner_starts():
-    out = sic.sic_search(5, restarts=4, seed=2, zauner=True)
+    out = sic.sic_search(5, restarts=4, seed=2)
     assert out["converged"]
     with pytest.raises(ValueError, match="between 2 and 32"):
-        sic.sic_search(33, restarts=2, seed=0, zauner=True)
+        sic.sic_search(33, restarts=2, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 12, 16])
+def test_search_fiducial_stays_in_zauner_eigenspace(n):
+    # every restart starts in the eigenspace, and descent and polish keep
+    # it there because f_sic is Clifford-invariant
+    psi = sic.sic_search(n, 8, 1)["fiducial"]
+    proj = sic._zauner_projector(n)
+    assert np.linalg.norm(proj @ psi - psi) <= TOL_MATRIX
 
 
 def _odd_primes(top):
