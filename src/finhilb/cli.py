@@ -404,28 +404,26 @@ def cmd_wigner_check(args, rep):
 # -- clifford ------------------------------------------------------------------
 
 def cmd_clifford_check(args, rep):
-    p = args.p
-    group = clifford.sl2_enumerate(p)
-    rep.check("sl2_order", len(group), p * (p * p - 1), mode="eq")
-    sample = group
-    if p > 3:
-        rng = np.random.default_rng(args.seed)
-        sample = [group[i]
-                  for i in rng.choice(len(group), size=100, replace=False)]
+    n, m = args.p, weyl.nbar(args.p)
+    group = clifford.sl2_enumerate(m)
+    rep.check("sl2_order", len(group), clifford.sl2_order(m), mode="eq")
+    if len(group) > 100:
+        group = group[np.random.default_rng(args.seed).choice(
+            len(group), size=100, replace=False)]
     rep.check("normalizer",
-              np.max([clifford.normalizer_residual(g, p) for g in sample]),
+              np.max([clifford.normalizer_residual(g, n) for g in group]),
               args.tol)
-    parity_dev = float(np.max(np.abs(
-        clifford.metaplectic(-np.eye(2, dtype=int), p)
-        - wigner.parity_operator(p))))
-    rep.check("parity", parity_dev, args.tol)
+    # U_{-I} is the parity |s> -> |-s>
+    rep.check("parity", float(np.max(np.abs(
+        weyl.metaplectic(-np.eye(2, dtype=int), n)
+        - np.eye(n)[-np.arange(n) % n]))), args.tol)
 
 
 def cmd_clifford_zauner(args, rep):
     doc = _read_json(args.fiducial)
     psi = (_decode(doc, 1) if isinstance(doc, list)
            else _checked(doc, ("sic",))["fiducial"])
-    scan = clifford.zauner_scan(psi, args.p)
+    scan = clifford.zauner_scan(psi, psi.size)
     rep.check("zauner_residual", scan["residual"], args.tol)
     rep.result = {"g": scan["g"], "b": scan["b"]}
 
@@ -630,7 +628,6 @@ def build_parser():
     _add_common(s, tol=TOL_MATRIX, seed=0)
     s.set_defaults(func=cmd_clifford_check)
     s = sub.add_parser("zauner", help="order-3 invariance scan of a fiducial")
-    s.add_argument("--p", type=int, required=True)
     s.add_argument("--fiducial", required=True,
                    help="sic JSON document or raw vector of [re, im] pairs")
     _add_common(s, tol=1e-6)

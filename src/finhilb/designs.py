@@ -90,7 +90,8 @@ def frame_operator(vectors, t: int) -> np.ndarray:
     v = _as_family(vectors, t)
     _check_unit_norms(v)
     n = v.shape[1]
-    if n ** t > 4096:
+    # n**13 > 4096 for every n >= 2, so no large integer is formed
+    if n ** min(t, 13) > 4096:
         raise ValueError("tensor power too large")
     dim = n ** t
     f = np.zeros((dim, dim), dtype=complex)

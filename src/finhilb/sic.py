@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from . import gf, weyl
+from . import weyl
 from .tol import TOL_MATRIX, TOL_SEARCH, TOL_SIC_GRAM
 
 _FTOL = 1e-30
@@ -198,21 +198,10 @@ def _haar_start(rng, n):
     return z / np.linalg.norm(z)
 
 
-def _zauner_unitary(n):
-    """U[r, s] = tau^(r^2 + 2rs) / sqrt(N), tau = -exp(i pi / N): the
-    order-3 Clifford unitary of Appleby 2005, for every N.  At an odd
-    prime it is the metaplectic unitary of [[0, -1], [1, -1]], bit for
-    bit."""
-    m = weyl.nbar(n)
-    r, s = np.indices((n, n))
-    return gf.roots_of_unity(m)[(n + 1) * m // (2 * n) * (r * r + 2 * r * s)
-                                % m] / np.sqrt(n)
-
-
 def _zauner_projector(n):
-    """Projector onto the largest eigenspace of the Zauner unitary,
-    phase-fixed so the unitary cubes to one; the first of equal ones."""
-    u = _zauner_unitary(n)
+    """Projector onto the largest eigenspace of the Zauner unitary U_G, G =
+    [[0, -1], [1, -1]], phase-fixed to cube to one; the first of equal ones."""
+    u = weyl.metaplectic(np.array([[0, -1], [1, -1]]), n)
     u = u / (np.trace(u @ u @ u) / n) ** (1.0 / 3.0)
     usq = u @ u
     projs = [(np.eye(n) + np.conj(lam) * u + np.conj(lam) ** 2 * usq) / 3.0

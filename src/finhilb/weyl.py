@@ -11,6 +11,8 @@ Conventions, fixed once for the whole package:
 * Every displacement, over Z_N or GF(p^K), is monomial.  One builder turns
   a batch of labels into that (row, phase) form; each dense matrix here
   writes it out, and the group-law check reads the dense table back.
+* ``metaplectic(G, N)`` is Appleby's Clifford unitary of G in SL(2,
+  Z_nbar(N)): ``U_G D_p U_G^dag = D_{Gp}`` up to phase, for every N.
 
 The finite-field variants label displacements by elements of GF(p^K),
 each given as its enumeration index in :mod:`finhilb.gf`.
@@ -19,6 +21,7 @@ each given as its enumeration index in :mod:`finhilb.gf`.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -29,6 +32,29 @@ MAX_DIM = 64
 
 def nbar(n: int) -> int:
     return n if n % 2 else 2 * n
+
+
+def metaplectic(g, n: int) -> np.ndarray:
+    """U_G for G = [[alpha, beta], [gamma, delta]] in SL(2, Z_nbar(N)), 2 <= N
+    <= 32 (Appleby 2005).  For beta a unit mod nbar, U[r, s] = tau**(beta^-1
+    (alpha s^2 - 2 r s + delta r^2)) / sqrt(N).  Otherwise G = (G L_x J)
+    (J^-1 L_-x) with L_x = [[1, 0], [x, 1]], J = [[0, -1], [1, 0]] and x the
+    first with alpha + beta x a unit; both factors have a unit beta."""
+    if not 2 <= n <= 32:
+        raise ValueError("metaplectic dimension must be between 2 and 32")
+    m = nbar(n)
+    a, b, c, d = (int(x) % m for x in np.ravel(g))
+    if (a * d - b * c) % m != 1:
+        raise ValueError("not a symplectic matrix mod %d" % m)
+    if math.gcd(b, m) == 1:
+        r, s = np.indices((n, n))
+        e = pow(b, -1, m) * (a * s * s - 2 * r * s + d * r * r) % m
+        # tau**e = exp(2 pi i k / nbar) with k = (N + 1) nbar / (2N) e
+        return gf.roots_of_unity(m)[(n + 1) * m // (2 * n) * e % m] \
+            / np.sqrt(n)
+    x = next(x for x in range(m) if math.gcd(a + b * x, m) == 1)
+    return metaplectic([[b, -a - b * x], [d, -c - d * x]], n) \
+        @ metaplectic([[-x, 1], [-1, 0]], n)
 
 
 def omega(n: int) -> complex:
@@ -68,9 +94,13 @@ def displacement_table(n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _table_form(n: int):
     """The monomial form of displacement_table(n), rows and vals (N*N, N)."""
-    return _standard_form(n, *np.divmod(np.arange(n * n), n))
+    form = _standard_form(n, *np.divmod(np.arange(n * n), n))
+    for a in form:
+        a.setflags(write=False)
+    return form
 
 
 def _standard_form(n, r, s):

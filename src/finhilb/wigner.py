@@ -20,7 +20,8 @@ def parity_operator(n: int) -> np.ndarray:
     and it equals the sum of the a = 0 MUB projectors minus the
     identity; all three identities are verified on construction.
     """
-    clifford._check_odd_prime(n)
+    if n == 2 or not gf.is_prime(n):
+        raise ValueError("n must be an odd prime")
     a = np.zeros((n, n), dtype=complex)
     a[-np.arange(n) % n, np.arange(n)] = 1.0
     f = combinat.fourier_matrix(n)
@@ -43,7 +44,6 @@ def phase_point_set(n: int) -> np.ndarray:
     eigenvalues are +-1 with multiplicities m, m-1 where n = 2m-1),
     unit trace, and Tr(A_{0,0} A_{r,s}) = n delta.
     """
-    clifford._check_odd_prime(n)
     if n > _MAX_N:
         raise ValueError("n too large")
     a00 = parity_operator(n)
@@ -210,7 +210,7 @@ def clifford_covariance_check(pps, g) -> float:
     A_{G(r,s)}||; conjugation is phase-free, so no minimization is
     needed."""
     n = pps.shape[0]
-    u = clifford.metaplectic(g, n)
+    u = weyl.metaplectic(g, n)
     moved = u @ pps @ u.conj().T
     targets = pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
     return float(np.abs(moved - targets).max())

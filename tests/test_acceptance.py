@@ -156,7 +156,7 @@ def test_criterion_07_metaplectic_representation():
                       for i in rng.choice(len(group), size=100, replace=False)]
         assert max(clifford.normalizer_residual(g, p) for g in sample) < 1e-10
         parity_dev = np.max(np.abs(
-            clifford.metaplectic(-np.eye(2, dtype=int), p)
+            weyl.metaplectic(-np.eye(2, dtype=int), p)
             - wigner.parity_operator(p)))
         assert parity_dev < 1e-12
     _done(7, "metaplectic representation", t0, 30.0)
@@ -203,9 +203,8 @@ def test_criterion_09_sic_search_ladder():
         assert out["fsic"] < 1e-12, "n=%d stalled at %g" % (n, out["fsic"])
         report = sic.sic_verify(out)
         assert report["pass"] and report["gramDeviation"] < 1e-8
-        if n in (3, 5, 7):
-            scan = clifford.zauner_scan(out["fiducial"], n)
-            assert scan["residual"] < 1e-6
+        scan = clifford.zauner_scan(out["fiducial"], n)
+        assert scan["residual"] < 1e-6
     # a composite N near the top of the 2..32 range
     out = sic.sic_search(24, restarts=32, seed=7)
     assert out["fsic"] < 1e-12, "n=24 stalled at %g" % out["fsic"]

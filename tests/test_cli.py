@@ -305,9 +305,8 @@ READERS = [
      lambda a: _doc("basisfamily", "vectors", a, n=3)),
     (["weyl", "expand", "--matrix", "FILE"], np.eye(3), _raw),
     (["wigner", "table", "--n", "3", "--state", "FILE"], np.eye(3)[0], _raw),
-    (["clifford", "zauner", "--p", "5", "--fiducial", "FILE"], np.eye(5)[0],
-     _raw),
-    (["clifford", "zauner", "--p", "5", "--fiducial", "FILE"], np.eye(5)[0],
+    (["clifford", "zauner", "--fiducial", "FILE"], np.eye(5)[0], _raw),
+    (["clifford", "zauner", "--fiducial", "FILE"], np.eye(5)[0],
      lambda a: _doc("sic", "fiducial", a, n=5)),
 ]
 
@@ -369,7 +368,7 @@ def test_clifford_zauner_nonfinite_fails(capsys, tmp_path, bad):
     doc.write_text(json.dumps({"kind": "sic", "version": 1, "n": 5,
                                "fiducial": vec}))
     for path in (raw, doc):
-        code, out, err = run(capsys, "clifford", "zauner", "--p", "5",
+        code, out, err = run(capsys, "clifford", "zauner",
                              "--fiducial", str(path), "--json")
         assert (code, out) == (2, ""), path.name
         assert err.startswith("error: ") and "finite" in err, path.name
@@ -512,7 +511,7 @@ _OPTIONS = {
     "wigner table": "--n --state --json --tol --out",
     "wigner check": "--n --json --tol --seed",
     "clifford check": "--p --json --tol --seed",
-    "clifford zauner": "--p --fiducial --json --tol",
+    "clifford zauner": "--fiducial --json --tol",
     "design test": "--family --t --json --tol",
     "design welch": "--family --t --json --tol",
     "sic search": "--n --json --tol --seed --restarts --threads --out",
@@ -541,7 +540,7 @@ def test_option_inventory_is_pinned():
                      for cmd, opts in _OPTIONS.items()}
     assert len(found) == 20
     assert sum(o.startswith("--") for opts in found.values()
-               for o in opts) == 73
+               for o in opts) == 72
 
 
 def test_wigner_table_csv(capsys, tmp_path):
@@ -564,7 +563,12 @@ def test_wigner_table_csv(capsys, tmp_path):
 
 def test_wigner_and_clifford_checks(capsys):
     assert run(capsys, "wigner", "check", "--n", "3")[0] == 0
-    assert run(capsys, "clifford", "check", "--p", "3")[0] == 0
+    # SL(2, Z_nbar) and its unitaries serve every N, composite and even
+    for p in ("3", "2", "4", "6"):
+        assert run(capsys, "clifford", "check", "--p", p)[0] == 0, p
+    for p in ("1", "33"):
+        code, out, err = run(capsys, "clifford", "check", "--p", p)
+        assert (code, out) == (2, "") and err.startswith("error: "), p
 
 
 def test_wigner_check_past_p13(capsys):
@@ -617,13 +621,19 @@ def test_nan_residual_after_a_finite_one_fails(capsys, monkeypatch, argv,
 
 
 def test_clifford_zauner_raw_vector(capsys, tmp_path):
+    # N is read off the fiducial; --p is gone
     path = tmp_path / "fid.json"
-    out = sic.sic_search(5, restarts=8, seed=1)
-    path.write_text(json.dumps([[z.real, z.imag] for z in out["fiducial"]]))
-    code, text, _ = run(capsys, "clifford", "zauner", "--p", "5",
-                        "--fiducial", str(path))
-    assert code == 0
-    assert "zauner_residual" in text
+    for n in (5, 6):
+        out = sic.sic_search(n, restarts=8, seed=1)
+        path.write_text(json.dumps([[z.real, z.imag]
+                                    for z in out["fiducial"]]))
+        code, text, _ = run(capsys, "clifford", "zauner", "--fiducial",
+                            str(path))
+        assert code == 0, n
+        assert "zauner_residual" in text
+    code, out, _ = run(capsys, "clifford", "zauner", "--p", "5",
+                       "--fiducial", str(path))
+    assert (code, out) == (2, "")
 
 
 def test_design_failure_exits_one(capsys, tmp_path):
@@ -715,8 +725,8 @@ _REPORT_FIELDS = [
      {"n": 3, "state": "st.json", "tol": 1e-10}, None),
     ("wigner check --n 3", "wigner check", {"n": 3, "tol": 1e-10}, 0),
     ("clifford check --p 3", "clifford check", {"p": 3, "tol": 1e-10}, 0),
-    ("clifford zauner --p 3 --fiducial sic3.json", "clifford zauner",
-     {"fiducial": "sic3.json", "p": 3, "tol": 1e-06}, None),
+    ("clifford zauner --fiducial sic3.json", "clifford zauner",
+     {"fiducial": "sic3.json", "tol": 1e-06}, None),
     ("design test --family sic3.json --t 1", "design test",
      {"family": "sic3.json", "t": 1, "tol": 1e-09}, None),
     ("design welch --family sic3.json --t 1", "design welch",

@@ -12,6 +12,13 @@ def test_sl2_counts():
     assert len(clifford.sl2_enumerate(3)) == 24
     assert len(clifford.sl2_enumerate(5)) == 120
     assert len(clifford.sl2_enumerate(7)) == 336
+    # m^3 prod over primes l | m of (1 - 1/l^2), composite m up to 64
+    for m, count in [(2, 6), (4, 48), (6, 144), (9, 648), (12, 1152),
+                     (64, 196608)]:
+        els = clifford.sl2_enumerate(m)
+        assert len(els) == clifford.sl2_order(m) == count
+        assert np.all((els[:, 0, 0] * els[:, 1, 1]
+                       - els[:, 0, 1] * els[:, 1, 0]) % m == 1)
 
 
 def test_sl2_contains_identity_and_closes():
@@ -27,12 +34,9 @@ def test_sl2_contains_identity_and_closes():
 
 
 def test_sl2_guards():
-    with pytest.raises(ValueError, match="prime"):
-        clifford.sl2_enumerate(9)
-    with pytest.raises(ValueError, match="odd"):
-        clifford.sl2_enumerate(2)
-    with pytest.raises(ValueError, match="too large"):
-        clifford.sl2_enumerate(37)
+    for m in (1, 65):
+        with pytest.raises(ValueError, match="between 2 and 64"):
+            clifford.sl2_enumerate(m)
 
 
 def _sl2_loop(p):
@@ -42,7 +46,7 @@ def _sl2_loop(p):
             if (a * d - b * c) % p == 1]
 
 
-@pytest.mark.parametrize("p", [3, 5, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 11, 13, 4, 6, 8])
 def test_sl2_enumerate_matches_loop_oracle(p):
     els = clifford.sl2_enumerate(p)
     oracle = _sl2_loop(p)
@@ -56,13 +60,13 @@ def test_sl2_enumerate_p31():
 
 
 def test_metaplectic_identity():
-    u = clifford.metaplectic(np.eye(2, dtype=int), 5)
+    u = weyl.metaplectic(np.eye(2, dtype=int), 5)
     assert np.abs(u - np.eye(5)).max() < 1e-14
 
 
 def test_metaplectic_minus_identity_is_parity():
     p = 5
-    u = clifford.metaplectic(-np.eye(2, dtype=int), p)
+    u = weyl.metaplectic(-np.eye(2, dtype=int), p)
     parity = np.zeros((p, p))
     for i in range(p):
         parity[(p - i) % p, i] = 1
@@ -71,7 +75,7 @@ def test_metaplectic_minus_identity_is_parity():
 
 def test_metaplectic_rotation_is_fourier():
     g = np.array([[0, -1], [1, 0]])
-    u = clifford.metaplectic(g, 3)
+    u = weyl.metaplectic(g, 3)
     assert np.abs(u - combinat.fourier_matrix(3)).max() < 1e-12
 
 
@@ -79,7 +83,7 @@ def test_metaplectic_unitary_and_structure():
     for p, g_list in [(3, clifford.sl2_enumerate(3)),
                       (5, clifford.sl2_enumerate(5)[::7])]:
         for g in g_list:
-            u = clifford.metaplectic(g, p)
+            u = weyl.metaplectic(g, p)
             assert np.abs(u @ u.conj().T - np.eye(p)).max() < 1e-12
             if g[0, 1] % p:
                 assert np.abs(np.abs(u) - 1 / np.sqrt(p)).max() < 1e-12
@@ -90,12 +94,14 @@ def test_metaplectic_unitary_and_structure():
 
 
 def test_metaplectic_rejects_bad_input():
-    with pytest.raises(ValueError, match="prime"):
-        clifford.metaplectic(np.eye(2, dtype=int), 4)
-    with pytest.raises(ValueError, match="odd"):
-        clifford.metaplectic(np.eye(2, dtype=int), 2)
+    for n in (1, 33):
+        with pytest.raises(ValueError, match="between 2 and 32"):
+            weyl.metaplectic(np.eye(2, dtype=int), n)
     with pytest.raises(ValueError, match="symplectic"):
-        clifford.metaplectic(np.array([[1, 1], [1, 1]]), 5)
+        weyl.metaplectic(np.array([[1, 1], [1, 1]]), 5)
+    # at even N the determinant is one mod 2N, not only mod N
+    with pytest.raises(ValueError, match="symplectic"):
+        weyl.metaplectic(np.array([[1, 0], [0, 3]]), 2)
 
 
 def phase_distance(u, v):
@@ -110,23 +116,25 @@ def phase_distance(u, v):
 def test_metaplectic_projective_representation():
     p = 3
     els = clifford.sl2_enumerate(p)
-    mats = [clifford.metaplectic(g, p) for g in els]
+    mats = [weyl.metaplectic(g, p) for g in els]
     for i, g1 in enumerate(els):
         for j, g2 in enumerate(els):
-            u12 = clifford.metaplectic((g1 @ g2) % p, p)
+            u12 = weyl.metaplectic((g1 @ g2) % p, p)
             assert phase_distance(mats[i] @ mats[j], u12) < 1e-10
 
 
 def test_metaplectic_projective_representation_sampled():
+    # U_G U_H = U_GH up to phase, G and H in SL(2, Z_nbar), composite N too
     rng = np.random.default_rng(1)
-    for p in [5, 7]:
-        els = clifford.sl2_enumerate(p)
+    for n in [5, 7, 4, 6, 9, 12]:
+        m = weyl.nbar(n)
+        els = clifford.sl2_enumerate(m)
         for _ in range(25):
             g1 = els[rng.integers(len(els))]
             g2 = els[rng.integers(len(els))]
-            lhs = clifford.metaplectic(g1, p) @ clifford.metaplectic(g2, p)
-            rhs = clifford.metaplectic((g1 @ g2) % p, p)
-            assert phase_distance(lhs, rhs) < 1e-10
+            lhs = weyl.metaplectic(g1, n) @ weyl.metaplectic(g2, n)
+            rhs = weyl.metaplectic((g1 @ g2) % m, n)
+            assert phase_distance(lhs, rhs) < 1e-10, n
 
 
 def test_normalizer_exhaustive_p3():
@@ -144,20 +152,17 @@ def test_normalizer_sampled():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 2 ** 32 - 1))
-def test_normalizer_residual_on_random_sl2(p, seed):
-    # a uniform element: a nonzero first column (a, c), then the second
-    # column on the line a d - b c = 1
+@given(st.integers(2, 32), st.integers(0, 2 ** 32 - 1))
+def test_normalizer_residual_on_random_sl2(n, seed):
+    # a uniform element of SL(2, Z_nbar): uniform 4-tuples, kept at unit
+    # determinant
+    m = weyl.nbar(n)
     rng = np.random.default_rng(seed)
-    a, c = 0, 0
-    while not (a or c):
-        a, c = (int(x) for x in rng.integers(p, size=2))
-    s = int(rng.integers(p))
-    if a:
-        b, d = s, (1 + s * c) * pow(a, -1, p) % p
-    else:
-        b, d = -pow(c, -1, p) % p, s
-    assert clifford.normalizer_residual(np.array([[a, b], [c, d]]), p) \
+    while True:
+        a, b, c, d = (int(x) for x in rng.integers(m, size=4))
+        if (a * d - b * c) % m == 1:
+            break
+    assert clifford.normalizer_residual(np.array([[a, b], [c, d]]), n) \
         <= TOL_MATRIX
 
 
@@ -180,14 +185,16 @@ def test_symplectic_form_preserved():
 
 
 def test_order3_counts_and_properties():
-    for p, count in [(3, 8), (5, 20), (7, 56)]:
-        els = clifford.order3_elements(p)
+    for n, count in [(3, 8), (5, 20), (7, 56), (32, 2048)]:
+        m = weyl.nbar(n)
+        els = clifford.order3_elements(n)
         assert len(els) == count
         eye = np.eye(2, dtype=int)
         for g in els:
             assert not np.array_equal(g, eye)
-            assert np.array_equal((g @ g @ g) % p, eye)
-            assert (g[0, 0] + g[1, 1]) % p == p - 1
+            assert np.array_equal((g @ g @ g) % m, eye)
+            assert (g[0, 0] + g[1, 1]) % m == m - 1
+            assert (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % m == 1
 
 
 def test_order3_contains_standard_element():
@@ -203,7 +210,7 @@ def test_zauner_invariance_basics():
     psi = rng.normal(size=p) + 1j * rng.normal(size=p)
     r1 = clifford.zauner_invariance(psi, g, p)
     assert 0 <= r1 <= np.sqrt(2) + 1e-12
-    rotated = clifford.metaplectic(g, p) @ (psi / np.linalg.norm(psi))
+    rotated = weyl.metaplectic(g, p) @ (psi / np.linalg.norm(psi))
     r2 = clifford.zauner_invariance(rotated, g, p)
     assert abs(r1 - r2) < 1e-10
 
@@ -211,7 +218,7 @@ def test_zauner_invariance_basics():
 def test_zauner_invariance_eigenvector_hits_zero():
     p = 5
     g = clifford.order3_elements(p)[0]
-    u = clifford.metaplectic(g, p)
+    u = weyl.metaplectic(g, p)
     phase = np.trace(u @ u @ u) / p     # U^3 is a global phase
     u = u / phase ** (1 / 3)
     proj = (np.eye(p) + u + u @ u) / 3  # onto the fixed subspace of U
@@ -238,11 +245,11 @@ def test_zauner_scan_matches_dense_table():
     # the scan gathers <psi|D_b on the monomial form; the reference
     # multiplies by the dense displacement table
     rng = np.random.default_rng(8)
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 4, 6):
         psi = rng.normal(size=p) + 1j * rng.normal(size=p)
         psi /= np.linalg.norm(psi)
         table = weyl.displacement_table(p)
-        best = max(np.abs((table @ (clifford.metaplectic(g, p) @ psi))
+        best = max(np.abs((table @ (weyl.metaplectic(g, p) @ psi))
                           @ psi.conj()).max()
                    for g in clifford.order3_elements(p))
         ref = np.sqrt(max(0.0, 2.0 - 2.0 * best))
@@ -258,14 +265,6 @@ def test_zauner_nonfinite_input_gives_nan(bad):
     out = clifford.zauner_scan(psi, 5)
     assert np.isnan(out["residual"])
     assert out["g"].shape == (2, 2) and len(out["b"]) == 2
-
-
-def test_order3_trace_invariant_raises(monkeypatch):
-    # diag(2, 2) cubes to one mod 7 but has trace 4, not -1
-    monkeypatch.setattr(clifford, "sl2_enumerate",
-                        lambda p: [np.diag([2, 2])])
-    with pytest.raises(RuntimeError, match="trace"):
-        clifford.order3_elements(7)
 
 
 def test_single_qubit_clifford_group():
@@ -288,9 +287,9 @@ def test_single_qubit_clifford_group():
 def _wrong_g_metaplectic(monkeypatch):
     """Make U_G the metaplectic of G transposed, so that the targets the
     checks index by G no longer match the conjugation."""
-    right = clifford.metaplectic
-    monkeypatch.setattr(clifford, "metaplectic",
-                        lambda g, p: right(np.asarray(g).T, p))
+    right = weyl.metaplectic
+    monkeypatch.setattr(weyl, "metaplectic",
+                        lambda g, n: right(np.asarray(g).T, n))
 
 
 def test_normalizer_fails_on_wrong_g(monkeypatch):
@@ -300,9 +299,12 @@ def test_normalizer_fails_on_wrong_g(monkeypatch):
     assert clifford.normalizer_residual(g, 5) > 0.1
 
 
-def test_normalizer_reads_displacement_table(monkeypatch):
+def test_normalizer_reads_table_form(monkeypatch):
+    # the phases of D_7 are corrupted along its rows in the monomial form
+    # the check reads
     p = 5
-    table = weyl.displacement_table(p).copy()
-    table[7] *= np.exp(0.3j * np.arange(p))[:, None]
-    monkeypatch.setattr(weyl, "displacement_table", lambda n: table)
+    rows, vals = weyl._table_form(p)
+    vals = vals.copy()
+    vals[7] *= np.exp(0.3j * rows[7])
+    monkeypatch.setattr(weyl, "_table_form", lambda n: (rows, vals))
     assert clifford.normalizer_residual(np.array([[1, 1], [0, 1]]), p) > 0.1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,11 @@ def test_frame_operator_identity_for_basis():
 def test_frame_operator_guard():
     with pytest.raises(ValueError, match="too large"):
         designs.frame_operator(np.eye(17, dtype=complex), 4)
+    # rejected before 2**t is formed as an integer
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="too large"):
+        designs.frame_operator(np.eye(2, dtype=complex), 10 ** 8)
+    assert time.monotonic() - t0 < 0.3
 
 
 def test_tight_bound_goldens():

@@ -97,7 +97,7 @@ def test_env_and_thread_lint_catches_each_form():
 
 # Declared module layers: a module may import, from inside the package, only
 # modules earlier in this order, so no import cycle can form (sic reads no
-# clifford: its Zauner unitary is its own closed form).
+# clifford: its Zauner unitary is weyl.metaplectic).
 LAYERS = ("tol", "gf", "weyl", "combinat", "designs", "sic", "clifford",
           "mub", "wigner", "cli")
 
@@ -142,3 +142,47 @@ def test_layer_lint_catches_back_edges():
                                               (6, "cli"), (7, "wigner")]
     assert _layer_violations("tol", ast.parse("from . import gf\n")) \
         == [(1, "gf")]
+
+
+def _defined_functions(tree, name):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == name]
+
+
+def test_one_metaplectic_in_the_package():
+    # every dimension's Clifford unitary comes from one formula, in weyl
+    found = {path.stem: _defined_functions(ast.parse(path.read_text()),
+                                           "metaplectic")
+             for path in SOURCES}
+    assert {stem: lines for stem, lines in found.items() if lines} \
+        == {"weyl": found["weyl"]} and len(found["weyl"]) == 1
+
+
+def _names(tree, name):
+    """Lines that name `name`: as a variable, an attribute or an import."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name
+                  or isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any(a.name.split(".")[-1] == name for a in node.names))
+
+
+@pytest.mark.parametrize("stem", ["clifford", "sic"])
+def test_no_dense_displacement_table(stem):
+    # both read the monomial form; the dense N^4 table stays in weyl
+    path = Path(finhilb.__file__).parent / ("%s.py" % stem)
+    lines = _names(ast.parse(path.read_text()), "displacement_table")
+    assert not lines, "%s names displacement_table at line(s) %s" % (
+        path.name, lines)
+
+
+def test_name_lint_catches_each_form():
+    tree = ast.parse("from .weyl import displacement_table\n"
+                     "a = weyl.displacement_table(3)\n"
+                     "b = displacement_table\n"
+                     "c = weyl._table_form(3)\n"
+                     "def metaplectic(g, n):\n"
+                     "    return g\n")
+    assert _names(tree, "displacement_table") == [1, 2, 3]
+    assert _defined_functions(tree, "metaplectic") == [5]

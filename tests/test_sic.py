@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finhilb import clifford, designs, gf, mub, sic, weyl
+from finhilb import designs, gf, mub, sic, weyl
 from finhilb.tol import TOL_MATRIX
 
 
@@ -254,12 +254,28 @@ def _odd_primes(top):
             if all(p % k for k in range(3, p, 2))]
 
 
+ZAUNER = np.array([[0, -1], [1, -1]])
+
+
+def _zauner_closed_form(n):
+    """U[r, s] = tau^(r^2 + 2rs) / sqrt(N), tau = -exp(i pi / N), from one
+    roots table: the Zauner unitary every search has started from."""
+    m = weyl.nbar(n)
+    r, s = np.indices((n, n))
+    return gf.roots_of_unity(m)[(n + 1) * m // (2 * n) * (r * r + 2 * r * s)
+                                % m] / np.sqrt(n)
+
+
 @pytest.mark.parametrize("p", _odd_primes(31))
 def test_zauner_unitary_is_metaplectic_at_odd_primes(p):
-    # clifford.metaplectic is the reference: same exponent, same roots
-    # table, same scaling, so every --zauner output keeps its bytes
-    meta = clifford.metaplectic(np.array([[0, -1], [1, -1]]), p)
-    assert np.array_equal(sic._zauner_unitary(p), meta)
+    # at an odd prime the exponent is the textbook (delta r^2 - 2rs + alpha
+    # s^2) / (2 beta) mod p, on the same roots table and scaling
+    r, s = np.indices((p, p))
+    inv2b = pow(-2, -1, p)
+    textbook = gf.roots_of_unity(p)[inv2b * (-r * r - 2 * r * s) % p] \
+        / np.sqrt(p)
+    assert np.array_equal(weyl.metaplectic(ZAUNER, p), textbook)
+    assert np.array_equal(_zauner_closed_form(p), textbook)
 
 
 def _cube_off_scalar(u):
@@ -269,7 +285,9 @@ def _cube_off_scalar(u):
 
 @pytest.mark.parametrize("n", range(2, 33))
 def test_zauner_unitary_order3_clifford(n):
-    u = sic._zauner_unitary(n)
+    # bit for bit the closed form, so every search keeps its bytes
+    u = weyl.metaplectic(ZAUNER, n)
+    assert np.array_equal(u, _zauner_closed_form(n))
     assert np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-12
     assert _cube_off_scalar(u) <= 1e-12
     # U D U^dag is a displacement up to phase: monomial for every label

@@ -314,9 +314,9 @@ def test_covariance_fails_on_wrong_g(monkeypatch):
     pps = wigner.phase_point_set(5)
     g = np.array([[1, 1], [0, 1]])
     assert wigner.clifford_covariance_check(pps, g) < 1e-10
-    right = clifford.metaplectic
-    monkeypatch.setattr(clifford, "metaplectic",
-                        lambda g, p: right(np.asarray(g).T, p))
+    right = weyl.metaplectic
+    monkeypatch.setattr(weyl, "metaplectic",
+                        lambda g, n: right(np.asarray(g).T, n))
     assert wigner.clifford_covariance_check(pps, g) > 0.1
 
 
