@@ -21,6 +21,9 @@ class KindMismatch(ValueError):
 # -- artifact boundary --------------------------------------------------------
 # Complex arrays leave by `persist`/`_encode` as nested [re, im] pairs and come
 # back through `_decode`, which every file and raw-array input passes once.
+# Artifacts repeat few distinct floats (roots of unity over sqrt(q)), so
+# `persist` writes the repr of each distinct float once and `_read_json`
+# parses each distinct float token once, both memos living for one call.
 
 # Every document kind, with the complex field commands read and its axes.
 _ARRAYS = {"mubset": ("bases", 3), "basisfamily": ("vectors", 2),
@@ -55,9 +58,9 @@ def _decode(data, ndim):
 
 def _template(shape, level):
     """The `indent=1` text of a float array of `shape` whose first line
-    sits at indent `level`, with a %r slot per entry."""
+    sits at indent `level`, with a %s slot per entry."""
     if not shape or not shape[0]:
-        return "[]" if shape else "%r"
+        return "[]" if shape else "%s"
     pad = "\n" + " " * (level + 1)
     inner = _template(shape[1:], level + 1)
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + pad[:-1] + "]"
@@ -67,7 +70,8 @@ def persist(doc: dict, path: str) -> None:
     """Write `doc` as `json.dumps(doc, sort_keys=True, indent=1,
     default=_encode)` plus a newline.  Each finite float or complex array
     is left as a placeholder and written by `_template`, the same bytes
-    without json's pure-Python encoder."""
+    without json's pure-Python encoder: the repr of each distinct float64
+    bit pattern (so 0.0 and -0.0 stay apart) is taken once per array."""
     if doc.get("kind") not in _ARRAYS:
         raise ValueError("unknown document kind: %r" % doc.get("kind"))
     arrays = []
@@ -88,15 +92,29 @@ def persist(doc: dict, path: str) -> None:
     out = pieces[:1]
     for a, piece in zip(arrays, pieces[1:]):
         line = out[-1].rsplit("\n", 1)[-1]  # indent of the placeholder's line
+        # float32 entries widen to float64, as `tolist()` widens them
+        bits, inverse = np.unique(np.asarray(a, float).ravel().view(np.int64),
+                                  return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(float).tolist()], object)
         out += [_template(a.shape, len(line) - len(line.lstrip(" ")))
-                % tuple(a.ravel().tolist()), piece]
+                % tuple(text[inverse].tolist()), piece]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(out + ["\n"])
 
 
+class _FloatMemo(dict):
+    """Float token text -> float, parsed on first sight."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
 def _read_json(path):
+    """The JSON document at `path`, each distinct float token parsed once;
+    equal tokens share one float object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_FloatMemo().__getitem__)
 
 
 def _checked(doc, kinds):

@@ -81,7 +81,8 @@ def order3_elements(n: int) -> np.ndarray:
 def zauner_invariance(psi, g, n: int) -> float:
     """Phase-minimized ||U_G psi - psi|| for one symplectic G."""
     psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    with np.errstate(invalid="ignore"):  # a NaN or inf norm gives NaN psi
+        psi = psi / np.linalg.norm(psi)
     ov = abs(np.vdot(psi, weyl.metaplectic(g, n) @ psi))
     # np.maximum keeps a NaN that Python's max would drop
     return float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * ov)))
@@ -96,7 +97,8 @@ def zauner_scan(psi, n: int) -> dict:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (n,):
         raise ValueError("expected a fiducial of dimension %d" % n)
-    psi = psi / np.linalg.norm(psi)
+    with np.errstate(invalid="ignore"):  # a NaN or inf norm gives NaN psi
+        psi = psi / np.linalg.norm(psi)
     rows, vals = weyl._table_form(n)
     # <psi|D_b for every b, gathered from the monomial form
     bras = psi.conj()[rows] * vals

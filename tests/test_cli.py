@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -230,9 +231,13 @@ def test_codec_roundtrip_is_bit_exact(tmp_path, z):
 
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 NONFINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 ARRAYS = st.one_of(
     hnp.arrays(float, SHAPES, elements=FINITE),
     hnp.arrays(complex, SHAPES, elements=st.builds(complex, FINITE, FINITE)),
+    hnp.arrays(np.float32, SHAPES, elements=FINITE32),
+    hnp.arrays(np.complex64, SHAPES,
+               elements=st.builds(complex, FINITE32, FINITE32)),
     hnp.arrays(np.int64, SHAPES, elements=st.integers(-2 ** 62, 2 ** 62)),
     hnp.arrays(bool, SHAPES),
     # finite entries with at least one NaN or inf among them
@@ -262,6 +267,51 @@ def test_persist_bytes_match_indent1_reference(tmp_path, vectors, extra):
     reference = json.dumps(doc, sort_keys=True, indent=1,
                            default=cli._encode) + "\n"
     assert path.read_bytes() == reference.encode("utf-8")
+
+
+def test_persist_keeps_signed_zeros_among_repeats(tmp_path):
+    # the writer takes one repr per float64 bit pattern: 0.0 and -0.0 are
+    # equal values with different text, and repeats share one repr
+    x = np.array([[0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, -0.5, 0.5]])
+    z = np.empty(x.shape, complex)
+    z.real, z.imag = x, x[::-1]
+    doc = {"kind": "basisfamily", "version": 1, "n": 4, "vectors": z,
+           "metadata": {"label": "zeros", "gram": x}}
+    path = tmp_path / "doc.json"
+    cli.persist(doc, str(path))
+    text = path.read_text()
+    assert text == json.dumps(doc, sort_keys=True, indent=1,
+                              default=cli._encode) + "\n"
+    assert re.search(r"(?m)^ +0\.0,?$", text)
+    assert re.search(r"(?m)^ +-0\.0,?$", text)
+
+
+# Float tokens that repeat, or differ only in spelling, or round to zero,
+# a subnormal or inf
+SPELLINGS = st.sampled_from(["1.0", "1.00", "1e0", "10e-1", "0.0", "-0.0",
+                             "0e5", "-0.000", "5e-324", "4.9e-324",
+                             "2.5e-324", "1e400", "-1e400", "0.1",
+                             "0.10000000000000001", "-0.5", "2"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(
+    SPELLINGS, SPELLINGS | FINITE.map(repr)), min_size=1, max_size=12))
+def test_read_json_float_memo_matches_plain_json(tmp_path, pairs):
+    text = ('{"kind": "sic", "version": 1, "n": %d, "fiducial": [%s]}'
+            % (len(pairs), ", ".join("[%s, %s]" % p for p in pairs)))
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    got = [x for p in cli._read_json(str(path))["fiducial"] for x in p]
+    ref = [x for p in json.loads(text)["fiducial"] for x in p]
+    assert [type(x) for x in got] == [type(x) for x in ref]
+    assert (np.array(got, float).view(np.int64).tolist()
+            == np.array(ref, float).view(np.int64).tolist())
+    # one float object per distinct token
+    first = {}
+    for token, x in zip([t for p in pairs for t in p], got):
+        assert first.setdefault(token, x) is x
 
 
 def test_persist_string_equal_to_the_placeholder(tmp_path):
@@ -316,8 +366,8 @@ def _malformed(z, bad):
     if bad == "missing":
         return MISSING
     pairs = np.stack([np.real(z), np.imag(z)], -1)
-    if bad in ("nan", "inf"):
-        pairs.flat[0] = float(bad)
+    if bad in ("nan", "inf", "overflow"):  # overflow: inf, written as 1e400
+        pairs.flat[0] = float("inf" if bad == "overflow" else bad)
     if bad == "width3":
         pairs = np.concatenate([pairs, pairs[..., :1]], -1)
     out = pairs.tolist()
@@ -331,18 +381,24 @@ def _malformed(z, bad):
     return out
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "string", "ragged", "width3",
-                                 "missing"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow", "string", "ragged",
+                                 "width3", "missing"])
 def test_nonfinite_input_is_validation_error(capsys, tmp_path, bad):
     # non-finite, non-numeric, misshapen or missing array input is refused
     # at the load boundary of every command that reads one: exit 2
     path = tmp_path / "input.json"
     for argv, z, build in READERS:
-        path.write_text(json.dumps(build(_malformed(z, bad))))
+        text = json.dumps(build(_malformed(z, bad)))
+        if bad == "overflow":  # a decimal token that float() reads as inf
+            text = text.replace("Infinity", "1e400")
+            assert "1e400" in text
+        path.write_text(text)
         argv = [str(path) if a == "FILE" else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+        if bad in ("nan", "inf", "overflow"):
+            assert "finite" in err, argv
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
