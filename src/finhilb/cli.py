@@ -175,6 +175,11 @@ class Report:
                             "threshold": threshold, "pass": bool(ok)})
         return ok
 
+    def record(self, deviations, threshold):
+        """One `le` check per named deviation, in order, at `threshold`."""
+        for name, value in deviations.items():
+            self.check(name, value, threshold)
+
     @property
     def passed(self):
         return all(c["pass"] for c in self.checks)
@@ -257,18 +262,11 @@ def cmd_weyl_check(args, rep):
 
 
 def cmd_weyl_expand(args, rep):
-    mat = _decode(_read_json(args.matrix), 2)
-    coef = weyl.expand_operator(mat)
-    residual = float(np.max(np.abs(weyl.reconstruct_operator(coef) - mat)))
-    rep.check("reconstruction", residual, args.tol)
+    coef, devs = weyl.expansion(_decode(_read_json(args.matrix), 2))
+    rep.record(devs, args.tol)
     rep.result = {"coefficients": coef}
-    n = coef.shape[0]
-    lines = ["r  s  coefficient"]
-    for r in range(n):
-        for s in range(n):
-            lines.append("%d  %d  %.12g %+.12gj"
-                         % (r, s, coef[r, s].real, coef[r, s].imag))
-    return lines
+    return ["r  s  coefficient"] + ["%d  %d  %.12g %+.12gj" % (
+        r, s, z.real, z.imag) for (r, s), z in np.ndenumerate(coef)]
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -295,24 +293,15 @@ def cmd_hadamard_fourier(args, rep):
     rep.save({"kind": "basisfamily", "version": FORMAT_VERSION, "n": args.n,
               "vectors": mat.T, "metadata": {"label": "fourier"}}, args.out)
     rep.result = {"matrix": mat}
-    lines = []
-    for row in mat:
-        lines.append("  ".join("%+.6f%+.6fj" % (z.real, z.imag) for z in row))
-    return lines
+    return ["  ".join("%+.6f%+.6fj" % (z.real, z.imag) for z in row)
+            for row in mat]
 
 
 def cmd_werner(args, rep):
     had = combinat.fourier_matrix(args.n)  # capped before latin allocates
     latin = combinat.latin_from_group(args.n)
     vecs = combinat.werner_basis(latin, had)
-    gram_dev = float(np.max(np.abs(vecs @ vecs.conj().T
-                                   - np.eye(args.n * args.n))))
-    # np.max keeps a NaN that Python's max would drop, here and below
-    red_dev = np.max([np.abs(rho - np.eye(args.n) / args.n).max()
-                      for v in vecs
-                      for rho in combinat.reduced_density_matrices(v, args.n)])
-    rep.check("gram_identity", gram_dev, args.tol)
-    rep.check("reduced_states", red_dev, args.tol)
+    rep.record(combinat.werner_invariants(vecs, args.n), args.tol)
     rep.save({"kind": "basisfamily", "version": FORMAT_VERSION,
               "n": args.n * args.n, "vectors": vecs,
               "metadata": {"label": "werner", "latin": latin,
@@ -322,10 +311,7 @@ def cmd_werner(args, rep):
 # -- mub ---------------------------------------------------------------------
 
 def cmd_mub_gen(args, rep):
-    if args.k == 1:
-        bases = mub.qubit_mubs() if args.p == 2 else mub.ivanovic_mubs(args.p)
-    else:
-        bases = mub.subgroup_eigenbases(args.p, args.k)
+    bases = mub.complete_set(args.p, args.k)
     n = bases[0].shape[0]
     report = mub.unbiasedness_check(bases, tol=args.tol)
     rep.check("bases", report["bases"], n + 1, mode="eq")
@@ -335,10 +321,7 @@ def cmd_mub_gen(args, rep):
 
 
 def cmd_mub_verify(args, rep):
-    doc = load(args.file, "mubset")
-    devs = mub.family_deviations(doc["bases"])
-    rep.check("orthonormality", np.max(devs["orthonormality"]), args.tol)
-    rep.check("unbiasedness", devs["max_deviation"], args.tol)
+    rep.record(mub.invariants(load(args.file, "mubset")["bases"]), args.tol)
 
 
 def cmd_mub_mermin(args, rep):
@@ -372,12 +355,9 @@ def cmd_wigner_table(args, rep):
                          % (psi.size, args.n))
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("state is not a unit vector")
-    pps = wigner.phase_point_set(args.n)
-    rho = np.outer(psi, psi.conj())
-    table = wigner.wigner_function(rho, pps)
-    rep.check("total", abs(float(table.sum()) - 1.0), args.tol)
-    rep.check("roundtrip", float(np.max(np.abs(
-        wigner.reconstruct_state(table, pps) - rho))), args.tol)
+    table, devs = wigner.roundtrip(np.outer(psi, psi.conj()),
+                                   wigner.phase_point_set(args.n))
+    rep.record(devs, args.tol)
     if args.out and not args.out.endswith(".json"):
         with open(args.out, "w", encoding="utf-8") as fh:
             for row in table:
@@ -391,50 +371,15 @@ def cmd_wigner_table(args, rep):
 
 
 def cmd_wigner_check(args, rep):
-    n = args.n
-    pps = wigner.phase_point_set(n)
-    parity = pps[0, 0]
-    four = combinat.fourier_matrix(n)
-    rep.check("parity_square",
-              float(np.max(np.abs(parity @ parity - np.eye(n)))), args.tol)
-    rep.check("fourier_square",
-              float(np.max(np.abs(four @ four - parity))), args.tol)
-    flat = pps.reshape(n * n, n * n)
-    gram = flat @ pps.transpose(0, 1, 3, 2).reshape(n * n, n * n).T / n
-    rep.check("orthogonality", float(np.max(np.abs(gram - np.eye(n * n)))),
-              args.tol)
-    rng = np.random.default_rng(args.seed)
-    rho = wigner.random_density(rng, n)
-    wtab = wigner.wigner_function(rho, pps)
-    rep.check("roundtrip", float(np.max(np.abs(
-        wigner.reconstruct_state(wtab, pps) - rho))), args.tol)
-    line_map = wigner.mub_line_map(pps)
-    rep.check("line_map", np.max([e["max_residual"] for e in line_map]),
-              args.tol)
-    gs = clifford.sl2_enumerate(n)
-    if n > 3:
-        gs = [gs[i] for i in rng.choice(len(gs), size=50, replace=False)]
-    rep.check("covariance",
-              np.max([wigner.clifford_covariance_check(pps, g) for g in gs]),
-              args.tol)
+    rep.record(wigner.invariants(args.n, np.random.default_rng(args.seed)),
+               args.tol)
 
 
 # -- clifford ------------------------------------------------------------------
 
 def cmd_clifford_check(args, rep):
-    n, m = args.p, weyl.nbar(args.p)
-    group = clifford.sl2_enumerate(m)
-    rep.check("sl2_order", len(group), clifford.sl2_order(m), mode="eq")
-    if len(group) > 100:
-        group = group[np.random.default_rng(args.seed).choice(
-            len(group), size=100, replace=False)]
-    rep.check("normalizer",
-              np.max([clifford.normalizer_residual(g, n) for g in group]),
-              args.tol)
-    # U_{-I} is the parity |s> -> |-s>
-    rep.check("parity", float(np.max(np.abs(
-        weyl.metaplectic(-np.eye(2, dtype=int), n)
-        - np.eye(n)[-np.arange(n) % n]))), args.tol)
+    rep.record(clifford.invariants(args.p, np.random.default_rng(args.seed)),
+               args.tol)
 
 
 def cmd_clifford_zauner(args, rep):
@@ -451,7 +396,7 @@ def cmd_clifford_zauner(args, rep):
 def cmd_design_test(args, rep):
     vectors = _load_family(args.family)
     out = designs.design_test(vectors, args.t, tol=args.tol)
-    rep.check("moment_deviation", abs(out["value"] - out["target"]), args.tol)
+    rep.check("moment_deviation", out["deviation"], args.tol)
     rep.result = {"value": out["value"], "target": out["target"],
                   "isDesign": out["isDesign"]}
 
@@ -508,33 +453,22 @@ def cmd_suite(args, rep):
     rep.check("weyl_group_law", weyl.group_law_max_residual(n), TOL_MATRIX)
     prime = gf.is_prime(n)
     if prime:
-        bases = mub.qubit_mubs() if n == 2 else mub.ivanovic_mubs(n)
+        bases = mub.complete_set(n)
         rep.check("mub_unbiasedness",
                   mub.unbiasedness_check(bases)["max_deviation"], TOL_OVERLAP)
         family = np.hstack(bases).T
-        for t in (1, 2):
-            out = designs.design_test(family, t)
-            rep.check("design_t%d" % t, abs(out["value"] - out["target"]),
-                      TOL_OVERLAP)
-        if n == 2:
-            out = designs.design_test(family, 3)
-            rep.check("design_t3", abs(out["value"] - out["target"]),
-                      TOL_OVERLAP)
+        for t in (1, 2, 3) if n == 2 else (1, 2):
+            rep.check("design_t%d" % t,
+                      designs.design_test(family, t)["deviation"], TOL_OVERLAP)
     if prime and n % 2 and n <= 31:
-        pps = wigner.phase_point_set(n)
-        parity = pps[0, 0]
-        rep.check("wigner_parity_square",
-                  float(np.max(np.abs(parity @ parity - np.eye(n)))),
-                  TOL_MATRIX)
         rho = wigner.random_density(np.random.default_rng(args.seed), n)
-        wtab = wigner.wigner_function(rho, pps)
-        rep.check("wigner_roundtrip", float(np.max(np.abs(
-            wigner.reconstruct_state(wtab, pps) - rho))), TOL_MATRIX)
+        rep.check("wigner_roundtrip", wigner.roundtrip(
+            rho, wigner.phase_point_set(n))[1]["roundtrip"], TOL_MATRIX)
     if n <= 6:
         vecs = combinat.werner_basis(combinat.latin_from_group(n),
                                      combinat.fourier_matrix(n))
-        rep.check("werner_gram", float(np.max(np.abs(
-            vecs @ vecs.conj().T - np.eye(n * n)))), TOL_MATRIX)
+        rep.check("werner_gram", combinat.werner_invariants(
+            vecs, n)["gram_identity"], TOL_MATRIX)
 
 
 # -- parser --------------------------------------------------------------------

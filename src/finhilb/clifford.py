@@ -66,6 +66,20 @@ def normalizer_residual(g, n: int) -> float:
     return float(np.abs(w).max())
 
 
+def invariants(n: int, rng) -> dict:
+    """Deviations in report order: `normalizer`, an np.max fold (keeping a
+    NaN) over SL(2, Z_nbar(N)) or 100 elements of it drawn from rng, and
+    `parity`, max |U_{-I} - P| for the parity P: |s> -> |-s>."""
+    group = sl2_enumerate(weyl.nbar(n))
+    if len(group) > 100:
+        group = group[rng.choice(len(group), size=100, replace=False)]
+    return {"normalizer": float(np.max([normalizer_residual(g, n)
+                                        for g in group])),
+            "parity": float(np.max(np.abs(
+                weyl.metaplectic(-np.eye(2, dtype=int), n)
+                - np.eye(n)[-np.arange(n) % n])))}
+
+
 def order3_elements(n: int) -> np.ndarray:
     """Every G != 1 in SL(2, Z_nbar(N)) with trace -1, in lexicographic
     order; G^2 + G + 1 = 0 by Cayley-Hamilton, so G^3 = 1."""

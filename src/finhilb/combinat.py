@@ -220,3 +220,14 @@ def reduced_density_matrices(v, n: int):
     """Both one-sided reductions of a bipartite pure state on C^n x C^n."""
     M = np.asarray(v, dtype=complex).reshape(n, n)
     return M @ M.conj().T, M.T @ M.conj()
+
+
+def werner_invariants(vecs, n: int) -> dict:
+    """Deviations of the Werner basis rows vecs, in report order:
+    `gram_identity` max |V V^dag - 1| and `reduced_states` max |rho - 1/n|
+    over both reductions of each row; np.max folds keep a NaN."""
+    return {"gram_identity": float(np.max(np.abs(
+                vecs @ vecs.conj().T - np.eye(n * n)))),
+            "reduced_states": float(np.max([
+                np.abs(rho - np.eye(n) / n).max() for v in vecs
+                for rho in reduced_density_matrices(v, n)]))}

@@ -49,22 +49,25 @@ def design_target(n: int, t: int) -> float:
 
 def design_test(vectors, t: int, tol: float = TOL_OVERLAP) -> dict:
     """Moment criterion: the family is a t-design iff the 2t-th overlap
-    moment equals the Fubini-Study value."""
+    moment equals the Fubini-Study value; `deviation` is |value - target|,
+    and `isDesign` holds when it is at most tol."""
     v = _as_family(vectors, t)
     _check_unit_norms(v)
     n = v.shape[1]
     g2 = np.abs(v.conj() @ v.T) ** 2
     value = float((g2 ** t).mean())
     target = design_target(n, t)
-    is_design = abs(value - target) < tol
+    deviation = abs(value - target)
+    is_design = deviation <= tol
     if is_design:
         # a t-design is automatically a t'-design for all t' < t
         for lower in range(1, t):
             if not abs(float((g2 ** lower).mean())
-                       - design_target(n, lower)) < tol:
+                       - design_target(n, lower)) <= tol:
                 raise RuntimeError("a %d-design that is not a %d-design"
                                    % (t, lower))
-    return {"value": value, "target": target, "isDesign": is_design}
+    return {"value": value, "target": target, "deviation": deviation,
+            "isDesign": is_design}
 
 
 def welch_bound(vectors, t: int) -> dict:

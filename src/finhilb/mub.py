@@ -71,6 +71,14 @@ def family_deviations(bases) -> dict:
     return out
 
 
+def invariants(bases) -> dict:
+    """family_deviations folded in report order, keeping a NaN: the worst
+    member's orthonormality and the max_deviation as unbiasedness."""
+    devs = family_deviations(bases)
+    return {"orthonormality": float(np.max(devs["orthonormality"])),
+            "unbiasedness": devs["max_deviation"]}
+
+
 def unbiasedness_check(bases, tol: float = TOL_OVERLAP) -> dict:
     """Check that a family of orthonormal bases is mutually unbiased.
 
@@ -213,6 +221,14 @@ def subgroup_eigenbases(p: int, k: int):
     rows, vals = weyl._field_form(spec, u[..., 0].ravel(), u[..., 1].ravel())
     return [canonicalize_basis(b) for b in _stabilizer_basis(
         rows.reshape(q + 1, k, q), vals.reshape(q + 1, k, q), p)]
+
+
+def complete_set(p: int, k: int = 1):
+    """The complete set of p^k + 1 MUBs: qubit_mubs() for p^k = 2,
+    ivanovic_mubs(p) for k = 1, subgroup_eigenbases(p, k) otherwise."""
+    if k == 1:
+        return qubit_mubs() if p == 2 else ivanovic_mubs(p)
+    return subgroup_eigenbases(p, k)
 
 
 def bbrv_flower(bases):

@@ -223,6 +223,14 @@ def reconstruct_operator(coef) -> np.ndarray:
     return np.tensordot(coef.reshape(n * n), ds, axes=1)
 
 
+def expansion(A):
+    """expand_operator(A) and its deviation `reconstruction`, max |sum_{r,s}
+    a_{r,s} D_{r,s} - A|."""
+    coef = expand_operator(A)
+    return coef, {"reconstruction": float(np.max(np.abs(
+        reconstruct_operator(coef) - A)))}
+
+
 # -- finite-field displacements ---------------------------------------------
 
 def field_shift(spec, u) -> np.ndarray:

@@ -95,6 +95,34 @@ def reconstruct_state(w, pps) -> np.ndarray:
     return np.einsum("rs,rsij->ij", np.asarray(w), pps)
 
 
+def roundtrip(rho, pps):
+    """The Wigner table W of rho and its deviations `total`, |sum W - 1|,
+    and `roundtrip`, max |sum W_{r,s} A_{r,s} - rho|."""
+    w = wigner_function(rho, pps)
+    return w, {"total": abs(float(w.sum()) - 1.0), "roundtrip": float(
+        np.max(np.abs(reconstruct_state(w, pps) - rho)))}
+
+
+def invariants(n: int, rng) -> dict:
+    """Phase-point deviations in report order, each an np.max fold that
+    keeps a NaN: Gram orthogonality, roundtrip of a density matrix from
+    rng, line_map, and covariance under SL(2, Z_n), or under 50 elements
+    drawn from rng after the density matrix when n > 3."""
+    pps = phase_point_set(n)
+    gram = pps.reshape(n * n, n * n) @ pps.transpose(0, 1, 3, 2).reshape(
+        n * n, n * n).T / n
+    rho = random_density(rng, n)
+    gs = clifford.sl2_enumerate(n)
+    if n > 3:
+        gs = gs[rng.choice(len(gs), size=50, replace=False)]
+    return {"orthogonality": float(np.max(np.abs(gram - np.eye(n * n)))),
+            "roundtrip": roundtrip(rho, pps)[1]["roundtrip"],
+            "line_map": float(np.max([e["max_residual"]
+                                      for e in mub_line_map(pps)])),
+            "covariance": float(np.max([clifford_covariance_check(pps, g)
+                                        for g in gs]))}
+
+
 def pencil_directions(n: int):
     """The n + 1 directions labelling families of parallel lines:
     (0,1), then (x,1) for x = 1..n-1, then (1,0); direction k matches

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from finhilb import cli, clifford, combinat, mub, sic, wigner
+from finhilb import (cli, clifford, combinat, designs, mub, sic, weyl,
+                     wigner)
 
 
 def run(capsys, *argv):
@@ -674,6 +675,79 @@ def test_nan_residual_after_a_finite_one_fails(capsys, monkeypatch, argv,
     failed = {c["name"]: c["value"] for c in json.loads(out)["checks"]
               if not c["pass"]}
     assert list(failed) == [check] and np.isnan(failed[check])
+
+
+def _recorded(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0, argv
+    return [(c["name"], c["value"]) for c in json.loads(out)["checks"]]
+
+
+def test_commands_record_the_library_invariants(capsys, tmp_path):
+    # each command records its library function's dict: names, order and
+    # float values, bit for bit, for a fixed seed
+    assert _recorded(capsys, "wigner", "check", "--n", "7", "--seed", "4") \
+        == list(wigner.invariants(7, np.random.default_rng(4)).items())
+    assert _recorded(capsys, "clifford", "check", "--p", "6", "--seed", "4") \
+        == list(clifford.invariants(6, np.random.default_rng(4)).items())
+    vecs = combinat.werner_basis(combinat.latin_from_group(3),
+                                 combinat.fourier_matrix(3))
+    assert _recorded(capsys, "werner", "--n", "3") \
+        == list(combinat.werner_invariants(vecs, 3).items())
+    psi = np.random.default_rng(4).standard_normal(5) + 0j
+    psi /= np.linalg.norm(psi)
+    state = tmp_path / "st.json"
+    state.write_text(json.dumps([[z.real, z.imag] for z in psi.tolist()]))
+    pps = wigner.phase_point_set(5)
+    assert _recorded(capsys, "wigner", "table", "--n", "5", "--state",
+                     str(state)) \
+        == list(wigner.roundtrip(np.outer(psi, psi.conj()), pps)[1].items())
+    bases = mub.complete_set(3)
+    family = np.hstack(bases).T
+    rho = wigner.random_density(np.random.default_rng(4), 3)
+    assert _recorded(capsys, "suite", "--n", "3", "--seed", "4") == [
+        ("weyl_orthogonality", weyl.orthogonality_max_residual(3)),
+        ("weyl_group_law", weyl.group_law_max_residual(3)),
+        ("mub_unbiasedness", mub.unbiasedness_check(bases)["max_deviation"]),
+        ("design_t1", designs.design_test(family, 1)["deviation"]),
+        ("design_t2", designs.design_test(family, 2)["deviation"]),
+        ("wigner_roundtrip", wigner.roundtrip(
+            rho, wigner.phase_point_set(3))[1]["roundtrip"]),
+        ("werner_gram", combinat.werner_invariants(
+            vecs, 3)["gram_identity"])]
+
+
+def test_guards_behind_dropped_report_lines_fail_closed(capsys, monkeypatch):
+    # parity_square, fourier_square, wigner_parity_square and sl2_order
+    # left the reports because the library raises on each at the same
+    # threshold; the raise still exits 1
+    fourier = combinat.fourier_matrix
+    monkeypatch.setattr(combinat, "fourier_matrix",
+                        lambda n: fourier(n) + 1e-9)
+    for argv in (["wigner", "check", "--n", "5"], ["suite", "--n", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "Fourier squared" in err, argv
+    monkeypatch.undo()
+    order = clifford.sl2_order
+    monkeypatch.setattr(clifford, "sl2_order", lambda m: order(m) + 1)
+    code, out, err = run(capsys, "clifford", "check", "--p", "5")
+    assert (code, out) == (1, "") and "SL(2, Z_5) has 120" in err
+
+
+def test_design_pass_agrees_with_is_design_at_the_deviation(capsys,
+                                                            tmp_path):
+    # both compare deviation <= tol, so a tol equal to the deviation passes
+    # and the next float below it fails
+    path = str(tmp_path / "mub5.json")
+    assert run(capsys, "mub", "gen", "--p", "5", "--out", path)[0] == 0
+    argv = ["design", "test", "--family", path, "--t", "3", "--json"]
+    dev = json.loads(run(capsys, *argv)[1])["checks"][0]["value"]
+    assert dev > 1e-3
+    for tol, ok in ((dev, True), (np.nextafter(dev, 0.0), False)):
+        code, out, _ = run(capsys, *argv, "--tol", repr(float(tol)))
+        rep = json.loads(out)
+        assert (code, rep["checks"][0]["pass"], rep["result"]["isDesign"]) \
+            == (0 if ok else 1, ok, ok)
 
 
 def test_clifford_zauner_raw_vector(capsys, tmp_path):

@@ -202,6 +202,17 @@ def test_design_test_lower_moment_invariant_raises(monkeypatch):
         designs.design_test(family, 2)
 
 
+def test_design_test_passes_at_its_own_deviation():
+    # isDesign is deviation <= tol, as a report check compares; the lower
+    # moments of a passing family are held to the same <=
+    fam = mub_family(5)
+    out = designs.design_test(fam, 3)
+    assert out["deviation"] == abs(out["value"] - out["target"]) > 1e-3
+    assert designs.design_test(fam, 3, tol=out["deviation"])["isDesign"]
+    assert not designs.design_test(
+        fam, 3, tol=np.nextafter(out["deviation"], 0.0))["isDesign"]
+
+
 def test_design_test_validates_norms():
     with pytest.raises(ValueError, match="unit norm"):
         designs.design_test(2 * np.eye(3), 1)

@@ -186,3 +186,45 @@ def test_name_lint_catches_each_form():
                      "    return g\n")
     assert _names(tree, "displacement_table") == [1, 2, 3]
     assert _defined_functions(tree, "metaplectic") == [5]
+
+
+_DEVIATION_CALLS = ("abs", "max", "eye")
+
+
+def _cmd_deviation_lines(tree):
+    """Lines where a cmd_* function computes a deviation itself: a call of
+    an attribute named abs, max or eye (np.abs, np.max, np.eye, x.max())
+    or a matrix product."""
+    out = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")):
+            continue
+        out.extend(node.lineno for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in _DEVIATION_CALLS
+                   or isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.MatMult))
+    return sorted(out)
+
+
+def test_cli_commands_compute_no_deviation():
+    # the library computes each invariant; a command records its dict
+    path = Path(finhilb.__file__).parent / "cli.py"
+    lines = _cmd_deviation_lines(ast.parse(path.read_text()))
+    assert not lines, "cli.py: a cmd_* computes a deviation at line(s) %s" \
+        % lines
+
+
+def test_cmd_deviation_lint_catches_each_form():
+    tree = ast.parse("def cmd_a(args, rep):\n"
+                     "    d = np.max(np.abs(x - np.eye(3)))\n"
+                     "    e = x @ y\n"
+                     "    x @= y\n"
+                     "    f = x.max()\n"
+                     "    ok = abs(norm - 1.0) <= 1e-8\n"
+                     "    g = max(counts)\n"
+                     "def helper(x):\n"
+                     "    return np.abs(x @ x).max()\n")
+    assert _cmd_deviation_lines(tree) == [2, 2, 2, 3, 4, 5]

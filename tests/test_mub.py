@@ -480,6 +480,26 @@ def test_family_deviations_keeps_a_late_nan():
                     ["max_deviation"])
 
 
+def test_complete_set_picks_the_construction():
+    for (p, k), want in (((2, 1), mub.qubit_mubs()),
+                         ((5, 1), mub.ivanovic_mubs(5)),
+                         ((2, 2), mub.subgroup_eigenbases(2, 2))):
+        got = mub.complete_set(p, k)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (p, k)
+
+
+def test_invariants_fold_family_deviations():
+    bases = mub.ivanovic_mubs(5)
+    devs = mub.family_deviations(bases)
+    assert list(mub.invariants(bases).items()) == [
+        ("orthonormality", max(devs["orthonormality"])),
+        ("unbiasedness", devs["max_deviation"])]
+    # a late non-finite member is the folded value
+    bad = bases[:-1] + [np.full_like(bases[-1], np.nan)]
+    assert all(np.isnan(v) for v in mub.invariants(bad).values())
+
+
 def test_subgroup_eigenbases_dim81():
     # past the old q <= 32 cap; the cross products run in blocks
     bases = mub.subgroup_eigenbases(3, 4)
