@@ -311,7 +311,7 @@ def cmd_werner(args, rep):
 # -- mub ---------------------------------------------------------------------
 
 def cmd_mub_gen(args, rep):
-    bases = mub.complete_set(args.p, args.k)
+    bases = mub.subgroup_eigenbases(args.p, args.k)
     n = bases[0].shape[0]
     report = mub.unbiasedness_check(bases, tol=args.tol)
     rep.check("bases", report["bases"], n + 1, mode="eq")
@@ -453,7 +453,7 @@ def cmd_suite(args, rep):
     rep.check("weyl_group_law", weyl.group_law_max_residual(n), TOL_MATRIX)
     prime = gf.is_prime(n)
     if prime:
-        bases = mub.complete_set(n)
+        bases = mub.subgroup_eigenbases(n)
         rep.check("mub_unbiasedness",
                   mub.unbiasedness_check(bases)["max_deviation"], TOL_OVERLAP)
         family = np.hstack(bases).T

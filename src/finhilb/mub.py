@@ -107,29 +107,6 @@ def unbiasedness_check(bases, tol: float = TOL_OVERLAP) -> dict:
     return rep
 
 
-def ivanovic_mubs(p: int):
-    """Complete set of p + 1 mutually unbiased bases for odd prime p, the
-    eigenbases of D_{0,1} (computational), D_{x,1} for x = 1..p-1 and
-    D_{p-1,0} (Fourier) in that order; column a has eigenvalue omega^a.
-    Up to one phase, column a of basis x is omega^((r-a)^2 / (2x)) / sqrt(p)
-    with the inverse taken mod p."""
-    spec = _field(p, 1)
-    if p == 2:
-        raise ValueError("p must be odd (qubit_mubs covers p = 2)")
-    rows, vals = weyl._field_form(spec, np.r_[np.arange(p), p - 1],
-                                  np.r_[np.ones(p, int), 0])
-    return list(_stabilizer_basis(rows[:, None], vals[:, None], p))
-
-
-def qubit_mubs():
-    """The three qubit bases, the eigenbases of Z = D_{0,1}, X = D_{1,0}
-    and Y = D_{1,-1} (D_{1,1} is -Y), eigenvalue +1 first; the six
-    columns form an octahedron on the Bloch sphere."""
-    rows, vals = weyl._standard_form(2, np.array([0, 1, 1]),
-                                     np.array([1, 0, -1]))
-    return list(_stabilizer_basis(rows[:, None], vals[:, None], 2))
-
-
 def canonicalize_basis(basis) -> np.ndarray:
     """Fix per-vector phases (first component above 1e-8 made positive
     real) and sort columns lexicographically, so bases that agree up to
@@ -204,31 +181,35 @@ def _stabilizer_basis(rows, vals, p):
     return out
 
 
-def subgroup_eigenbases(p: int, k: int):
-    """Complete MUB set in dimension p^k from the eigenbases of the
-    p^k + 1 maximal abelian subgroups of field displacements.
+def directions(q: int):
+    """The q + 1 directions of the lines through the origin of the GF(q)
+    phase space, as pairs of field indices: (0, 1), then (x, 1) for
+    x = 1..q-1, then (-1, 0).  Basis l of subgroup_eigenbases and pencil l
+    of the wigner line geometry belong to direction l."""
+    return [(x, 1) for x in range(q)] + [(gf.prime_power(q)[0] - 1, 0)]
 
-    One subgroup per line through the origin of the field phase space:
-    direction (0, 1) first, then (1, e) for e running over the field in
-    index order, generated by the k displacements D(a^i * direction)
-    (element p^i is a^i).  Bases are canonicalized (phase + column order).
+
+def subgroup_eigenbases(p: int, k: int = 1):
+    """The complete set of q + 1 MUBs in dimension q = p^k: basis l is the
+    joint eigenbasis of the maximal abelian subgroup of field displacements
+    on the line through the origin in direction d_l = directions(q)[l],
+    generated by the k displacements D(a^i d_l) (element p^i is a^i).
+
+    Column a of basis l has eigenvalue omega^(a_i) under the phased
+    generator D(a^i d_l), where a = (a_0 ... a_(k-1)) in base p, a_0
+    leading.  At k = 1 these are the eigenbases of D_{0,1} (computational),
+    D_{x,1} for x = 1..p-1 and D_{-1,0} (Fourier), column a with
+    eigenvalue omega^a; for odd p, column a of basis x is, up to one
+    phase, omega^((r-a)^2 / (2x)) / sqrt(p) (Ivanovic).
     """
     spec = _field(p, k)
     q = p ** k
-    directions = np.array([(0, 1)] + [(1, e) for e in range(q)])
     # axes (line, generator, coordinate)
-    u = gf.mul(spec, p ** np.arange(k)[:, None], directions[:, None])
+    u = gf.mul(spec, p ** np.arange(k)[:, None],
+               np.array(directions(q))[:, None])
     rows, vals = weyl._field_form(spec, u[..., 0].ravel(), u[..., 1].ravel())
-    return [canonicalize_basis(b) for b in _stabilizer_basis(
-        rows.reshape(q + 1, k, q), vals.reshape(q + 1, k, q), p)]
-
-
-def complete_set(p: int, k: int = 1):
-    """The complete set of p^k + 1 MUBs: qubit_mubs() for p^k = 2,
-    ivanovic_mubs(p) for k = 1, subgroup_eigenbases(p, k) otherwise."""
-    if k == 1:
-        return qubit_mubs() if p == 2 else ivanovic_mubs(p)
-    return subgroup_eigenbases(p, k)
+    return list(_stabilizer_basis(rows.reshape(q + 1, k, q),
+                                  vals.reshape(q + 1, k, q), p))
 
 
 def bbrv_flower(bases):

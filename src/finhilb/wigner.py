@@ -30,7 +30,8 @@ def parity_operator(n: int) -> np.ndarray:
     if not np.abs(f @ f - a).max() <= TOL_MATRIX:
         raise RuntimeError("Fourier squared does not give the parity")
     if n <= _MAX_N:
-        total = face_point_operator(mub.ivanovic_mubs(n), [0] * (n + 1))
+        total = face_point_operator(mub.subgroup_eigenbases(n),
+                                    [0] * (n + 1))
         if not np.abs(total - a).max() <= TOL_MATRIX:
             raise RuntimeError("MUB-projector identity fails for parity")
     return a
@@ -123,25 +124,18 @@ def invariants(n: int, rng) -> dict:
                                         for g in gs]))}
 
 
-def pencil_directions(n: int):
-    """The n + 1 directions labelling families of parallel lines:
-    (0,1), then (x,1) for x = 1..n-1, then (1,0); direction k matches
-    basis k of ivanovic_mubs(n)."""
-    return [(0, 1)] + [(x, 1) for x in range(1, n)] + [(1, 0)]
-
-
 @functools.lru_cache(maxsize=16)
 def _line_table(n: int) -> np.ndarray:
     """Every line as read-only index arrays (v1, v2), shape (2, n + 1, n,
     n): entry (k, c, t) is base_c + t d_k on the line d2 v1 - d1 v2 = c,
-    with d_k = pencil_directions(n)[k] and base_c = (c, 0) when d2 = 1,
-    (0, -c) on the pencil (1, 0).  The walk needs inverses mod n, so n
+    with d_k = mub.directions(n)[k] and base_c = (c, 0) when d2 = 1,
+    (0, c) on the pencil (-1, 0).  The walk needs inverses mod n, so n
     must be prime."""
     if not gf.is_prime(n):
         raise ValueError("lines need a prime n, got %d" % n)
-    d1, d2 = np.array(pencil_directions(n)).T[:, :, None, None]
+    d1, d2 = np.array(mub.directions(n)).T[:, :, None, None]
     c, t = np.ogrid[:n, :n]
-    pts = np.stack([c * d2 + t * d1, t * d2 - c * (1 - d2)]) % n
+    pts = np.stack([c * d2 + t * d1, c * (1 - d2) + t * d2]) % n
     pts.setflags(write=False)
     return pts
 
@@ -153,7 +147,7 @@ def _line(n: int, direction, c: int) -> np.ndarray:
     d1, d2 = direction[0] % n, direction[1] % n
     if d1 == 0 and d2 == 0:
         raise ValueError("zero direction")
-    k, mu = (d1 * pow(d2, n - 2, n) % n, d2) if d2 else (n, d1)
+    k, mu = (d1 * pow(d2, n - 2, n) % n, d2) if d2 else (n, -d1 % n)
     return _line_table(n)[:, k, c * pow(mu, n - 2, n) % n,
                           mu * np.arange(n) % n]
 
@@ -190,33 +184,28 @@ def line_sums(w, pencil: int) -> np.ndarray:
 
 
 def mub_line_map(pps) -> list:
-    """Match every line average to a projector of ivanovic_mubs(n): the
-    lines of pencil k to the columns of basis k.
+    """Compare the average over line c of pencil k with the projector
+    onto column c of basis k of mub.subgroup_eigenbases(n), for every k
+    and c.
 
-    Returns, per pencil direction, a dict with the basis index, the
-    column index for each line offset c, and the worst matching
-    residual.  Raises if some line fails to match a projector.
+    Returns, per pencil direction, a dict with the basis index and the
+    worst residual.  Raises if some line misses its projector.
     """
     n = pps.shape[0]
-    dirs = pencil_directions(n)
+    dirs = mub.directions(n)
     # axes (k, c, i, j): the average over line c of pencil k
     projs = _walk_sum(pps, *_line_table(n)) / n
-    bases = np.stack(mub.ivanovic_mubs(n))
-    overlaps = np.einsum("kia,kcia->kca", bases.conj(),
-                         projs @ bases[:, None]).real
-    cols = np.argmax(overlaps, axis=2)
-    # axes (k, c, i): the matched column of each line
-    v = np.take_along_axis(bases, cols[:, None, :], axis=2).transpose(0, 2, 1)
+    # axes (k, c, i): column c of basis k
+    v = np.stack(mub.subgroup_eigenbases(n)).transpose(0, 2, 1)
     res = np.abs(projs - v[..., :, None] * v.conj()[..., None, :]).max(
         axis=(2, 3))
     # written so that a NaN residual is a miss
     miss = np.argwhere(~(res < 1e-8))
     if miss.size:
         k, c = miss[0]
-        raise RuntimeError("line %s,%d matches no MUB projector"
+        raise RuntimeError("line %s,%d misses its MUB projector"
                            % (dirs[k], c))
-    return [{"direction": d, "basis": k, "columns": cols[k].tolist(),
-             "max_residual": float(res[k].max())}
+    return [{"direction": d, "basis": k, "max_residual": float(res[k].max())}
             for k, d in enumerate(dirs)]
 
 

@@ -191,7 +191,8 @@ def test_artifacts_match_per_entry_encoder(capsys, tmp_path):
                                    wigner.phase_point_set(3))
     expected = {
         "mubset": {"kind": "mubset", "version": 1, "p": 3, "k": 1, "n": 3,
-                   "bases": [_entry_pairs(b) for b in mub.ivanovic_mubs(3)]},
+                   "bases": [_entry_pairs(b)
+                             for b in mub.subgroup_eigenbases(3)]},
         "sic": {"kind": "sic", "version": 1, "n": 3, "fsic": found["fsic"],
                 "fiducial": _entry_pairs(found["fiducial"]),
                 "seed": found["seed"], "restarts": found["restarts"],
@@ -344,7 +345,7 @@ def _raw(pairs):
 # input, a valid complex array for it, and the input built around that
 # array as nested [re, im] pairs (or without it, for MISSING).
 READERS = [
-    (["mub", "verify", "FILE"], mub.ivanovic_mubs(3),
+    (["mub", "verify", "FILE"], mub.subgroup_eigenbases(3),
      lambda a: _doc("mubset", "bases", a, p=3, k=1, n=3)),
     (["sic", "verify", "FILE"], sic.dim4_fiducial(),
      lambda a: _doc("sic", "fiducial", a, n=4)),
@@ -702,7 +703,7 @@ def test_commands_record_the_library_invariants(capsys, tmp_path):
     assert _recorded(capsys, "wigner", "table", "--n", "5", "--state",
                      str(state)) \
         == list(wigner.roundtrip(np.outer(psi, psi.conj()), pps)[1].items())
-    bases = mub.complete_set(3)
+    bases = mub.subgroup_eigenbases(3)
     family = np.hstack(bases).T
     rho = wigner.random_density(np.random.default_rng(4), 3)
     assert _recorded(capsys, "suite", "--n", "3", "--seed", "4") == [
@@ -775,6 +776,19 @@ def test_design_failure_exits_one(capsys, tmp_path):
                "--t", "3")[0] == 1
     assert run(capsys, "design", "welch", "--family", str(path),
                "--t", "2")[0] == 0
+
+
+def test_design_test_at_tol_zero_holds_lower_moments_to_rounding(capsys,
+                                                                 tmp_path):
+    # at p = 5 the t = 2 deviation is exactly 0 and the t = 1 deviation
+    # 5.55e-17, so the lower moment is held to TOL_MATRIX, not to --tol
+    path = str(tmp_path / "mub5.json")
+    assert run(capsys, "mub", "gen", "--p", "5", "--out", path)[0] == 0
+    code, out, err = run(capsys, "design", "test", "--family", path,
+                         "--t", "2", "--tol", "0", "--json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["checks"][0]["value"] == 0.0 and rep["result"]["isDesign"]
 
 
 def test_sic_search_seed_determinism(capsys):
@@ -878,7 +892,8 @@ def test_report_records_the_command_line(capsys, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     s = 2 ** -0.5
     cli.persist({"kind": "mubset", "version": cli.FORMAT_VERSION, "p": 2,
-                 "k": 1, "n": 2, "bases": mub.qubit_mubs()}, "mubs.json")
+                 "k": 1, "n": 2, "bases": mub.subgroup_eigenbases(2)},
+                "mubs.json")
     cli.persist({"kind": "sic", "version": cli.FORMAT_VERSION, "n": 3,
                  "fiducial": np.array([0, s, -s], dtype=complex)},
                 "sic3.json")

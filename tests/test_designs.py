@@ -17,11 +17,11 @@ def tetrahedron():
 
 
 def mub_family(p):
-    return np.hstack(mub.ivanovic_mubs(p)).T
+    return np.hstack(mub.subgroup_eigenbases(p)).T
 
 
 def octahedron():
-    return np.hstack(mub.qubit_mubs()).T
+    return np.hstack(mub.subgroup_eigenbases(2)).T
 
 
 def test_moment_single_vector():
@@ -194,7 +194,7 @@ def test_design_target_matches_haar_monte_carlo():
 
 
 def test_design_test_lower_moment_invariant_raises(monkeypatch):
-    family = np.hstack(mub.ivanovic_mubs(3)).T
+    family = np.hstack(mub.subgroup_eigenbases(3)).T
     target = designs.design_target
     monkeypatch.setattr(designs, "design_target",
                         lambda n, t: target(n, t) + (t == 1))

@@ -228,3 +228,56 @@ def test_cmd_deviation_lint_catches_each_form():
                      "def helper(x):\n"
                      "    return np.abs(x @ x).max()\n")
     assert _cmd_deviation_lines(tree) == [2, 2, 2, 3, 4, 5]
+
+
+def _calls_outside(tree, name):
+    """(enclosing function or "<module>", line) of each call of `name`, by
+    name or as an attribute, outside the body of a function named `name`."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name != name:
+                    visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) \
+                    == name:
+                out.append((where, child.lineno))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(out, key=lambda hit: hit[1])
+
+
+def test_one_complete_set_constructor():
+    # every complete MUB set comes from subgroup_eigenbases; the builder's
+    # only other caller is the two-qubit petal landscape
+    found = {path.stem: _calls_outside(ast.parse(path.read_text()),
+                                       "_stabilizer_basis")
+             for path in SOURCES}
+    assert [(stem, fn) for stem, hits in found.items()
+            for fn, _ in hits] == [("mub", "subgroup_eigenbases"),
+                                   ("mub", "mermin_landscape")]
+    mubs = [(path.stem, node.name) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_mubs")]
+    assert not mubs, "functions named *_mubs: %s" % mubs
+
+
+def test_call_site_lint_catches_each_form():
+    tree = ast.parse("def build(rows):\n"
+                     "    if len(rows) > 2:\n"
+                     "        return build(rows[:2])\n"
+                     "    return rows\n"
+                     "def a():\n"
+                     "    return mub.build([1])\n"
+                     "def b():\n"
+                     "    def inner():\n"
+                     "        return build([2])\n"
+                     "    return inner() + build([3])\n"
+                     "x = build([4])\n")
+    assert _calls_outside(tree, "build") == [("a", 6), ("inner", 9),
+                                             ("b", 10), ("<module>", 11)]

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finhilb import combinat, gf, mub, sic, weyl, wigner
+from finhilb import combinat, gf, mub, sic, weyl
 
 
 def dim3_golden_set():
@@ -39,7 +41,7 @@ def test_unbiasedness_rejects_bad_member():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_unbiasedness_nonfinite_entry_fails(bad):
-    bases = mub.ivanovic_mubs(3)
+    bases = mub.subgroup_eigenbases(3)
     bases[1][0, 0] = bad
     report = mub.unbiasedness_check(bases)
     assert report["pass"] is False
@@ -73,11 +75,12 @@ def _ivanovic_oracle(p):
 
 
 def _qubit_oracle():
-    """The hand-written eigenbases of Z, X and Y the builder replaced."""
+    """The hand-written eigenbases of Z, -Y = D_{1,1} and X, eigenvalue +1
+    first, in the order of the qubit set."""
     s = 1 / np.sqrt(2)
     return [np.eye(2, dtype=complex),
-            np.array([[s, s], [s, -s]], dtype=complex),
-            np.array([[s, s], [1j * s, -1j * s]], dtype=complex)]
+            np.array([[s, s], [-1j * s, 1j * s]], dtype=complex),
+            np.array([[s, s], [s, -s]], dtype=complex)]
 
 
 def test_ivanovic_dim3_matches_golden_columns():
@@ -92,7 +95,7 @@ def test_ivanovic_dim3_matches_golden_columns():
 def test_ivanovic_matches_closed_form_oracle(p):
     # same column order; each column equal up to one unit phase, which
     # makes component 0 real positive wherever every modulus is 1/sqrt(p)
-    bases = mub.ivanovic_mubs(p)
+    bases = mub.subgroup_eigenbases(p)
     assert len(bases) == p + 1
     for b, o in zip(bases, _ivanovic_oracle(p)):
         assert np.abs(np.abs(np.sum(o.conj() * b, axis=0)) - 1).max() \
@@ -102,12 +105,12 @@ def test_ivanovic_matches_closed_form_oracle(p):
 
 
 def test_qubit_mubs_match_literal_oracle():
-    for b, o in zip(mub.qubit_mubs(), _qubit_oracle()):
+    for b, o in zip(mub.subgroup_eigenbases(2), _qubit_oracle()):
         assert np.abs(b - o).max() <= 1e-15
 
 
 def test_ivanovic_p5_exhaustive_overlaps():
-    bases = mub.ivanovic_mubs(5)
+    bases = mub.subgroup_eigenbases(5)
     assert len(bases) == 6
     report = mub.unbiasedness_check(bases)
     assert report["pass"]
@@ -116,7 +119,7 @@ def test_ivanovic_p5_exhaustive_overlaps():
 
 def test_ivanovic_eigenvector_property():
     for p in [3, 5, 7]:
-        bases = mub.ivanovic_mubs(p)
+        bases = mub.subgroup_eigenbases(p)
         w = np.exp(2j * np.pi * np.arange(p) / p)
         gens = ([weyl.displacement(p, 0, 1)]
                 + [weyl.displacement(p, x, 1) for x in range(1, p)]
@@ -138,25 +141,25 @@ def test_ivanovic_rejects_nan_displacement(monkeypatch):
 
     monkeypatch.setattr(weyl, "_field_form", poisoned)
     with pytest.raises(RuntimeError, match="no joint eigenbasis"):
-        mub.ivanovic_mubs(3)
+        mub.subgroup_eigenbases(3)
 
 
 def test_ivanovic_rejects_bad_p():
-    with pytest.raises(ValueError, match="odd"):
-        mub.ivanovic_mubs(2)
+    # p = 2 is the qubit set of the same construction
+    assert len(mub.subgroup_eigenbases(2)) == 3
     with pytest.raises(ValueError, match="prime"):
-        mub.ivanovic_mubs(9)
+        mub.subgroup_eigenbases(9)
     with pytest.raises(ValueError, match="prime"):
-        mub.ivanovic_mubs(4)
+        mub.subgroup_eigenbases(4)
 
 
 def test_qubit_mubs_octahedron():
-    bases = mub.qubit_mubs()
+    bases = mub.subgroup_eigenbases(2)
     report = mub.unbiasedness_check(bases)
     assert report["pass"]
     paulis = [np.diag([1.0, -1.0]),
-              np.array([[0, 1], [1, 0]], dtype=complex),
-              np.array([[0, -1j], [1j, 0]])]
+              np.array([[0, 1j], [-1j, 0]]),
+              np.array([[0, 1], [1, 0]], dtype=complex)]
     signs = np.array([1, -1])
     for b, m in zip(bases, paulis):
         assert np.abs(m @ b - b * signs[None, :]).max() < 1e-12
@@ -241,12 +244,12 @@ def match_families(fam1, fam2, tol=1e-8):
 def test_subgroup_eigenbases_p3_matches_ivanovic():
     sub = mub.subgroup_eigenbases(3, 1)
     assert len(sub) == 4
-    assert match_families(sub, mub.ivanovic_mubs(3))
+    assert match_families(sub, _ivanovic_oracle(3))
 
 
 def test_subgroup_eigenbases_qubit_matches_octahedron():
     sub = mub.subgroup_eigenbases(2, 1)
-    assert match_families(sub, mub.qubit_mubs())
+    assert match_families(sub, _qubit_oracle())
 
 
 def test_subgroup_eigenbases_dim4():
@@ -295,17 +298,43 @@ _FIELDS_TO_32 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 @pytest.mark.parametrize("p,k", _FIELDS_TO_32)
 def test_subgroup_eigenbases_match_eigensolver_oracle(p, k):
-    # the oracle diagonalizes all q - 1 displacements of each line
+    # the oracle diagonalizes all q - 1 displacements of each line, in the
+    # order (0, 1), (x, 1) for x = 1..q-1, (-1, 0)
+    q = p ** k
     spec = gf.field_make(p, k)
-    ts = np.arange(1, p ** k)[:, None]
-    directions = [(0, 1)] + [(1, e) for e in range(p ** k)]
+    ts = np.arange(1, q)[:, None]
+    directions = [(x, 1) for x in range(q)] + [(p - 1, 0)]
+    assert mub.directions(q) == directions
     bases = mub.subgroup_eigenbases(p, k)
     assert len(bases) == len(directions)
     for di, (b, direction) in enumerate(zip(bases, directions)):
         mats = [weyl.field_displacement(spec, u1, u2)
                 for u1, u2 in gf.mul(spec, ts, direction)]
         oracle = mub.canonicalize_basis(_joint_eigenbasis(mats, (7, di)))
-        assert np.abs(b - oracle).max() <= 1e-10
+        assert np.abs(mub.canonicalize_basis(b) - oracle).max() <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_set(p, k):
+    return mub.subgroup_eigenbases(p, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_FIELDS_TO_32).flatmap(lambda f: st.tuples(
+    st.just(f), st.integers(0, f[0] ** f[1]))))
+def test_columns_carry_their_eigenvalue_labels(field_line):
+    # column a of basis l has eigenvalue omega^(a_i) under D(a^i d_l),
+    # phased so that its p-th power is I; a = (a_0 .. a_(k-1)) in base p
+    (p, k), line = field_line
+    spec, q = gf.field_make(p, k), p ** k
+    basis = _complete_set(p, k)[line]
+    digits = np.array(list(itertools.product(range(p), repeat=k)))
+    for i in range(k):
+        u = gf.mul(spec, p ** i, np.array(mub.directions(q)[line]))
+        g = weyl.field_displacement(spec, *u.tolist())
+        g = g / np.linalg.matrix_power(g, p)[0, 0] ** (1.0 / p)
+        labels = gf.roots_of_unity(p)[digits[:, i]]
+        assert np.abs(g @ basis - basis * labels).max() <= 1e-10
 
 
 def test_petal_eigenbases_match_eigensolver_oracle():
@@ -480,17 +509,8 @@ def test_family_deviations_keeps_a_late_nan():
                     ["max_deviation"])
 
 
-def test_complete_set_picks_the_construction():
-    for (p, k), want in (((2, 1), mub.qubit_mubs()),
-                         ((5, 1), mub.ivanovic_mubs(5)),
-                         ((2, 2), mub.subgroup_eigenbases(2, 2))):
-        got = mub.complete_set(p, k)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (p, k)
-
-
 def test_invariants_fold_family_deviations():
-    bases = mub.ivanovic_mubs(5)
+    bases = mub.subgroup_eigenbases(5)
     devs = mub.family_deviations(bases)
     assert list(mub.invariants(bases).items()) == [
         ("orthonormality", max(devs["orthonormality"])),
@@ -510,7 +530,7 @@ def test_subgroup_eigenbases_dim81():
 
 
 def test_bloch_orthogonality():
-    bases = mub.ivanovic_mubs(5)
+    bases = mub.subgroup_eigenbases(5)
     e = bases[1][:, 2]
     f = bases[4][:, 3]
     pe = np.outer(e, e.conj()) - np.eye(5) / 5
@@ -519,19 +539,19 @@ def test_bloch_orthogonality():
 
 
 def test_bbrv_flower_qubit_gives_paulis():
-    petals = mub.bbrv_flower(mub.qubit_mubs())
+    petals = mub.bbrv_flower(mub.subgroup_eigenbases(2))
     assert len(petals) == 3
     z = np.diag([1.0, -1.0])
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]])
-    for petal, m in zip(petals, [z, x, y]):
+    for petal, m in zip(petals, [z, -y, x]):
         assert len(petal) == 2
         assert np.abs(petal[0] - np.eye(2)).max() < 1e-12
         assert np.abs(petal[1] - m).max() < 1e-10
 
 
 def test_bbrv_flower_dim3():
-    petals = mub.bbrv_flower(mub.ivanovic_mubs(3))
+    petals = mub.bbrv_flower(mub.subgroup_eigenbases(3))
     assert len(petals) == 4
     for petal in petals:
         assert len(petal) == 3
@@ -548,7 +568,7 @@ def test_bbrv_flower_dim3():
 
 def test_bbrv_flower_rejects_incomplete():
     with pytest.raises(ValueError, match="complete"):
-        mub.bbrv_flower(mub.qubit_mubs()[:2])
+        mub.bbrv_flower(mub.subgroup_eigenbases(2)[:2])
 
 
 def test_mermin_landscape_counts():
@@ -608,7 +628,7 @@ def test_isotropic_lines_are_the_pencils():
     # origin, one per pencil of the Wigner phase space
     for p in (2, 3, 5, 7):
         spans = {frozenset((t * d1 % p, t * d2 % p) for t in range(p))
-                 for d1, d2 in wigner.pencil_directions(p)}
+                 for d1, d2 in mub.directions(p)}
         assert mub._maximal_isotropic_subspaces(p, 1) == spans
 
 

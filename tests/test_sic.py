@@ -416,7 +416,7 @@ def test_mub_simplex_projections_equal(p, restarts):
     psi = searched(p, restarts, 1)["fiducial"]
     rho = np.outer(psi, psi.conj())
     norms = []
-    for basis in mub.ivanovic_mubs(p):
+    for basis in mub.subgroup_eigenbases(p):
         probs = np.einsum("ia,ij,ja->a", basis.conj(), rho, basis).real
         norms.append(np.linalg.norm(probs - 1.0 / p))
     norms = np.array(norms)

@@ -30,7 +30,7 @@ def test_parity_mub_projector_identity():
     for n in [3, 5, 7]:
         a = wigner.parity_operator(n)
         total = -np.eye(n, dtype=complex)
-        for b in mub.ivanovic_mubs(n):
+        for b in mub.subgroup_eigenbases(n):
             v = b[:, 0]
             total += np.outer(v, v.conj())
         assert np.abs(total - a).max() < 1e-10
@@ -115,7 +115,7 @@ def test_wigner_rejects_bad_input():
 
 def test_line_points_geometry():
     n = 5
-    for d in wigner.pencil_directions(n):
+    for d in mub.directions(n):
         seen = set()
         for c in range(n):
             pts = wigner.line_points(n, d, c)
@@ -126,6 +126,18 @@ def test_line_points_geometry():
         assert len(seen) == n * n
     with pytest.raises(ValueError, match="zero"):
         wigner.line_points(5, (0, 0), 1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+def test_line_points_off_the_horizontal_pencil(n):
+    # (1, 0), (n-1, 0) and (2, 0) are multiples of the pencil (-1, 0):
+    # each walks the line v2 = -c / d1, every point on it once
+    for d in [(1, 0), (n - 1, 0), (2, 0)]:
+        for c in range(n):
+            pts = wigner.line_points(n, d, c)
+            assert len(set(pts)) == n
+            assert all((d[1] * v1 - d[0] * v2) % n == c for v1, v2 in pts)
+    assert wigner.line_points(n, (1, 0), 1) == [(t, n - 1) for t in range(n)]
 
 
 def test_lines_need_a_prime_n():
@@ -197,16 +209,16 @@ def test_line_sums_basics():
 def test_mub_state_line_sums_are_deterministic():
     n = 3
     pps = wigner.phase_point_set(n)
-    bases = mub.ivanovic_mubs(n)
+    bases = mub.subgroup_eigenbases(n)
     rho = np.zeros((n, n), dtype=complex)
     rho[0, 0] = 1.0  # |0><0| is basis 0, column 0
     w = wigner.wigner_function(rho, pps)
     sums = wigner.line_sums(w, 0)
-    assert sorted(np.round(sums, 10)) == [0, 0, 1]
+    assert np.round(sums, 10).tolist() == [1, 0, 0]
     v = bases[2][:, 1]
     w = wigner.wigner_function(np.outer(v, v.conj()), pps)
     sums = wigner.line_sums(w, 2)
-    assert sorted(np.round(sums, 10)) == [0, 0, 1]
+    assert np.round(sums, 10).tolist() == [0, 1, 0]
     # against a foreign pencil the state looks maximally random
     assert np.abs(wigner.line_sums(w, 0) - 1 / n).max() < 1e-10
 
@@ -216,22 +228,20 @@ def test_mub_line_map_matches_pencils_to_bases():
         pps = wigner.phase_point_set(n)
         entries = wigner.mub_line_map(pps)
         assert [e["basis"] for e in entries] == list(range(n + 1))
+        assert [e["direction"] for e in entries] == mub.directions(n)
         for e in entries:
-            assert sorted(e["columns"]) == list(range(n))
             assert e["max_residual"] < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_PRIMES, _SEEDS)
 def test_line_sums_are_mub_marginals(n, seed):
-    # the sum of W along line c of pencil k is <b|rho|b> for the column b
-    # of basis k that mub_line_map assigns to that line
+    # the sum of W along line c of pencil k is <b|rho|b> for b column c
+    # of basis k, on every pencil
     pps = _phase_points(n)
     rho = wigner.random_density(np.random.default_rng(seed), n)
     w = wigner.wigner_function(rho, pps)
-    bases = mub.ivanovic_mubs(n)
-    for k, entry in enumerate(wigner.mub_line_map(pps)):
-        b = bases[entry["basis"]][:, entry["columns"]]
+    for k, b in enumerate(mub.subgroup_eigenbases(n)):
         probs = np.einsum("ic,ij,jc->c", b.conj(), rho, b).real
         assert np.abs(wigner.line_sums(w, k) - probs).max() <= TOL_MATRIX
 
@@ -244,7 +254,7 @@ def test_phase_point_from_line_projectors():
         for v1 in range(n):
             for v2 in range(n):
                 total = -np.eye(n, dtype=complex)
-                for d in wigner.pencil_directions(n):
+                for d in mub.directions(n):
                     c = (d[1] * v1 - d[0] * v2) % n
                     total += wigner.line_average(pps, d, c)
                 assert np.abs(total - pps[v1, v2]).max() < 1e-10
@@ -252,7 +262,7 @@ def test_phase_point_from_line_projectors():
 
 def test_face_point_operator():
     n = 3
-    bases = mub.ivanovic_mubs(n)
+    bases = mub.subgroup_eigenbases(n)
     a = wigner.face_point_operator(bases, [0] * (n + 1))
     assert np.abs(a - wigner.parity_operator(n)).max() < 1e-10
     rng = np.random.default_rng(3)
@@ -267,9 +277,7 @@ def test_face_point_operator():
 
 def test_face_point_polytope_bounds_for_mub_mixtures():
     n = 3
-    bases = mub.ivanovic_mubs(n)
-    pps = wigner.phase_point_set(n)
-    entries = wigner.mub_line_map(pps)
+    bases = mub.subgroup_eigenbases(n)
     rng = np.random.default_rng(4)
     projs = [np.outer(b[:, j], b[:, j].conj()) for b in bases
              for j in range(n)]
@@ -277,13 +285,10 @@ def test_face_point_polytope_bounds_for_mub_mixtures():
         weights = rng.dirichlet(np.ones(len(projs)))
         rho = sum(wt * pr for wt, pr in zip(weights, projs))
         for v1, v2 in [(0, 0), (1, 2), (2, 1)]:
-            choice = []
-            for e in entries:
-                d = e["direction"]
-                c = (d[1] * v1 - d[0] * v2) % n
-                choice.append(e["columns"][c])
-            af = wigner.face_point_operator(
-                [bases[e["basis"]] for e in entries], choice)
+            # column c of basis k belongs to line c of pencil k
+            choice = [(d2 * v1 - d1 * v2) % n
+                      for d1, d2 in mub.directions(n)]
+            af = wigner.face_point_operator(bases, choice)
             val = float(np.trace(rho @ af).real)
             assert -1e-10 <= val <= 1 + 1e-10
 
