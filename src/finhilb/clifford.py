@@ -56,9 +56,11 @@ def normalizer_residual(g, n: int) -> float:
     rows, vals = weyl._table_form(n)
     r, s = sl2_apply(g, np.divmod(np.arange(n * n), n), n)
     t = r * n + s
-    # D_t^dag U D_p by a row and a column gather of U: D_t is monomial with
-    # unit entries, so its distance from lam U is that of U D_p from lam D_t U
-    w = u[rows[t][:, :, None], rows[:, None, :]]
+    # D_t^dag U D_p by one gather of U: D_t is monomial with unit entries,
+    # so its distance from lam U is that of U D_p from lam D_t U.  The index
+    # frees above w, not as a hole below it; "clip" writes w unbuffered
+    w = np.empty((n * n, n, n), dtype=complex)
+    np.take(u, n * rows[t][:, :, None] + rows[:, None, :], out=w, mode="clip")
     w *= vals[t].conj()[:, :, None] * vals[:, None, :]
     # the phase of the overlap; 1 where the overlap vanishes
     lam = np.exp(1j * np.angle(np.einsum("ij,kij->k", u.conj(), w)))

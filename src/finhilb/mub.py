@@ -456,6 +456,7 @@ def search_unbiased6(restarts: int = 24, seed: int = 0,
             vectors.append(v)
     return {"count": len(vectors),
             "vectors": np.array(vectors),
-            "min_value": min(stats["final_values"]),
+            # np.min keeps a NaN that Python's min drops unless it is first
+            "min_value": float(np.min(stats["final_values"])),
             "restarts": restarts,
             "stats": stats}

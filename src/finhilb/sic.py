@@ -245,13 +245,14 @@ def multistart(n, restarts, seed, objective, tol, proj=None):
 
 def sic_search(n: int, restarts: int = 32, seed: int = 0) -> dict:
     """Minimize f_sic by multistart from starts in the Zauner eigenspace;
-    the candidate is the (f, restart index) minimum over all restarts."""
+    the candidate is np.argmin's restart: the first least f, or NaN f."""
     form = _gathers(n)
     objective = [functools.partial(fn, form=form)
                  for fn in (_value, _value_grad, _residual_jacobian)]
     runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH,
                              _zauner_projector(n))
-    f, r = min((f, r) for r, (_, f) in enumerate(runs))
+    r = int(np.argmin([f for _, f in runs]))
+    f = runs[r][1]
     return {"n": n, "fiducial": runs[r][0], "fsic": f, "restart": r,
             "restarts": restarts, "seed": seed,
             "converged": bool(f < TOL_SEARCH), "stats": stats}

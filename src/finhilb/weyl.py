@@ -170,29 +170,37 @@ def _monomial_group_law_residual(table) -> float:
     """
     n = table.shape[1]
     rows, vals, res = _dense_form(table)
+    taus = tau_power(n, np.arange(nbar(n)))
+    omegas = _omega_power(n, np.arange(n))
     idx = np.arange(n * n)
     r, s = np.divmod(idx, n)
+    sa = np.arange(n)[:, None]
     # one block of a = (r1, 0..N-1) at a time keeps each array at N^4;
     # each product is compared with tau**e D_{a+b} and omega**Omega D_b D_a
     for r1 in range(n):
-        sa = np.arange(n)[:, None]
         a = r1 * n + sa
         rsum, ssum = r1 + r, sa + s
         om = sa * r - r1 * s
         c = (rsum % n) * n + ssum % n
         e = om + rsum * ssum - (rsum % n) * (ssum % n)
-        ab_row = rows[a[..., None], rows]
-        ab_val = vals[a[..., None], rows] * vals
-        t_row = np.stack([rows[c], rows[idx[:, None], rows[a]]])
-        t_val = np.stack([tau_power(n, e)[..., None] * vals[c],
-                          _omega_power(n, om)[..., None]
-                          * vals[idx[:, None], rows[a]] * vals[a]])
-        # |difference| where the rows of a column agree, else the larger
-        # modulus: the max-entry distance of the dense matrices
-        dist = np.where(ab_row == t_row, np.abs(ab_val - t_val),
-                        np.maximum(np.abs(ab_val), np.abs(t_val)))
-        res = np.maximum(res, dist.max())
+        k = rows + n * a[..., None]
+        ab_row, ab_val = rows.ravel()[k], vals.ravel()[k] * vals
+        res = _distance(res, ab_row, ab_val, rows[c],
+                        taus[e % len(taus)][..., None] * vals[c])
+        k = rows[a] + n * idx[:, None]
+        res = _distance(res, ab_row, ab_val, rows.ravel()[k],
+                        omegas[om % n][..., None] * vals.ravel()[k] * vals[a])
     return float(res)
+
+
+def _distance(res, rows, vals, t_rows, t_vals):
+    """np.maximum of res and the max-entry distance of two monomial stacks,
+    |difference| where rows agree, else the larger modulus.  Reuses t_vals."""
+    miss = rows != t_rows
+    worse = np.maximum(np.abs(vals[miss]), np.abs(t_vals[miss]))
+    dist = np.abs(np.subtract(t_vals, vals, out=t_vals))
+    dist[miss] = worse
+    return np.maximum(res, dist.max())
 
 
 def orthogonality_max_residual(n: int) -> float:

@@ -120,8 +120,7 @@ def invariants(n: int, rng) -> dict:
             "roundtrip": roundtrip(rho, pps)[1]["roundtrip"],
             "line_map": float(np.max([e["max_residual"]
                                       for e in mub_line_map(pps)])),
-            "covariance": float(np.max([clifford_covariance_check(pps, g)
-                                        for g in gs]))}
+            "covariance": float(np.max(covariance_residuals(pps, gs)))}
 
 
 @functools.lru_cache(maxsize=16)
@@ -222,12 +221,20 @@ def face_point_operator(mubs, choice) -> np.ndarray:
     return out
 
 
-def clifford_covariance_check(pps, g) -> float:
-    """Max over phase-space points of ||U_G A_{r,s} U_G^dag -
-    A_{G(r,s)}||; conjugation is phase-free, so no minimization is
-    needed."""
+def covariance_residuals(pps, gs) -> np.ndarray:
+    """Per G in gs, max over phase-space points of ||U_G A_{r,s} U_G^dag -
+    A_{G(r,s)}||, phase-free; two (n, n, n, n) buffers serve every G."""
     n = pps.shape[0]
-    u = weyl.metaplectic(g, n)
-    moved = u @ pps @ u.conj().T
-    targets = pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
-    return float(np.abs(moved - targets).max())
+    half, moved = np.empty_like(pps), np.empty_like(pps)
+    out = np.empty(len(gs))
+    for i, g in enumerate(gs):
+        u = weyl.metaplectic(g, n)
+        np.matmul(np.matmul(u, pps, out=half), u.conj().T, out=moved)
+        moved -= pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
+        out[i] = np.abs(moved).max()
+    return out
+
+
+def clifford_covariance_check(pps, g) -> float:
+    """covariance_residuals for one G."""
+    return float(covariance_residuals(pps, [g])[0])

@@ -166,6 +166,32 @@ def test_normalizer_residual_on_random_sl2(n, seed):
         <= TOL_MATRIX
 
 
+def _two_index_normalizer(g, n):
+    """Reference normalizer residual: the row and column gather of U by two
+    broadcast index arrays that normalizer_residual replaced."""
+    u = weyl.metaplectic(g, n)
+    rows, vals = weyl._table_form(n)
+    r, s = clifford.sl2_apply(g, np.divmod(np.arange(n * n), n), n)
+    t = r * n + s
+    w = u[rows[t][:, :, None], rows[:, None, :]]
+    w *= vals[t].conj()[:, :, None] * vals[:, None, :]
+    lam = np.exp(1j * np.angle(np.einsum("ij,kij->k", u.conj(), w)))
+    w -= lam[:, None, None] * u
+    return float(np.abs(w).max())
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_normalizer_matches_its_oracle_bit_for_bit(n):
+    # all of SL(2, Z_nbar) at N = 3 and 4, 30 elements of it above
+    group = clifford.sl2_enumerate(weyl.nbar(n))
+    if n > 4:
+        group = group[np.random.default_rng(n).choice(len(group), 30,
+                                                      replace=False)]
+    for g in group:
+        assert clifford.normalizer_residual(g, n) \
+            == _two_index_normalizer(g, n), g
+
+
 def test_normalizer_identity_zero():
     assert clifford.normalizer_residual(np.eye(2, dtype=int), 5) < 1e-14
 

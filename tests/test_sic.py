@@ -222,6 +222,26 @@ def test_search_stats_keys_and_tally():
     assert stats["iterations"] == stats["grad_calls"] - 16
 
 
+@pytest.mark.parametrize("bad", [0, 3], ids=["first", "last"])
+@pytest.mark.parametrize("search", [
+    lambda: sic.sic_search(4, restarts=4, seed=1)["fsic"],
+    lambda: mub.search_unbiased6(restarts=4, seed=1)["min_value"]],
+    ids=["fsic", "min_value"])
+def test_a_nan_restart_fails_the_search_wherever_it_falls(monkeypatch,
+                                                          search, bad):
+    real = sic.optimize
+    calls = []
+
+    def patched(*args):
+        psi, f, counts = real(*args)
+        calls.append(None)
+        return psi, np.nan if len(calls) - 1 == bad else f, counts
+
+    monkeypatch.setattr(sic, "optimize", patched)
+    assert np.isnan(search())
+    assert len(calls) == 4
+
+
 def test_search_threads_agree_where_restarts_stall():
     # restarts 9 and 11 of this search stop on "no_decrease"; a rerun from
     # the same seed repeats them exactly

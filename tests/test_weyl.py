@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,15 +138,75 @@ def _mutate_nan_off_support(t, k, col):
     t[k, np.flatnonzero(t[k, :, col] == 0)[0], col] = np.nan
 
 
+_MUTATIONS = [_mutate_phase, _mutate_stray, _mutate_move,
+              _mutate_nan_on_support, _mutate_nan_off_support]
+
+
 @pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("mutate", [
-    _mutate_phase, _mutate_stray, _mutate_move, _mutate_nan_on_support,
-    _mutate_nan_off_support])
+@pytest.mark.parametrize("mutate", _MUTATIONS)
 def test_group_law_kernel_reads_the_table(n, mutate):
     table = weyl.displacement_table(n).copy()
     assert weyl._monomial_group_law_residual(table) <= TOL_MATRIX
     mutate(table, n + 2, 1)
     assert not weyl._monomial_group_law_residual(table) <= TOL_MATRIX
+
+
+def _stack_where_group_law(table):
+    """Reference group-law residual: the np.stack / np.where kernel that
+    _monomial_group_law_residual replaced, one exp per block."""
+    n = table.shape[1]
+    rows, vals, res = weyl._dense_form(table)
+    idx = np.arange(n * n)
+    r, s = np.divmod(idx, n)
+    for r1 in range(n):
+        sa = np.arange(n)[:, None]
+        a = r1 * n + sa
+        rsum, ssum = r1 + r, sa + s
+        om = sa * r - r1 * s
+        c = (rsum % n) * n + ssum % n
+        e = om + rsum * ssum - (rsum % n) * (ssum % n)
+        ab_row = rows[a[..., None], rows]
+        ab_val = vals[a[..., None], rows] * vals
+        t_row = np.stack([rows[c], rows[idx[:, None], rows[a]]])
+        t_val = np.stack([weyl.tau_power(n, e)[..., None] * vals[c],
+                          weyl._omega_power(n, om)[..., None]
+                          * vals[idx[:, None], rows[a]] * vals[a]])
+        dist = np.where(ab_row == t_row, np.abs(ab_val - t_val),
+                        np.maximum(np.abs(ab_val), np.abs(t_val)))
+        res = np.maximum(res, dist.max())
+    return float(res)
+
+
+def _same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_group_law_kernel_matches_its_oracle_bit_for_bit(n, data):
+    table = weyl.displacement_table(n)
+    assert weyl._monomial_group_law_residual(table) \
+        == _stack_where_group_law(table)
+    for mutate in _MUTATIONS:
+        broken = table.copy()
+        mutate(broken, data.draw(st.integers(0, n * n - 1), label="label"),
+               data.draw(st.integers(0, n - 1), label="column"))
+        assert _same_float(weyl._monomial_group_law_residual(broken),
+                           _stack_where_group_law(broken)), mutate.__name__
+
+
+def test_group_law_kernel_keeps_its_blocks():
+    # the parent kernel's traced peak at N = 16 was 10.2 MB; an N^5 array
+    # (16.8 MB of complex) breaks the bound
+    table = weyl.displacement_table(16)
+    tracemalloc.start()
+    try:
+        weyl._monomial_group_law_residual(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.2e6
 
 
 def test_even_dim_index_shift():

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,46 @@ def test_covariance_sampled_p5_p7():
         for _ in range(15):
             g = els[rng.integers(len(els))]
             assert wigner.clifford_covariance_check(pps, g) < 1e-10
+
+
+def _per_call_covariance(pps, g):
+    """Reference covariance residual: the fresh u @ pps @ u^dag of each
+    call that covariance_residuals replaced."""
+    n = pps.shape[0]
+    u = weyl.metaplectic(g, n)
+    moved = u @ pps @ u.conj().T
+    targets = pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
+    return float(np.abs(moved - targets).max())
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+def test_covariance_matches_its_oracle_bit_for_bit(n):
+    # phase points need an odd prime: all of SL(2, Z_3), 30 elements above
+    pps = _phase_points(n)
+    group = clifford.sl2_enumerate(n)
+    if n > 3:
+        group = group[np.random.default_rng(n).choice(len(group), 30,
+                                                      replace=False)]
+    assert wigner.covariance_residuals(pps, group).tolist() \
+        == [_per_call_covariance(pps, g) for g in group]
+    assert wigner.clifford_covariance_check(pps, group[-1]) \
+        == _per_call_covariance(pps, group[-1])
+
+
+def test_covariance_sample_reuses_its_buffers():
+    # the parent's 50 per-call checks at p = 13 peaked at 1.6 MB traced; one
+    # (n, n, n, n) array is 0.46 MB
+    pps = _phase_points(13)
+    group = clifford.sl2_enumerate(13)
+    group = group[np.random.default_rng(13).choice(len(group), 50,
+                                                   replace=False)]
+    tracemalloc.start()
+    try:
+        wigner.covariance_residuals(pps, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6e6
 
 
 def test_covariance_fails_on_wrong_g(monkeypatch):
