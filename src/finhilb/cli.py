@@ -404,7 +404,7 @@ def cmd_design_test(args, rep):
 def cmd_design_welch(args, rep):
     vectors = _load_family(args.family)
     out = designs.welch_bound(vectors, args.t)
-    rep.check("welch_slack", out["slack"], args.tol)
+    rep.check("welch_slack", out.pop("relative_slack"), args.tol)
     rep.result = out
 
 
@@ -657,7 +657,7 @@ def dispatch(argv) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -129,35 +129,10 @@ def zauner_scan(psi, n: int) -> dict:
 
 
 def clifford_group_single_qubit():
-    """The 24 single-qubit Clifford collineation representatives,
-    generated from the Hadamard and phase gates with global phases
-    deduplicated."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.diag([1.0, 1j])
-
-    def canonical(m):
-        flat = m.reshape(4)
-        for x in flat:
-            if abs(x) > 0.1:
-                m = m * (x.conjugate() / abs(x))
-                break
-        return np.round(m.reshape(4), 9) + 0.0
-
-    reps = {tuple(canonical(np.eye(2, dtype=complex))): np.eye(2,
-                                                              dtype=complex)}
-    frontier = [np.eye(2, dtype=complex)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gate in (h, s):
-                cand = gate @ m
-                key = tuple(canonical(cand))
-                if key not in reps:
-                    reps[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    out = list(reps.values())
-    if len(out) != 24:
-        raise RuntimeError("expected 24 Clifford representatives, got %d"
-                           % len(out))
-    return out
+    """The 24 single-qubit Clifford collineations D_p U_G, U_G =
+    weyl.metaplectic(G, 2): G runs over the first lift in sl2_enumerate(4)
+    of each element of SL(2, Z_2), in that order, and p over Z_2^2."""
+    group = sl2_enumerate(4)
+    _, first = np.unique(group % 2, axis=0, return_index=True)
+    return [weyl.displacement(2, r, s) @ weyl.metaplectic(g, 2)
+            for g in group[np.sort(first)] for r in range(2) for s in range(2)]

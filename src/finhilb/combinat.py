@@ -211,9 +211,14 @@ def vector_from_unitary(U) -> np.ndarray:
     n = U.shape[0]
     if U.ndim != 2 or U.shape[1] != n:
         raise ValueError("expected a square matrix")
-    if not np.abs(U @ U.conj().T - np.eye(n)).max() <= TOL_MATRIX:
-        raise ValueError("matrix is not unitary")
+    check_unitary(U)
     return U.reshape(n * n) / np.sqrt(n)
+
+
+def check_unitary(U, tol: float = TOL_MATRIX) -> None:
+    """ValueError unless max |U U^dag - I| <= tol; NaN fails."""
+    if not np.abs(U @ U.conj().T - np.eye(len(U))).max() <= tol:
+        raise ValueError("matrix is not unitary")
 
 
 def reduced_density_matrices(v, n: int):

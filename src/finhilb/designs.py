@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from . import combinat
 from .tol import TOL_MATRIX, TOL_OVERLAP
 
 
@@ -34,11 +35,28 @@ def _check_unit_norms(v):
         raise ValueError("family vectors are not unit norm")
 
 
+def _moments(v, ts):
+    """[sum_{I,J} |<I|J>|^{2s} for s in ts] and sum_I <I|I>^ts[-1], in one
+    pass over blocks of the Gram: columns of max(1, 2^22 // K) vectors from
+    lo against rows from lo, at most 2^22 entries or one column, so K <=
+    2048 is one block.  The Gram is Hermitian: rows above lo are skipped,
+    rows past the block's columns count twice."""
+    width = max(1, 2 ** 22 // len(v))
+    vc, sums, diag = v.conj(), [0.0] * len(ts), 0.0
+    for lo in range(0, len(v), width):
+        g = vc[lo:] @ v[lo:lo + width].T
+        g2 = np.abs(g) ** 2
+        for i, s in enumerate(ts):
+            p = g2 ** s
+            sums[i] += float(p[:width].sum()) + 2 * float(p[width:].sum())
+        diag += float((np.diagonal(g).real ** ts[-1]).sum())
+    return sums, diag
+
+
 def design_moment(vectors, t: int) -> float:
     """(1/K^2) sum_{I,J} |<I|J>|^{2t}, diagonal terms included."""
     v = _as_family(vectors, t)
-    g2 = np.abs(v.conj() @ v.T) ** 2
-    return float((g2 ** t).mean())
+    return _moments(v, [t])[0][0] / len(v) ** 2
 
 
 def design_target(n: int, t: int) -> float:
@@ -54,37 +72,37 @@ def design_test(vectors, t: int, tol: float = TOL_OVERLAP) -> dict:
     v = _as_family(vectors, t)
     _check_unit_norms(v)
     n = v.shape[1]
-    g2 = np.abs(v.conj() @ v.T) ** 2
-    value = float((g2 ** t).mean())
+    value = design_moment(v, t)
     target = design_target(n, t)
     deviation = abs(value - target)
     is_design = deviation <= tol
-    if is_design:
+    if is_design and t > 1:
         # a t-design is automatically a t'-design for all t' < t; below
         # TOL_MATRIX a lower moment differs from its target by rounding
-        for lower in range(1, t):
-            if not abs(float((g2 ** lower).mean())
-                       - design_target(n, lower)) <= max(tol, TOL_MATRIX):
+        lower = _moments(v, list(range(1, t)))[0]
+        for s, total in enumerate(lower, 1):
+            if not abs(total / len(v) ** 2
+                       - design_target(n, s)) <= max(tol, TOL_MATRIX):
                 raise RuntimeError("a %d-design that is not a %d-design"
-                                   % (t, lower))
+                                   % (t, s))
     return {"value": value, "target": target, "deviation": deviation,
             "isDesign": is_design}
 
 
 def welch_bound(vectors, t: int) -> dict:
     """lhs = C(n+t-1, t) sum |<I|J>|^{2t} against rhs = (sum <I|I>^t)^2;
-    lhs >= rhs for every vector family, with equality exactly on
-    t-designs of unit vectors."""
+    lhs >= rhs for any family, with equality exactly on t-designs of unit
+    vectors.  Both grow as K^2: relative_slack is slack / max(1, rhs)."""
     v = _as_family(vectors, t)
-    n = v.shape[1]
-    gram = v.conj() @ v.T
-    g2 = np.abs(gram) ** 2
-    lhs = math.comb(n + t - 1, t) * float((g2 ** t).sum())
-    rhs = float((np.real(np.diag(gram)) ** t).sum()) ** 2
+    (total,), diag = _moments(v, [t])
+    lhs = math.comb(v.shape[1] + t - 1, t) * total
+    rhs = diag ** 2
     slack = lhs - rhs
-    if slack < -1e-10 * max(1.0, rhs):
+    relative = slack / max(1.0, rhs)
+    if relative < -1e-10:
         raise RuntimeError("Welch bound violated: slack %g" % slack)
-    return {"lhs": lhs, "rhs": rhs, "slack": slack}
+    return {"lhs": lhs, "rhs": rhs, "slack": slack,
+            "relative_slack": relative}
 
 
 def frame_operator(vectors, t: int) -> np.ndarray:
@@ -125,8 +143,7 @@ def unitary_design_moment(unitaries, t: int) -> dict:
     for u in mats:
         if u.shape != (n, n):
             raise ValueError("mixed dimensions")
-        if not np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-8:
-            raise ValueError("matrix is not unitary")
+        combinat.check_unitary(u, 1e-8)
     if t < 1:
         raise ValueError("t must be positive")
     if t <= n:
@@ -137,6 +154,5 @@ def unitary_design_moment(unitaries, t: int) -> dict:
     else:
         raise ValueError("moment formula out of table")
     flat = np.array([u.reshape(n * n) for u in mats])
-    gram = flat.conj() @ flat.T
-    value = float((np.abs(gram) ** (2 * t)).mean())
-    return {"value": value, "target": target}
+    return {"value": _moments(flat, [t])[0][0] / len(flat) ** 2,
+            "target": target}

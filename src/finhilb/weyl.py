@@ -183,13 +183,18 @@ def _monomial_group_law_residual(table) -> float:
         om = sa * r - r1 * s
         c = (rsum % n) * n + ssum % n
         e = om + rsum * ssum - (rsum % n) * (ssum % n)
+        # products in place: a fresh N^4 array costs its page faults
         k = rows + n * a[..., None]
-        ab_row, ab_val = rows.ravel()[k], vals.ravel()[k] * vals
-        res = _distance(res, ab_row, ab_val, rows[c],
-                        taus[e % len(taus)][..., None] * vals[c])
+        ab_row, ab_val = rows.ravel()[k], vals.ravel()[k]
+        ab_val *= vals
+        t = vals[c]
+        np.multiply(taus[e % len(taus)][..., None], t, out=t)
+        res = _distance(res, ab_row, ab_val, rows[c], t)
         k = rows[a] + n * idx[:, None]
-        res = _distance(res, ab_row, ab_val, rows.ravel()[k],
-                        omegas[om % n][..., None] * vals.ravel()[k] * vals[a])
+        t = vals.ravel()[k]
+        np.multiply(omegas[om % n][..., None], t, out=t)
+        t *= vals[a]
+        res = _distance(res, ab_row, ab_val, rows.ravel()[k], t)
     return float(res)
 
 

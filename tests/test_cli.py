@@ -779,6 +779,43 @@ def test_design_failure_exits_one(capsys, tmp_path):
                "--t", "2")[0] == 0
 
 
+def test_welch_slack_is_relative_to_the_bound(capsys, tmp_path):
+    # lhs and rhs are about K^2 for unit vectors: tiled 200 times, the p = 3
+    # complete set is still a 2-design, while its absolute slack read
+    # 1.86e-9 against --tol 1e-9
+    path = str(tmp_path / "tiled.json")
+    cli.persist({"kind": "basisfamily", "version": cli.FORMAT_VERSION,
+                 "n": 3, "vectors": np.tile(np.hstack(
+                     mub.subgroup_eigenbases(3)).T, (200, 1))}, path)
+    code, out, err = run(capsys, "design", "welch", "--family", path,
+                         "--t", "2", "--json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert sorted(rep["result"]) == ["lhs", "rhs", "slack"]
+    assert rep["checks"][0]["value"] \
+        == rep["result"]["slack"] / max(1.0, rep["result"]["rhs"])
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("out of memory")
+
+
+@pytest.mark.parametrize("fail", [
+    _raise_memory_error,
+    # numpy's _ArrayMemoryError: 4 EiB cannot be allocated, so none is
+    lambda *args, **kwargs: np.empty(2 ** 62, dtype=np.uint8)],
+    ids=["MemoryError", "numpy"])
+def test_memory_error_is_one_error_line(capsys, monkeypatch, tmp_path, fail):
+    path = str(tmp_path / "mub3.json")
+    assert run(capsys, "mub", "gen", "--p", "3", "--out", path)[0] == 0
+    monkeypatch.setattr(designs, "design_test", fail)
+    code, out, err = run(capsys, "design", "test", "--family", path,
+                         "--t", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_design_test_at_tol_zero_holds_lower_moments_to_rounding(capsys,
                                                                  tmp_path):
     # at p = 5 the t = 2 deviation is exactly 0 and the t = 1 deviation

@@ -310,6 +310,44 @@ def test_single_qubit_clifford_group():
         assert sum(phase_distance(prod, m) < 1e-9 for m in group) == 1
 
 
+def _gate_search_group():
+    """The qubit Clifford group as it was built before D_p U_G: breadth-first
+    from the identity under H and S, one element per rounded phase class."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    s = np.diag([1.0, 1j])
+
+    def canonical(m):
+        flat = m.reshape(4)
+        for x in flat:
+            if abs(x) > 0.1:
+                m = m * (x.conjugate() / abs(x))
+                break
+        return tuple(np.round(m.reshape(4), 9) + 0.0)
+
+    reps = {canonical(np.eye(2, dtype=complex)): np.eye(2, dtype=complex)}
+    frontier = list(reps.values())
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for gate in (h, s):
+                cand = gate @ m
+                if canonical(cand) not in reps:
+                    reps[canonical(cand)] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return list(reps.values())
+
+
+def test_single_qubit_clifford_group_matches_the_gate_search():
+    # the same 24 collineations, one to one, as D_p U_G from the metaplectic
+    group = clifford.clifford_group_single_qubit()
+    oracle = _gate_search_group()
+    assert len(oracle) == 24
+    match = np.array([[phase_distance(m, o) < 1e-9 for o in oracle]
+                      for m in group])
+    assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
+
+
 def _wrong_g_metaplectic(monkeypatch):
     """Make U_G the metaplectic of G transposed, so that the targets the
     checks index by G no longer match the conjugation."""

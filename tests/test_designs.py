@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,10 +162,12 @@ def test_unitary_moment_single_identity():
 
 
 def test_unitary_moment_clifford_2_design():
+    # the qubit Clifford group is a unitary 3-design too: Catalan(3) = 5
     group = clifford.clifford_group_single_qubit()
-    out = designs.unitary_design_moment(group, 2)
-    assert abs(out["value"] - 2.0) < 1e-9
-    assert out["target"] == 2.0
+    for t, target in ((2, 2.0), (3, 5.0)):
+        out = designs.unitary_design_moment(group, t)
+        assert abs(out["value"] - target) < 1e-9
+        assert out["target"] == target
 
 
 def test_unitary_moment_out_of_table():
@@ -239,3 +242,80 @@ def test_family_moments_reject_t_past_float_range(fn):
     with pytest.raises(ValueError, match="overflows a float"):
         fn(np.eye(3), 10 ** 200)
     assert designs.design_test(np.eye(128), 12763)["target"] > 0.0
+
+
+def _dense_moments(v, ts):
+    """The dense Gram expressions the blocked pass replaced: the full K x K
+    Gram, its squared moduli, their powers, and the diagonal's power."""
+    gram = v.conj() @ v.T
+    g2 = np.abs(gram) ** 2
+    return ([float((g2 ** s).sum()) for s in ts],
+            float((np.real(np.diag(gram)) ** ts[-1]).sum()))
+
+
+def _random_family(rng, k, n, unit=True):
+    v = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    scale = 1.0 if unit else rng.uniform(0.2, 2.0, (k, 1))
+    return v * scale / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("family", [
+    tetrahedron, lambda: mub_family(5), lambda: mub_family(13),
+    lambda: _random_family(np.random.default_rng(1), 300, 7, unit=False),
+    lambda: _random_family(np.random.default_rng(2), 2048, 2)],
+    ids=["tetrahedron", "mub5", "mub13", "random300", "random2048"])
+def test_moments_match_the_dense_gram_bit_for_bit_in_one_block(family):
+    # K <= 2048 is one block of at most 2^22 entries: the same arrays
+    v = family()
+    g2 = np.abs(v.conj() @ v.T) ** 2
+    for ts in ([1], [2], [3], [1, 2, 3]):
+        assert designs._moments(v, ts) == _dense_moments(v, ts)
+    for t in (1, 2, 3):
+        assert designs.design_moment(v, t) == float((g2 ** t).mean())
+
+
+def test_moments_across_blocks_match_the_dense_gram():
+    # K = 3000 in C^2: blocks of 1398 columns, three of them
+    v = _random_family(np.random.default_rng(3), 3000, 2)
+    sums, diag = designs._moments(v, [1, 2, 3])
+    ref_sums, ref_diag = _dense_moments(v, [1, 2, 3])
+    assert abs(diag - ref_diag) <= 1e-15 * ref_diag
+    for got, ref in zip(sums, ref_sums):
+        assert abs(got - ref) <= 1e-15 * ref
+
+
+def test_unitary_moment_matches_the_dense_trace_gram():
+    # the dense expression took |g|^{2t}; the blocked pass takes (|g|^2)^t
+    for group in (clifford.clifford_group_single_qubit(),
+                  list(weyl.displacement_table(3))):
+        flat = np.array([u.reshape(-1) for u in group])
+        gram = flat.conj() @ flat.T
+        for t in (1, 2, 3):
+            ref = float((np.abs(gram) ** (2 * t)).mean())
+            value = designs.unitary_design_moment(group, t)["value"]
+            assert abs(value - ref) <= 1e-15 * ref
+
+
+def test_design_test_holds_a_gram_block_at_a_time():
+    # K = 8196 in C^2: the dense Gram alone would be 8196^2 complex
+    # entries, 1 GiB; a 3-design here, so the lower moments run too
+    family = np.tile(octahedron(), (1366, 1))
+    tracemalloc.start()
+    try:
+        out = designs.design_test(family, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["isDesign"]
+    assert peak < 256 * 2 ** 20
+
+
+def test_welch_relative_slack_does_not_grow_with_tiling():
+    # lhs and rhs both grow as K^2, and so does their rounding: tiled
+    # 200 times, the p = 3 complete set is still a 2-design
+    fam = mub_family(3)
+    base = designs.welch_bound(fam, 2)
+    tiled = designs.welch_bound(np.tile(fam, (200, 1)), 2)
+    assert tiled["rhs"] == 200 ** 2 * base["rhs"]
+    assert abs(tiled["relative_slack"] - base["relative_slack"]) <= 1e-15
+    assert tiled["relative_slack"] == tiled["slack"] / tiled["rhs"]

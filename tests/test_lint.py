@@ -281,3 +281,42 @@ def test_call_site_lint_catches_each_form():
                      "x = build([4])\n")
     assert _calls_outside(tree, "build") == [("a", 6), ("inner", 9),
                                              ("b", 10), ("<module>", 11)]
+
+
+def _matrix_products(tree):
+    """(enclosing top-level function or "<module>", line) of each matrix
+    product: an @ or @=, or a call of matmul or dot by name or attribute."""
+    out = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)) \
+            else "<module>"
+        out.extend((where, node.lineno) for node in ast.walk(top)
+                   if isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.MatMult)
+                   or isinstance(node, ast.Call) and getattr(
+                       node.func, "id", getattr(node.func, "attr", None))
+                   in ("matmul", "dot"))
+    return sorted(out, key=lambda hit: hit[1])
+
+
+def test_designs_forms_a_gram_only_in_the_blocked_pass():
+    # one blocked pass reads the Gram for every moment; no K x K Gram is
+    # formed beside it
+    path = Path(finhilb.__file__).parent / "designs.py"
+    found = _matrix_products(ast.parse(path.read_text()))
+    assert found and {fn for fn, _ in found} <= {"_moments",
+                                                 "frame_operator"}, found
+
+
+def test_matrix_product_lint_catches_each_form():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import matmul\n"
+                     "g = a @ b\n"
+                     "def f(v):\n"
+                     "    v @= v\n"
+                     "    return np.dot(v, v) + matmul(v, v)\n"
+                     "def h(v):\n"
+                     "    return v.dot(v), np.vdot(v, v), np.kron(v, v)\n")
+    assert _matrix_products(tree) == [("<module>", 3), ("f", 5), ("f", 6),
+                                      ("f", 6), ("h", 8)]
