@@ -411,30 +411,27 @@ def maximal_isotropic_count(p: int, k: int) -> int:
 # -- exploratory search for vectors unbiased to two bases in dimension 6 --
 
 def _unbiased6_objective():
-    """(value, value_grad, residual_jacobian) of sum_k d_k^2 with residuals
-    d = |R v|^2 - 1/6 over the 12 rows R of I and F6^dag, in the form
-    sic.multistart takes."""
+    """(probe, grad, jacobian) of sum_k d_k^2 with residuals d = |R v|^2 -
+    1/6 over the 12 rows R of I and F6^dag, on (L, 6) blocks of vectors,
+    in the form sic.multistart takes; the state is (R v, d)."""
     rows = np.vstack([np.eye(6, dtype=complex),
                       combinat.fourier_matrix(6).conj().T])
 
-    def residuals(v):
-        amps = rows @ v
-        return amps, np.abs(amps) ** 2 - 1.0 / 6.0
+    def probe(v):
+        amps = np.matvec(rows, v)
+        d = np.abs(amps) ** 2 - 1.0 / 6.0
+        return np.vecdot(d, d), (amps, d)
 
-    def value(v):
-        d = residuals(v)[1]
-        return float(d @ d)
+    def grad(state):
+        amps, d = state
+        return 4.0 * np.matvec(rows.conj().T, d * amps)
 
-    def value_grad(v):
-        amps, d = residuals(v)
-        return float(d @ d), 4.0 * (rows.conj().T @ (d * amps))
+    def jacobian(state):
+        amps, d = state
+        da = amps.conj()[:, :, None] * rows
+        return d, np.concatenate([2.0 * da.real, -2.0 * da.imag], axis=2)
 
-    def residual_jacobian(v):
-        amps, d = residuals(v)
-        da = amps.conj()[:, None] * rows
-        return d, np.hstack([2.0 * da.real, -2.0 * da.imag])
-
-    return value, value_grad, residual_jacobian
+    return probe, grad, jacobian
 
 
 def search_unbiased6(restarts: int = 24, seed: int = 0,

@@ -4,6 +4,7 @@ dimension-4 fiducial with its overlap-phase fingerprint."""
 
 import functools
 import math
+import types
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def f_sic(psi) -> float:
     """Sum over (r, s) != (0, 0) of (|<psi|D_{r,s}|psi>|^2 - 1/(N+1))^2;
     zero exactly when the displacement orbit of psi is a SIC."""
     psi = _check_unit(psi)
-    return _value(psi, _gathers(psi.size))
+    return float(_probe(psi[None], _gathers(psi.size))[0][0])
 
 
 def f_sic_grad(psi) -> np.ndarray:
@@ -38,7 +39,8 @@ def f_sic_grad(psi) -> np.ndarray:
     df/dRe(psi_j) is the real part of entry j, df/dIm(psi_j) the
     imaginary part."""
     psi = _check_unit(psi)
-    return _value_grad(psi, _gathers(psi.size))[1]
+    form = _gathers(psi.size)
+    return _grad(_probe(psi[None], form)[1], form)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -53,33 +55,96 @@ def _gathers(n):
     return rows, vals.conj(), cols, np.take_along_axis(vals, cols, axis=1)
 
 
-def _overlaps(psi, form):
-    """D_k psi, the overlaps c_k = <psi|D_k|psi> and the objective's terms
-    d_k = |c_k|^2 - 1/(N+1), with d_0 = 0 for the identity."""
-    dpsi = form[3] * psi[form[2]]
-    c = dpsi @ psi.conj()
-    d = np.abs(c) ** 2 - 1.0 / (psi.size + 1)
-    d[0] = 0.0
+def _block_rows(n):
+    """Restarts per lockstep block: max(1, 2^15 // n^3), so one (R, N^2, N)
+    complex gather holds at most 2^15 entries (512 KB)."""
+    return max(1, 2 ** 15 // n ** 3)
+
+
+def _shift(psi, idx, vals, out=None):
+    """vals[k, x] * psi_i[idx[k, x]] for every row i of psi, (L, K, N), in
+    out[:L] when given.  `vals * psi[idx]` on one vector of 2^14 or more
+    entries (N >= 26) ran in place in the gather, as psi[idx] * vals, which
+    rounds differently: the order below keeps the bits of both."""
+    x = np.take(psi, idx, axis=1, mode="clip",
+                out=None if out is None else out[:len(psi)])
+    pair = (x, vals) if idx.size >= 2 ** 14 else (vals, x)
+    return np.multiply(*pair, out=x)
+
+
+def _unit(x):
+    """Every row of x over its norm, bit for bit x_i / np.linalg.norm(x_i)."""
+    return x / np.sqrt(np.vecdot(x.real, x.real)
+                       + np.vecdot(x.imag, x.imag))[:, None]
+
+
+def _overlaps(psi, form, work=None):
+    """For every row psi_i of the (L, N) block psi: D_k psi_i, the overlaps
+    c_ik = <psi_i|D_k|psi_i> and the objective's terms d_ik = |c_ik|^2 -
+    1/(N+1), with d_i0 = 0 for the identity."""
+    dpsi = _shift(psi, form[2], form[3], work)
+    c = np.matvec(dpsi, psi.conj())
+    d = np.abs(c) ** 2 - 1.0 / (psi.shape[1] + 1)
+    d[:, 0] = 0.0
     return dpsi, c, d
 
 
-def _value(psi, form):
-    d = _overlaps(psi, form)[2]
-    return float(d @ d)
+# The objective on blocks, in the form multistart takes.  A state is
+# (psi, c, d): grad and jacobian gather D psi again rather than hold it.
+
+def _probe(psi, form, work=None):
+    _, c, d = _overlaps(psi, form, work)
+    return np.vecdot(d, d), (psi, c, d)
 
 
-def _value_grad(psi, form):
-    dpsi, c, d = _overlaps(psi, form)
-    hpsi = form[1] * psi[form[0]]  # D_k^dag psi
-    return float(d @ d), 4.0 * ((d * c.conj()) @ dpsi + (d * c) @ hpsi)
+def _grad(state, form, work=None):
+    psi, c, d = state
+    g = (d * c.conj())[:, None, :] @ _shift(psi, form[2], form[3], work)
+    hpsi = _shift(psi, form[0], form[1], work)  # D_k^dag psi
+    return 4.0 * (g[:, 0] + ((d * c)[:, None, :] @ hpsi)[:, 0])
 
 
-def descend(psi, value, value_grad):
+def _jacobian(state, form, work=None):
+    psi, c, d = state
+    n = psi.shape[1]
+    cc = c.conj()[:, :, None]
+    hc = _shift(psi, form[0], form[1], work)
+    np.conj(hc, out=hc)  # conj(D_k^dag psi)
+    dpsi = _shift(psi, form[2], form[3])
+    dc_dy = np.subtract(hc, dpsi)
+    np.multiply(cc, np.multiply(1j, dc_dy, out=dc_dy), out=dc_dy)
+    dc_dx = np.multiply(cc, np.add(dpsi, hc, out=dpsi), out=dpsi)
+    jac = hc.view(float)  # (L, K, 2N), in the spent gather
+    np.multiply(2.0, dc_dx.real, out=jac[..., :n])
+    np.multiply(2.0, dc_dy.real, out=jac[..., n:])
+    jac[:, 0, :] = 0.0
+    return d, jac
+
+
+def _retire(w, out, done):
+    """Write the working rows flagged in done to out, at their rows in the
+    block, and drop them from the working rows w."""
+    for key in out:
+        out[key][w.row[done]] = getattr(w, key)[done]
+    for key, val in vars(w).items():
+        setattr(w, key, val[~done])
+
+
+# descend's stop reasons; a working row's stop is 1 + the index, 0 while
+# it runs
+_STOPS = ("trigger", "no_decrease", "stall", "line_search", "cap")
+
+
+def descend(psi, probe, grad):
     """Projected gradient descent on the unit sphere with a BB1 step and
-    Armijo backtracking, for any objective invariant under a global
-    phase.  value(psi) returns f; value_grad(psi) returns f and its
-    gradient in f_sic_grad's complex encoding.  Returns psi, f and why
-    descent stopped:
+    Armijo backtracking, for any objective invariant under a global phase,
+    on every row of the (R, n) block psi in lockstep: each pass probes one
+    line-search candidate per running row and takes the gradients at the
+    accepted ones, and a row that stops drops out.  probe(psi) returns f
+    per row and a state, a tuple of per-row arrays; grad(state) returns the
+    gradients in f_sic_grad's complex encoding.  Returns psi, f and per-row
+    "value_calls" (candidates probed), "backtracks" (Armijo halvings),
+    "iterations" (accepted steps) and "stop", why descent stopped:
       "trigger"      f fell below _POLISH_TRIGGER;
       "no_decrease"  the projected gradient is zero, or the step the line
                      search accepted does not strictly lower f (at a local
@@ -93,104 +158,133 @@ def descend(psi, value, value_grad):
     Converging restarts lower f strictly at every step (checked on 544
     restarts at n = 3..12), so they leave through "trigger" on the same
     path as without that rule."""
-    f, g = value_grad(psi)
-    step = 1.0
-    prev = None
-    f_ref, i_ref = f, 0
-    for it in range(_MAX_ITER):
-        if f < _POLISH_TRIGGER:
-            return psi, f, "trigger"
-        gt = g - np.vdot(psi, g).real * psi
-        gn2 = float(np.vdot(gt, gt).real)
-        if gn2 == 0.0:
-            return psi, f, "no_decrease"
-        if prev is not None:
-            s = psi - prev[0]
-            y = g - prev[1]
-            sy = float(np.vdot(s, y).real)
-            if sy > 0.0:
-                step = min(max(float(np.vdot(s, s).real) / sy, 1e-8), 1e3)
-            else:
-                step = min(step * 2.0, 1e3)
-        eta = step
-        for _ in range(60):
-            cand = psi - eta * gt
-            cand = cand / np.linalg.norm(cand)
-            fc = value(cand)
-            if fc <= f - 1e-4 * eta * gn2:
+    rows = len(psi)
+    f, state = probe(psi)
+    w = types.SimpleNamespace(
+        row=np.arange(rows), psi=np.array(psi), f=f, g=grad(state),
+        gt=np.empty_like(psi), gn2=np.empty(rows), step=np.ones(rows),
+        eta=np.empty(rows), f_ref=f.copy(), **{key: np.zeros(rows, int)
+        for key in ("halvings", "stop", "iterations", "value_calls",
+                    "backtracks")})
+    out = {key: np.empty_like(getattr(w, key)) for key in (
+        "psi", "f", "stop", "iterations", "value_calls", "backtracks")}
+    new = np.ones(rows, bool)
+    while True:
+        if new.any():  # rows that start an iteration
+            at = slice(None) if new.all() else new
+            psi, g = w.psi[at], w.g[at]
+            gt = g - np.vecdot(psi, g).real[:, None] * psi
+            gn2 = np.vecdot(gt, gt).real
+            w.gt[at], w.gn2[at], w.eta[at], w.halvings[at] = \
+                gt, gn2, w.step[at], 0
+            w.stop[at] = np.where(w.f[at] < _POLISH_TRIGGER, 1,
+                                  np.where(gn2 == 0.0, 2, 0))
+        if w.stop.any():
+            _retire(w, out, w.stop > 0)
+            if not w.row.size:
                 break
-            eta *= 0.5
-        else:
-            return psi, f, "line_search"
-        if not fc < f:
-            return psi, f, "no_decrease"
-        prev = (psi, g)
-        psi = cand
-        f, g = value_grad(psi)
-        if it - i_ref >= _STALL_WINDOW:
-            if f_ref - f <= _STALL_RTOL * max(f_ref, 1e-300):
-                return psi, f, "stall"
-            f_ref, i_ref = f, it
-    return psi, f, "cap"
+        cand = _unit(w.psi - w.eta[:, None] * w.gt)
+        fc, state = probe(cand)
+        w.value_calls += 1
+        ok = fc <= w.f - 1e-4 * w.eta * w.gn2
+        new = ok & (fc < w.f)
+        if not new.all():
+            back = ~ok
+            w.eta[back] *= 0.5
+            w.halvings += back
+            w.backtracks += back
+            w.stop[ok ^ new] = 2
+            w.stop[w.halvings == 60] = 4
+            if not new.any():
+                continue
+        at = slice(None) if new.all() else new
+        g = grad(tuple(a[at] for a in state))
+        s = cand[at] - w.psi[at]
+        sy = np.vecdot(s, g - w.g[at]).real
+        bb = np.divide(np.vecdot(s, s).real, sy, out=np.ones_like(sy),
+                       where=sy > 0.0)
+        w.step[at] = np.minimum(np.where(sy > 0.0, np.maximum(bb, 1e-8),
+                                         w.step[at] * 2.0), 1e3)
+        w.psi[at], w.f[at], w.g[at] = cand[at], fc[at], g
+        # the stall window closes at every _STALL_WINDOW-th step
+        window = new & (w.iterations >= _STALL_WINDOW) & (
+            w.iterations % _STALL_WINDOW == 0)
+        if window.any():
+            w.stop[window & (w.f_ref - w.f <= _STALL_RTOL
+                             * np.maximum(w.f_ref, 1e-300))] = 3
+            w.f_ref[window] = w.f[window]
+        w.iterations += new
+        w.stop[(w.iterations == _MAX_ITER) & (w.stop == 0)] = 5
+        new &= w.stop == 0
+    out["stop"] = [_STOPS[k - 1] for k in out["stop"]]
+    return out
 
 
-def _residual_jacobian(psi, form):
-    dpsi, c, d = _overlaps(psi, form)
-    hpsi = form[1] * psi[form[0]]  # D_k^dag psi
-    dc_dx = dpsi + hpsi.conj()
-    dc_dy = 1j * (hpsi.conj() - dpsi)
-    jac = np.hstack([2.0 * np.real(c.conj()[:, None] * dc_dx),
-                     2.0 * np.real(c.conj()[:, None] * dc_dy)])
-    jac[0, :] = 0.0
-    return d, jac
+def polish(psi, f, probe, jacobian):
+    """Gauss-Newton on the residual vector from every row of the (R, n)
+    block psi, with values f, in lockstep as descend runs; the
+    least-squares step keeps quadratic convergence even where the solution
+    set is a manifold and the Jacobian loses rank.  jacobian(state) returns
+    the residuals d (probe's f is d @ d) and their real Jacobian with
+    respect to [Re psi, Im psi]; it is taken a row at a time, as numpy's
+    lstsq solves one matrix, so one row's Jacobian is all it holds.
+    Returns psi, f and per-row "value_calls", "backtracks" (step halvings)
+    and "polish_steps" (Gauss-Newton steps)."""
+    rows, n = psi.shape
+    run = ~(f < _FTOL)
+    w = types.SimpleNamespace(
+        row=np.flatnonzero(run), psi=psi[run], f=f[run],
+        step=np.empty((run.sum(), n), complex), scale=np.empty(run.sum()),
+        **{key: np.zeros(run.sum(), int) for key in (
+            "trials", "value_calls", "backtracks", "polish_steps")})
+    out = {"psi": np.array(psi), "f": np.array(f),
+           **{key: np.zeros(rows, int) for key in (
+               "value_calls", "backtracks", "polish_steps")}}
+
+    def newton(new, state):  # a step for the working rows flagged in new
+        delta = np.reshape([np.linalg.lstsq(jac[0], -d[0], rcond=None)[0]
+                            for d, jac in (jacobian(tuple(a[i:i + 1]
+                                                          for a in state))
+                                           for i in np.flatnonzero(new))],
+                           (-1, 2 * n))
+        w.step[new] = delta[:, :n] + 1j * delta[:, n:]
+        w.scale[new], w.trials[new] = 1.0, 0
+        w.polish_steps += new
+
+    newton(run[run], probe(w.psi)[1])  # descend's last psi, uncounted
+    while w.row.size:
+        cand = _unit(w.psi + w.scale[:, None] * w.step)
+        fc, state = probe(cand)
+        w.value_calls += 1
+        new = fc < w.f
+        w.scale[~new] *= 0.5
+        w.trials += ~new
+        w.backtracks += ~new
+        w.psi[new], w.f[new] = cand[new], fc[new]
+        done = (w.trials == 20) | new & (
+            (w.polish_steps == 40) | (w.f < _FTOL))
+        if (new & ~done).any():
+            newton(new & ~done, state)
+        if done.any():
+            _retire(w, out, done)
+    return out
 
 
-def polish(psi, value, residual_jacobian, f):
-    """Gauss-Newton on the residual vector, from psi with value f; the
-    least-squares step keeps quadratic convergence even where the
-    solution set is a manifold and the Jacobian loses rank.
-    residual_jacobian(psi) returns the residuals d (value is d @ d) and
-    their real Jacobian with respect to [Re psi, Im psi]."""
-    for _ in range(40):
-        if f < _FTOL:
-            break
-        d, jac = residual_jacobian(psi)
-        delta = np.linalg.lstsq(jac, -d, rcond=None)[0]
-        step = delta[:psi.size] + 1j * delta[psi.size:]
-        scale = 1.0
-        improved = False
-        for _ in range(20):
-            cand = psi + scale * step
-            cand = cand / np.linalg.norm(cand)
-            fc = value(cand)
-            if fc < f:
-                psi, f = cand, fc
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return psi, f
-
-
-def optimize(psi, value, value_grad, residual_jacobian):
-    """descend, then polish, from psi.  Returns psi, f and the restart's
-    counts: the calls of value, value_grad and residual_jacobian
-    ("value_calls", "grad_calls" and "polish_steps", one per Gauss-Newton
-    step), descent steps ("iterations", one gradient call each after the
-    first) and descend's stop reason ("stop")."""
-    calls = {"value_calls": 0, "grad_calls": 0, "polish_steps": 0}
-
-    def counted(key, fn):
-        def call(x):
-            calls[key] += 1
-            return fn(x)
-        return call
-
-    value = counted("value_calls", value)
-    psi, f, stop = descend(psi, value, counted("grad_calls", value_grad))
-    psi, f = polish(psi, value, counted("polish_steps", residual_jacobian), f)
-    return psi, f, dict(calls, iterations=calls["grad_calls"] - 1, stop=stop)
+def optimize(psi, probe, grad, jacobian):
+    """descend, then polish, every row of the (R, n) block psi; one
+    restart is the block of one row, and each row's psi, f and counts are
+    bit for bit those of its own block of one.  Returns psi, f and per-row
+    "value_calls" (line-search and polish candidates probed),
+    "grad_calls", "polish_steps", "backtracks" (the halvings of both),
+    "iterations" (descent steps, one gradient call each after the first)
+    and descend's "stop"."""
+    d = descend(psi, probe, grad)
+    p = polish(d["psi"], d["f"], probe, jacobian)
+    return p["psi"], p["f"], {
+        "iterations": d["iterations"], "grad_calls": d["iterations"] + 1,
+        "value_calls": d["value_calls"] + p["value_calls"],
+        "backtracks": d["backtracks"] + p["backtracks"],
+        "polish_steps": p["polish_steps"], "stop": d["stop"]}
 
 
 def _haar_start(rng, n):
@@ -210,21 +304,19 @@ def _zauner_projector(n):
 
 
 def multistart(n, restarts, seed, objective, tol, proj=None):
-    """optimize on objective, (value, value_grad, residual_jacobian), from
-    restarts seeded Haar-random unit vectors in dimension n: restart r
-    starts from default_rng([seed, r]), moved onto the range of the
-    projector proj when one is given and the move keeps norm above 1e-6.
-    Restarts run serially.  Returns every restart's (psi, f) in restart
-    order and the search's stats: restarts converged below tol, summed
-    iterations and calls, every final f, and how many restarts each stop
-    reason ended."""
+    """optimize on objective, (probe, grad, jacobian), from restarts seeded
+    Haar-random unit vectors in dimension n: restart r starts from
+    default_rng([seed, r]), moved onto the range of the projector proj
+    when one is given and the move keeps norm above 1e-6.  The restarts
+    run in restart order in lockstep blocks of max(1, 2^15 // n^3) rows
+    (_block_rows); each restart's psi, f and counts are those of its own
+    run bit for bit, whatever the block.  Returns every restart's (psi, f)
+    in restart order and the search's stats: restarts converged below tol,
+    summed iterations, calls and backtracks, every final f, and how many
+    restarts each stop reason ended."""
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    runs = []
-    stops = dict.fromkeys(("trigger", "no_decrease", "stall", "line_search",
-                           "cap"), 0)
-    stats = dict.fromkeys(("iterations", "value_calls", "grad_calls",
-                           "polish_steps"), 0)
+    starts = []
     for r in range(restarts):
         psi = _haar_start(np.random.default_rng([seed, r]), n)
         if proj is not None:
@@ -232,11 +324,20 @@ def multistart(n, restarts, seed, objective, tol, proj=None):
             nrm = np.linalg.norm(moved)
             if nrm > 1e-6:
                 psi = moved / nrm
-        psi, f, counts = optimize(psi, *objective)
-        runs.append((psi, f))
-        stops[counts["stop"]] += 1
+        starts.append(psi)
+    runs = []
+    stops = dict.fromkeys(_STOPS, 0)
+    stats = dict.fromkeys(("iterations", "value_calls", "grad_calls",
+                           "polish_steps", "backtracks"), 0)
+    block = _block_rows(n)
+    for lo in range(0, restarts, block):
+        psi, f, counts = optimize(np.array(starts[lo:lo + block]),
+                                  *objective)
+        runs.extend(zip(psi, f.tolist()))
+        for stop in counts["stop"]:
+            stops[stop] += 1
         for key in stats:
-            stats[key] += counts[key]
+            stats[key] += int(counts[key].sum())
     stats.update(restarts=restarts,
                  converged=sum(1 for _, f in runs if f < tol),
                  final_values=[f for _, f in runs], stops=stops)
@@ -247,8 +348,10 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0) -> dict:
     """Minimize f_sic by multistart from starts in the Zauner eigenspace;
     the candidate is np.argmin's restart: the first least f, or NaN f."""
     form = _gathers(n)
-    objective = [functools.partial(fn, form=form)
-                 for fn in (_value, _value_grad, _residual_jacobian)]
+    # the buffer of every gather of a block; one holds until the next
+    work = np.empty((_block_rows(n), n * n, n), complex)
+    objective = [functools.partial(fn, form=form, work=work)
+                 for fn in (_probe, _grad, _jacobian)]
     runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH,
                              _zauner_projector(n))
     r = int(np.argmin([f for _, f in runs]))
@@ -261,7 +364,7 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0) -> dict:
 def sic_orbit(psi) -> np.ndarray:
     """All N^2 displaced copies D_{r,s} psi as rows (row r*N+s)."""
     psi = _check_unit(psi)
-    return _overlaps(psi, _gathers(psi.size))[0]
+    return _overlaps(psi[None], _gathers(psi.size))[0][0]
 
 
 def make_candidate(psi) -> dict:
@@ -276,7 +379,7 @@ def sic_verify(cand, tol_gram: float = TOL_SIC_GRAM) -> dict:
     n = int(cand["n"])
     if psi.size != n:
         raise ValueError("dimension mismatch")
-    orbit, _, d = _overlaps(psi, _gathers(n))
+    orbit, _, d = (a[0] for a in _overlaps(psi[None], _gathers(n)))
     if "fsic" in cand and not abs(float(cand["fsic"]) - float(d @ d)) \
             <= TOL_MATRIX:
         raise ValueError("cached fsic does not match recomputation")
@@ -310,7 +413,7 @@ def overlap_phases(cand) -> dict:
     if not sic_verify(cand)["pass"]:
         raise ValueError("candidate does not verify as a SIC")
     n = int(cand["n"])
-    c = _overlaps(_check_unit(cand["fiducial"]), _gathers(n))[1]
+    c = _overlaps(_check_unit(cand["fiducial"])[None], _gathers(n))[1][0]
     phases = (math.sqrt(n + 1.0) * c).reshape(n, n)
     phases[0, 0] = complex(np.nan, np.nan)
     dev = float(np.max(np.abs(np.abs(phases.ravel()[1:]) - 1.0)))

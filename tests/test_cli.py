@@ -854,7 +854,7 @@ def test_search_reports_carry_stats(capsys, tmp_path):
     for block in (stats, json.loads(out)["stats"]):
         assert block["restarts"] == 4
         for key in ("converged", "iterations", "value_calls", "grad_calls",
-                    "polish_steps"):
+                    "polish_steps", "backtracks"):
             assert isinstance(block[key], int)
         assert len(block["final_values"]) == 4
         assert sum(block["stops"].values()) == 4

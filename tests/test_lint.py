@@ -320,3 +320,51 @@ def test_matrix_product_lint_catches_each_form():
                      "    return v.dot(v), np.vdot(v, v), np.kron(v, v)\n")
     assert _matrix_products(tree) == [("<module>", 3), ("f", 5), ("f", 6),
                                       ("f", 6), ("h", 8)]
+
+
+_OPTIMIZER = ("descend", "polish", "optimize", "multistart")
+
+
+def _optimizer_sites(trees):
+    """Where each optimizer function is defined, which modules name lstsq,
+    and every call of an optimizer function from outside sic."""
+    defined = {name: [(stem, line) for stem, tree in trees.items()
+                      for line in _defined_functions(tree, name)]
+               for name in _OPTIMIZER}
+    lstsq = [stem for stem, tree in trees.items() if _names(tree, "lstsq")]
+    calls = [(stem, fn, name) for stem, tree in trees.items() if stem != "sic"
+             for name in _OPTIMIZER for fn, _ in _calls_outside(tree, name)]
+    return defined, lstsq, calls
+
+
+def test_one_sphere_optimizer():
+    # one lockstep descend and polish, in sic; search6 reaches them only
+    # through multistart, and only sic solves least squares
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    defined, lstsq, calls = _optimizer_sites(trees)
+    assert all([stem for stem, _ in sites] == ["sic"]
+               for sites in defined.values()), defined
+    assert lstsq == ["sic"]
+    assert calls == [("mub", "search_unbiased6", "multistart")]
+
+
+def test_optimizer_lint_catches_each_form():
+    trees = {"sic": ast.parse("def descend(psi):\n"
+                              "    return np.linalg.lstsq(psi, psi)\n"),
+             "mub": ast.parse("from numpy.linalg import lstsq\n"
+                              "def polish(psi):\n"
+                              "    def descend(x):\n"
+                              "        return x\n"
+                              "    return sic.optimize(psi)\n"
+                              "def search_unbiased6():\n"
+                              "    return sic.multistart(6) + descend(1)\n"),
+             "weyl": ast.parse("x = linalg.lstsq\n"
+                               "y = multistart(2)\n")}
+    defined, lstsq, calls = _optimizer_sites(trees)
+    assert defined["descend"] == [("sic", 1), ("mub", 3)]
+    assert defined["polish"] == [("mub", 2)]
+    assert lstsq == ["sic", "mub", "weyl"]
+    assert calls == [("mub", "search_unbiased6", "descend"),
+                     ("mub", "polish", "optimize"),
+                     ("mub", "search_unbiased6", "multistart"),
+                     ("weyl", "<module>", "multistart")]

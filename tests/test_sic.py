@@ -1,9 +1,11 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+
+from hypothesis import example, given, settings, strategies as st
 
 from finhilb import designs, gf, mub, sic, weyl
 from finhilb.tol import TOL_MATRIX
@@ -87,28 +89,21 @@ def test_search_odd_dimensions(n, restarts):
 
 
 def test_search_deterministic_and_threaded_merge():
-    # restarts run serially, so two runs from one seed agree exactly
+    # a restart's run does not depend on its block, so two runs from one
+    # seed agree exactly
     seq = sic.sic_search(3, restarts=6, seed=4)
     again = sic.sic_search(3, restarts=6, seed=4)
     assert seq["restart"] == again["restart"]
     assert np.array_equal(seq["fiducial"], again["fiducial"])
 
 
-def counting_objective(n):
-    """f_sic's value and value_grad at dimension n, as sic_search binds
-    them, plus a dict counting their calls."""
+def sic_objective(n, rows=0):
+    """f_sic's (probe, grad, jacobian) at dimension n, bound as sic_search
+    binds them, for blocks of up to max(rows, _block_rows(n)) vectors."""
     form = sic._gathers(n)
-    calls = {"value": 0, "grad": 0}
-
-    def value(psi):
-        calls["value"] += 1
-        return sic._value(psi, form)
-
-    def value_grad(psi):
-        calls["grad"] += 1
-        return sic._value_grad(psi, form)
-
-    return value, value_grad, calls
+    work = np.empty((max(rows, sic._block_rows(n)), n * n, n), complex)
+    return [functools.partial(fn, form=form, work=work)
+            for fn in (sic._probe, sic._grad, sic._jacobian)]
 
 
 def _dense_overlaps(psi, table):
@@ -150,15 +145,15 @@ def test_gathers_match_dense_table(n, seed):
     table, form = weyl.displacement_table(n), sic._gathers(n)
     dpsi, _, c, _ = _dense_overlaps(psi, table)
     f, g = _dense_value_grad(psi, table)
-    new_f, new_g = sic._value_grad(psi, form)
-    assert abs(new_f - f) <= 1e-13 * f
-    assert abs(sic._value(psi, form) - f) <= 1e-13 * f
-    assert _rel(new_g, g) <= 1e-13
-    d_new, jac_new = sic._residual_jacobian(psi, form)
+    new_f, state = sic._probe(psi[None], form)
+    assert abs(new_f[0] - f) <= 1e-13 * f
+    assert _rel(sic._grad(state, form)[0], g) <= 1e-13
+    d_new, jac_new = sic._jacobian(state, form)
     d_ref, jac_ref = _dense_residual_jacobian(psi, table)
-    assert _rel(d_new, d_ref) <= 1e-13 and _rel(jac_new, jac_ref) <= 1e-13
+    assert _rel(d_new[0], d_ref) <= 1e-13
+    assert _rel(jac_new[0], jac_ref) <= 1e-13
     assert _rel(sic.sic_orbit(psi), dpsi) <= 1e-13
-    assert _rel(sic._overlaps(psi, form)[1], c) <= 1e-13
+    assert _rel(sic._overlaps(psi[None], form)[1][0], c) <= 1e-13
 
 
 def search_start(n, seed, r):
@@ -171,34 +166,188 @@ def search_start(n, seed, r):
 def test_search_restart_r_starts_from_seed_r():
     out = sic.sic_search(8, restarts=16, seed=1)
     proj = sic._zauner_projector(8)
-    objective = [functools.partial(fn, form=sic._gathers(8))
-                 for fn in (sic._value, sic._value_grad,
-                            sic._residual_jacobian)]
     for r in (0, 6, 15):
         start = proj @ search_start(8, 1, r)
-        f = sic.optimize(start / np.linalg.norm(start), *objective)[1]
-        assert out["stats"]["final_values"][r] == f
+        f = sic.optimize((start / np.linalg.norm(start))[None],
+                         *sic_objective(8))[1]
+        assert out["stats"]["final_values"][r] == f[0]
+
+
+def serial_optimize(psi, probe, grad, jacobian):
+    """descend and polish on one vector as they ran before the lockstep
+    block, with their counts: the reference every row of a block must
+    match bit for bit.  It reads the objective through one-row blocks."""
+    counts = dict.fromkeys(("value_calls", "grad_calls", "polish_steps",
+                            "backtracks"), 0)
+
+    def value(x):
+        counts["value_calls"] += 1
+        return float(probe(x[None])[0][0])
+
+    def value_grad(x):
+        counts["grad_calls"] += 1
+        f, state = probe(x[None])
+        return float(f[0]), grad(state)[0]
+
+    f, g = value_grad(psi)
+    step, prev, f_ref, i_ref, stop = 1.0, None, f, 0, "cap"
+    for it in range(sic._MAX_ITER):
+        if f < sic._POLISH_TRIGGER:
+            stop = "trigger"
+            break
+        gt = g - np.vdot(psi, g).real * psi
+        gn2 = float(np.vdot(gt, gt).real)
+        if gn2 == 0.0:
+            stop = "no_decrease"
+            break
+        if prev is not None:
+            s, y = psi - prev[0], g - prev[1]
+            sy = float(np.vdot(s, y).real)
+            step = (min(max(float(np.vdot(s, s).real) / sy, 1e-8), 1e3)
+                    if sy > 0.0 else min(step * 2.0, 1e3))
+        eta = step
+        for _ in range(60):
+            cand = psi - eta * gt
+            cand = cand / np.linalg.norm(cand)
+            fc = value(cand)
+            if fc <= f - 1e-4 * eta * gn2:
+                break
+            eta *= 0.5
+            counts["backtracks"] += 1
+        else:
+            stop = "line_search"
+            break
+        if not fc < f:
+            stop = "no_decrease"
+            break
+        prev = (psi, g)
+        psi = cand
+        f, g = value_grad(psi)
+        if it - i_ref >= sic._STALL_WINDOW:
+            if f_ref - f <= sic._STALL_RTOL * max(f_ref, 1e-300):
+                stop = "stall"
+                break
+            f_ref, i_ref = f, it
+    for _ in range(40):
+        if f < sic._FTOL:
+            break
+        counts["polish_steps"] += 1
+        d, jac = (a[0] for a in jacobian(probe(psi[None])[1]))
+        delta = np.linalg.lstsq(jac, -d, rcond=None)[0]
+        step = delta[:psi.size] + 1j * delta[psi.size:]
+        scale = 1.0
+        for _ in range(20):
+            cand = psi + scale * step
+            cand = cand / np.linalg.norm(cand)
+            fc = value(cand)
+            if fc < f:
+                psi, f = cand, fc
+                break
+            scale *= 0.5
+            counts["backtracks"] += 1
+        else:
+            break
+    return psi, f, dict(counts, iterations=counts["grad_calls"] - 1,
+                        stop=stop)
+
+
+def multistart_starts(n, restarts, seed, proj=None):
+    # the starts of multistart's restarts 0..restarts-1, as a block
+    out = []
+    for r in range(restarts):
+        psi = search_start(n, seed, r)
+        if proj is not None and np.linalg.norm(proj @ psi) > 1e-6:
+            psi = proj @ psi / np.linalg.norm(proj @ psi)
+        out.append(psi)
+    return np.array(out)
+
+
+# smaller stall window and step cap, so that the block's "stall" and "cap"
+# stops are compared too; a search never reaches the real ones
+LIMITS = {"none": {}, "stall": {"_STALL_WINDOW": 3, "_STALL_RTOL": 0.5},
+          "cap": {"_MAX_ITER": 6}}
+
+
+def assert_block_is_its_rows(block, objective, limits):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, val in LIMITS[limits].items():
+            mp.setattr(sic, name, val)
+        psi, f, counts = sic.optimize(block, *objective)
+        for i, start in enumerate(block):
+            ref = serial_optimize(start, *objective)
+            one = sic.optimize(block[i:i + 1], *objective)
+            for row in ((psi[i], f[i], {k: v[i] for k, v in counts.items()}),
+                        (one[0][0], one[1][0],
+                         {k: v[0] for k, v in one[2].items()})):
+                assert row[0].tobytes() == ref[0].tobytes()
+                assert row[1] == ref[1]
+                assert row[2] == ref[2]
+    return counts["stop"]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.integers(1, 20), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(sorted(LIMITS)))
+@example(8, 16, 1, "none")  # restarts 9 and 11 stop on "no_decrease"
+@example(8, 16, 1, "stall")
+@example(8, 16, 1, "cap")
+@example(12, 20, 2, "none")  # two "line_search" stops
+def test_a_sic_block_runs_each_row_as_its_own_run(n, restarts, seed, limits):
+    block = multistart_starts(n, restarts, seed, sic._zauner_projector(n))
+    stops = assert_block_is_its_rows(block, sic_objective(n, restarts),
+                                     limits)
+    if (n, restarts, seed) == (8, 16, 1):
+        assert {"none": stops[9] == stops[11] == "no_decrease",
+                "stall": stops.count("stall") > 1,
+                "cap": stops.count("cap") > 1}[limits]
+    if (n, restarts, seed) == (12, 20, 2):
+        assert stops.count("line_search") == 2
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 20), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(sorted(LIMITS)))
+def test_a_search6_block_runs_each_row_as_its_own_run(restarts, seed, limits):
+    assert_block_is_its_rows(multistart_starts(6, restarts, seed),
+                             mub._unbiased6_objective(), limits)
+
+
+@pytest.mark.parametrize("n,restarts", [(12, 32), (32, 4)])
+def test_search_memory_stays_in_the_block_budget(n, restarts):
+    # the block's gather buffer (R N^3 complex entries), the two gathers
+    # of one row's Jacobian (N^3 each, and N^3 <= R N^3) and numpy's
+    # temporaries fit in four buffers' worth
+    budget = 4 * sic._block_rows(n) * n ** 3 * 16
+    sic._gathers(n)
+    tracemalloc.start()
+    try:
+        sic.sic_search(n, restarts, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)
 
 
 def test_descend_line_search_calls_per_gradient():
     # a restart at its rounding floor must stop, not halve ~40 times per
     # iteration back to a no-op step until the stall window fires (15.9
     # value calls per gradient call over this search)
-    value, value_grad, calls = counting_objective(8)
-    for r in range(48):
-        sic.descend(search_start(8, 1, r), value, value_grad)
-    assert calls["value"] <= 3 * calls["grad"]
+    probe, grad, _ = sic_objective(8)
+    out = sic.descend(np.array([search_start(8, 1, r) for r in range(48)]),
+                      probe, grad)
+    grad_calls = out["iterations"].sum() + 48
+    assert out["value_calls"].sum() <= 3 * grad_calls
 
 
 def test_descend_stops_at_rounding_floor():
-    value, value_grad, calls = counting_objective(8)
-    psi, f, stop = sic.descend(search_start(8, 1, 6), value, value_grad)
-    assert stop == "no_decrease" and f > 1e-3
-    calls.update(value=0, grad=0)
-    again, f_again, stop = sic.descend(psi, value, value_grad)
-    assert stop == "no_decrease"
-    assert calls["grad"] <= 5 and calls["value"] <= 120
-    assert f_again <= f and f_again == sic.f_sic(again)
+    probe, grad, _ = sic_objective(8)
+    out = sic.descend(search_start(8, 1, 6)[None], probe, grad)
+    assert out["stop"] == ["no_decrease"] and out["f"][0] > 1e-3
+    again = sic.descend(out["psi"], probe, grad)
+    assert again["stop"] == ["no_decrease"]
+    assert again["iterations"][0] <= 4 and again["value_calls"][0] <= 120
+    assert again["f"][0] <= out["f"][0]
+    assert again["f"][0] == sic.f_sic(again["psi"][0])
 
 
 def test_search_stats_keys_and_tally():
@@ -206,9 +355,9 @@ def test_search_stats_keys_and_tally():
     stats = out["stats"]
     assert set(stats) == {"restarts", "converged", "iterations",
                           "value_calls", "grad_calls", "polish_steps",
-                          "final_values", "stops"}
+                          "backtracks", "final_values", "stops"}
     for key in ("restarts", "converged", "iterations", "value_calls",
-                "grad_calls", "polish_steps"):
+                "grad_calls", "polish_steps", "backtracks"):
         assert isinstance(stats[key], int)
     assert set(stats["stops"]) == {"trigger", "no_decrease", "stall",
                                    "line_search", "cap"}
@@ -220,6 +369,12 @@ def test_search_stats_keys_and_tally():
     assert stats["converged"] == sum(f < 1e-12 for f in stats["final_values"])
     # every step is one gradient call after the first
     assert stats["iterations"] == stats["grad_calls"] - 16
+    # a probed candidate is a halving, an accepted step, or the one trial
+    # of a line search that ends on "no_decrease"; every Gauss-Newton step
+    # but a restart's last failed one is accepted
+    ends = stats["value_calls"] - stats["iterations"] - stats["backtracks"]
+    assert stats["polish_steps"] - 16 <= ends \
+        <= stats["polish_steps"] + stats["stops"]["no_decrease"]
 
 
 @pytest.mark.parametrize("bad", [0, 3], ids=["first", "last"])
@@ -229,17 +384,19 @@ def test_search_stats_keys_and_tally():
     ids=["fsic", "min_value"])
 def test_a_nan_restart_fails_the_search_wherever_it_falls(monkeypatch,
                                                           search, bad):
+    # the four restarts are one block; row `bad` of it comes back NaN
     real = sic.optimize
-    calls = []
+    blocks = []
 
-    def patched(*args):
-        psi, f, counts = real(*args)
-        calls.append(None)
-        return psi, np.nan if len(calls) - 1 == bad else f, counts
+    def patched(psi, *objective):
+        psi, f, counts = real(psi, *objective)
+        blocks.append(len(psi))
+        f[bad] = np.nan
+        return psi, f, counts
 
     monkeypatch.setattr(sic, "optimize", patched)
     assert np.isnan(search())
-    assert len(calls) == 4
+    assert blocks == [4]
 
 
 def test_search_threads_agree_where_restarts_stall():
