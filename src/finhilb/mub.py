@@ -443,16 +443,18 @@ def search_unbiased6(restarts: int = 24, seed: int = 0,
     """
     runs, stats = sic.multistart(6, restarts, seed, _unbiased6_objective(),
                                  tol)
-    # at a solution every |v_i| = 1/sqrt(6), so v[0] fixes the phase
-    hits = sorted((v * (v[0].conjugate() / abs(v[0])) for v, f in runs
-                   if f < tol), key=lambda v: tuple(
-        x for c in v for x in (round(c.real, 6), round(c.imag, 6))))
-    vectors = []
-    for v in hits:
-        if all(np.abs(v - u).max() > 1e-6 for u in vectors):
-            vectors.append(v)
-    return {"count": len(vectors),
-            "vectors": np.array(vectors),
+    # at a solution every |v_i| = 1/sqrt(6), so v[0] fixes the phase (np.hypot
+    # rounds as abs(v[0]) does); hits sort on Re v_0, Im v_0, Re v_1, ... to
+    # 6 places, and one within 1e-6 of a hit kept before it is dropped
+    hits = np.reshape([v for v, f in runs if f < tol], (-1, 6))
+    hits = hits * (hits[:, :1].conj() / np.hypot(hits[:, :1].real,
+                                                  hits[:, :1].imag))
+    hits = hits[np.lexsort(np.round(hits, 6).view(float).T[::-1])]
+    keep = np.zeros(len(hits), bool)
+    for i, v in enumerate(hits):
+        keep[i] = (np.abs(v - hits[keep]).max(axis=1) > 1e-6).all()
+    return {"count": int(keep.sum()),
+            "vectors": hits[keep],
             # np.min keeps a NaN that Python's min drops unless it is first
             "min_value": float(np.min(stats["final_values"])),
             "restarts": restarts,

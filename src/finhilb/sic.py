@@ -56,9 +56,9 @@ def _gathers(n):
 
 
 def _block_rows(n):
-    """Restarts per lockstep block: max(1, 2^15 // n^3), so one (R, N^2, N)
-    complex gather holds at most 2^15 entries (512 KB)."""
-    return max(1, 2 ** 15 // n ** 3)
+    """Restarts per lockstep block: max(1, 2^16 // n^3), so one (R, N^2, N)
+    complex gather holds at most 2^16 entries (1 MB; 37 rows at n = 12)."""
+    return max(1, 2 ** 16 // n ** 3)
 
 
 def _shift(psi, idx, vals, out=None):
@@ -105,20 +105,38 @@ def _grad(state, form, work=None):
 
 
 def _jacobian(state, form, work=None):
+    # row i of the (L, K, 2N) Jacobian goes into the spent row i of the
+    # gather, through two (K, N) temporaries that every row reuses
     psi, c, d = state
     n = psi.shape[1]
-    cc = c.conj()[:, :, None]
     hc = _shift(psi, form[0], form[1], work)
     np.conj(hc, out=hc)  # conj(D_k^dag psi)
-    dpsi = _shift(psi, form[2], form[3])
-    dc_dy = np.subtract(hc, dpsi)
-    np.multiply(cc, np.multiply(1j, dc_dy, out=dc_dy), out=dc_dy)
-    dc_dx = np.multiply(cc, np.add(dpsi, hc, out=dpsi), out=dpsi)
-    jac = hc.view(float)  # (L, K, 2N), in the spent gather
-    np.multiply(2.0, dc_dx.real, out=jac[..., :n])
-    np.multiply(2.0, dc_dy.real, out=jac[..., n:])
+    jac = hc.view(float)
+    dpsi, dc_dy = np.empty((2,) + hc.shape[1:], complex)
+    for i, cc in enumerate(c.conj()[:, :, None]):
+        _shift(psi[i:i + 1], form[2], form[3], dpsi[None])
+        np.subtract(hc[i], dpsi, out=dc_dy)
+        np.multiply(cc, np.multiply(1j, dc_dy, out=dc_dy), out=dc_dy)
+        dc_dx = np.multiply(cc, np.add(dpsi, hc[i], out=dpsi), out=dpsi)
+        np.multiply(2.0, dc_dx.real, out=jac[i, :, :n])
+        np.multiply(2.0, dc_dy.real, out=jac[i, :, n:])
     jac[:, 0, :] = 0.0
     return d, jac
+
+
+def _lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a, b):
+    """np.linalg.lstsq(a[i], b[i], rcond=None)[0] for every i of the
+    stacked (L, K, M) a and (L, K) b, bit for bit, in one call of the
+    gufunc behind it (np.linalg.lstsq takes one matrix)."""
+    with np.errstate(call=_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return np.linalg._umath_linalg.lstsq(
+            a, b[..., None], np.finfo(float).eps * max(a.shape[1:]),
+            signature="ddd->ddid")[0][..., 0]
 
 
 def _retire(w, out, done):
@@ -226,8 +244,8 @@ def polish(psi, f, probe, jacobian):
     least-squares step keeps quadratic convergence even where the solution
     set is a manifold and the Jacobian loses rank.  jacobian(state) returns
     the residuals d (probe's f is d @ d) and their real Jacobian with
-    respect to [Re psi, Im psi]; it is taken a row at a time, as numpy's
-    lstsq solves one matrix, so one row's Jacobian is all it holds.
+    respect to [Re psi, Im psi]; each pass takes it once for every row
+    that steps, and solves those rows in one stacked least-squares call.
     Returns psi, f and per-row "value_calls", "backtracks" (step halvings)
     and "polish_steps" (Gauss-Newton steps)."""
     rows, n = psi.shape
@@ -242,11 +260,8 @@ def polish(psi, f, probe, jacobian):
                "value_calls", "backtracks", "polish_steps")}}
 
     def newton(new, state):  # a step for the working rows flagged in new
-        delta = np.reshape([np.linalg.lstsq(jac[0], -d[0], rcond=None)[0]
-                            for d, jac in (jacobian(tuple(a[i:i + 1]
-                                                          for a in state))
-                                           for i in np.flatnonzero(new))],
-                           (-1, 2 * n))
+        d, jac = jacobian(tuple(a[new] for a in state))
+        delta = _lstsq(jac, -d)
         w.step[new] = delta[:, :n] + 1j * delta[:, n:]
         w.scale[new], w.trials[new] = 1.0, 0
         w.polish_steps += new
@@ -308,7 +323,7 @@ def multistart(n, restarts, seed, objective, tol, proj=None):
     Haar-random unit vectors in dimension n: restart r starts from
     default_rng([seed, r]), moved onto the range of the projector proj
     when one is given and the move keeps norm above 1e-6.  The restarts
-    run in restart order in lockstep blocks of max(1, 2^15 // n^3) rows
+    run in restart order in lockstep blocks of max(1, 2^16 // n^3) rows
     (_block_rows); each restart's psi, f and counts are those of its own
     run bit for bit, whatever the block.  Returns every restart's (psi, f)
     in restart order and the search's stats: restarts converged below tol,
@@ -349,7 +364,7 @@ def sic_search(n: int, restarts: int = 32, seed: int = 0) -> dict:
     the candidate is np.argmin's restart: the first least f, or NaN f."""
     form = _gathers(n)
     # the buffer of every gather of a block; one holds until the next
-    work = np.empty((_block_rows(n), n * n, n), complex)
+    work = np.empty((np.clip(restarts, 0, _block_rows(n)), n * n, n), complex)
     objective = [functools.partial(fn, form=form, work=work)
                  for fn in (_probe, _grad, _jacobian)]
     runs, stats = multistart(n, restarts, seed, objective, TOL_SEARCH,

@@ -325,42 +325,59 @@ def test_matrix_product_lint_catches_each_form():
 _OPTIMIZER = ("descend", "polish", "optimize", "multistart")
 
 
+def _enclosing(tree, line):
+    """The innermost function whose source spans `line`, or "<module>"."""
+    spans = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.lineno <= line <= node.end_lineno]
+    return max(spans)[1] if spans else "<module>"
+
+
 def _optimizer_sites(trees):
     """Where each optimizer function is defined, which modules name lstsq,
-    and every call of an optimizer function from outside sic."""
+    every call of an optimizer function from outside sic, and the
+    (module, function) of each line that names numpy's _umath_linalg."""
     defined = {name: [(stem, line) for stem, tree in trees.items()
                       for line in _defined_functions(tree, name)]
                for name in _OPTIMIZER}
     lstsq = [stem for stem, tree in trees.items() if _names(tree, "lstsq")]
     calls = [(stem, fn, name) for stem, tree in trees.items() if stem != "sic"
              for name in _OPTIMIZER for fn, _ in _calls_outside(tree, name)]
-    return defined, lstsq, calls
+    gufunc = [(stem, _enclosing(tree, line)) for stem, tree in trees.items()
+              for line in _names(tree, "_umath_linalg")]
+    return defined, lstsq, calls, gufunc
 
 
 def test_one_sphere_optimizer():
     # one lockstep descend and polish, in sic; search6 reaches them only
-    # through multistart, and only sic solves least squares
+    # through multistart, only sic solves least squares, and the private
+    # gufunc behind np.linalg.lstsq is called from one wrapper
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    defined, lstsq, calls = _optimizer_sites(trees)
+    defined, lstsq, calls, gufunc = _optimizer_sites(trees)
     assert all([stem for stem, _ in sites] == ["sic"]
                for sites in defined.values()), defined
     assert lstsq == ["sic"]
     assert calls == [("mub", "search_unbiased6", "multistart")]
+    assert gufunc == [("sic", "_lstsq")]
 
 
 def test_optimizer_lint_catches_each_form():
     trees = {"sic": ast.parse("def descend(psi):\n"
-                              "    return np.linalg.lstsq(psi, psi)\n"),
+                              "    return np.linalg.lstsq(psi, psi)\n"
+                              "def _lstsq(a):\n"
+                              "    return np.linalg._umath_linalg.lstsq(\n"
+                              "        a)\n"),
              "mub": ast.parse("from numpy.linalg import lstsq\n"
                               "def polish(psi):\n"
                               "    def descend(x):\n"
-                              "        return x\n"
+                              "        return x._umath_linalg\n"
                               "    return sic.optimize(psi)\n"
                               "def search_unbiased6():\n"
                               "    return sic.multistart(6) + descend(1)\n"),
              "weyl": ast.parse("x = linalg.lstsq\n"
-                               "y = multistart(2)\n")}
-    defined, lstsq, calls = _optimizer_sites(trees)
+                               "y = multistart(2)\n"
+                               "from numpy.linalg import _umath_linalg\n")}
+    defined, lstsq, calls, gufunc = _optimizer_sites(trees)
     assert defined["descend"] == [("sic", 1), ("mub", 3)]
     assert defined["polish"] == [("mub", 2)]
     assert lstsq == ["sic", "mub", "weyl"]
@@ -368,3 +385,5 @@ def test_optimizer_lint_catches_each_form():
                      ("mub", "polish", "optimize"),
                      ("mub", "search_unbiased6", "multistart"),
                      ("weyl", "<module>", "multistart")]
+    assert gufunc == [("sic", "_lstsq"), ("mub", "descend"),
+                      ("weyl", "<module>")]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finhilb import combinat, gf, mub, sic, weyl
 
@@ -673,6 +673,55 @@ def test_search_unbiased6_restart_r_starts_from_seed_r():
         start = sic._haar_start(np.random.default_rng([3, r]), 6)
         f = sic.optimize(start[None], *objective)[1]
         assert out["stats"]["final_values"][r] == f[0]
+
+
+def _distinct_reference(runs, tol):
+    # search_unbiased6's dedupe written one hit at a time, with Python's
+    # sort and all(): the reference for its array form
+    hits = sorted((v * (v[0].conjugate() / abs(v[0])) for v, f in runs
+                   if f < tol), key=lambda v: tuple(
+        x for c in v for x in (round(c.real, 6), round(c.imag, 6))))
+    vectors = []
+    for v in hits:
+        if all(np.abs(v - u).max() > 1e-6 for u in vectors):
+            vectors.append(v)
+    return np.array(vectors)
+
+
+# a hit is a base vector with entry j nudged, times a global phase, with its
+# f: nudges either side of the 1e-6 distance and below the rounding of the
+# sort keys (ties), phases that leave +-0.0 entries, and f that miss tol
+_NUDGES = (0.0, 1e-9, -1e-9, 0.999e-6, -0.999e-6, 1.001e-6, -1.001e-6, 3e-6)
+_PHASES = (1.0, -1.0, 1j, -1j, np.exp(0.3j))
+_FS = (0.0, 1e-20, 1e-18, 1.0, np.nan)
+_HIT = st.tuples(st.integers(0, 3), st.integers(1, 5),
+                 st.sampled_from(_NUDGES), st.sampled_from(_PHASES),
+                 st.sampled_from(_FS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(_HIT, min_size=1, max_size=16))
+@example(0, [(0, 1, 0.0, 1.0, 1.0)])  # no hit
+@example(0, [(0, 1, 0.0, 1.0, 0.0)])  # one hit
+@example(0, [(0, 1, 0.0, 1.0, 0.0), (0, 1, 0.0, 1.0, 0.0),
+             (0, 2, 1e-9, 1.0, 0.0), (1, 3, 0.0, -1.0, 0.0)])
+def test_search6_dedupe_matches_the_one_at_a_time_reference(seed, picks):
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.standard_normal((4, 6))
+                    + 1j * rng.standard_normal((4, 6)), 3)
+    base[:, 4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    runs = []
+    for i, j, nudge, phase, f in picks:
+        v = base[i].copy()
+        v[j] += nudge
+        runs.append((v * phase, f))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sic, "multistart", lambda *args: (
+            runs, {"final_values": [f for _, f in runs]}))
+        out = mub.search_unbiased6(restarts=len(runs))
+    ref = _distinct_reference(runs, 1e-18)
+    assert out["count"] == len(ref)
+    assert out["vectors"].tobytes() == ref.tobytes()
 
 
 def test_unbiased6_gradient_and_jacobian_finite_difference():

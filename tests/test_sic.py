@@ -328,6 +328,88 @@ def test_search_memory_stays_in_the_block_budget(n, restarts):
     assert peak <= budget, (peak, budget)
 
 
+@pytest.mark.parametrize("n,rows", [(2, 8192), (6, 303), (8, 128),
+                                    (12, 37), (16, 16), (24, 4), (32, 2)])
+def test_block_rows_hold_2_16_gather_entries(n, rows):
+    # a 32-restart search at n = 12 is one block, and n = 32 runs two rows
+    assert sic._block_rows(n) == rows
+
+
+def test_search_buffer_has_no_more_rows_than_restarts():
+    # an 8-restart search at n = 8 holds 8 gather rows, not the block's 128
+    n, restarts = 8, 8
+    sic._gathers(n)
+    sic.sic_search(n, restarts, seed=0)  # fills the caches of a first search
+    tracemalloc.start()
+    try:
+        sic.sic_search(n, restarts, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sic._block_rows(n) * n ** 3 * 16, peak
+
+
+def _lstsq_each(a, b):
+    # np.linalg.lstsq on each matrix of the stack: the reference for
+    # sic._lstsq
+    return np.array([np.linalg.lstsq(m, v, rcond=None)[0]
+                     for m, v in zip(a, b)]).reshape(len(a), a.shape[2])
+
+
+def _unit_rows(rng, rows, n):
+    return sic._unit(rng.standard_normal((rows, n))
+                     + 1j * rng.standard_normal((rows, n)))
+
+
+def _polish_system(kind, rows, n, seed):
+    """A stack of least-squares systems (a, b) of the kind polish solves."""
+    rng = np.random.default_rng(seed)
+    if kind == "sic":  # each Jacobian has the global phase as a null vector
+        form = sic._gathers(n)
+        d, a = sic._jacobian(sic._probe(_unit_rows(rng, rows, n), form)[1],
+                             form)
+        return a, -d
+    if kind == "search6":  # square, 12 x 12
+        probe, _, jacobian = mub._unbiased6_objective()
+        d, a = jacobian(probe(_unit_rows(rng, rows, 6))[1])
+        return a, -d
+    k, m = n * n, 2 * n
+    a = rng.standard_normal((rows, k, m))
+    if kind == "null_column":
+        a[:, :, rng.integers(m)] = 0.0
+    if kind == "near_null":  # one singular value between eps m and eps k
+        u, v = (np.linalg.qr(rng.standard_normal((rows, size, m)))[0]
+                for size in (k, m))
+        s = np.ones(m)
+        s[-1] = np.finfo(float).eps * math.sqrt(k * m)
+        a = (u * s) @ v.transpose(0, 2, 1)
+    return a, rng.standard_normal((rows, k))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["sic", "search6", "full_rank", "null_column",
+                        "near_null"]),
+       st.integers(1, 6), st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
+@example("sic", 1, 5, 0)
+@example("search6", 1, 6, 0)
+@example("null_column", 1, 3, 0)
+@example("near_null", 3, 8, 0)
+def test_stacked_lstsq_is_lstsq_row_by_row(kind, rows, n, seed):
+    a, b = _polish_system(kind, rows, n, seed)
+    x = sic._lstsq(a, b)
+    assert x.shape == (rows, a.shape[2])
+    assert x.tobytes() == _lstsq_each(a, b).tobytes()
+
+
+def test_stacked_lstsq_raises_on_a_nan_row():
+    a, b = _polish_system("sic", 3, 4, 1)
+    a[1, 5, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(a[1], b[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        sic._lstsq(a, b)
+
+
 def test_descend_line_search_calls_per_gradient():
     # a restart at its rounding floor must stop, not halve ~40 times per
     # iteration back to a no-op step until the stall window fires (15.9
