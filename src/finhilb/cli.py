@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import clifford, combinat, designs, gf, mub, sic, weyl, wigner
-from .tol import TOL_MATRIX, TOL_OVERLAP, TOL_SEARCH, TOL_SIC_GRAM
+from .tol import TOL_INPUT, TOL_MATRIX, TOL_OVERLAP, TOL_SEARCH, TOL_SIC_GRAM
 
 FORMAT_VERSION = 1
 
@@ -353,7 +353,7 @@ def cmd_wigner_table(args, rep):
     if psi.size != args.n:
         raise ValueError("state dimension %d does not match --n %d"
                          % (psi.size, args.n))
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
+    if not abs(np.linalg.norm(psi) - 1.0) <= TOL_INPUT:
         raise ValueError("state is not a unit vector")
     table, devs = wigner.roundtrip(np.outer(psi, psi.conj()),
                                    wigner.phase_point_set(args.n))
@@ -438,7 +438,7 @@ def cmd_sic_fingerprint(args, rep):
         psi = sic.dim4_fiducial()
     phases = sic.overlap_phases(sic.make_candidate(psi))
     out = sic.u_fingerprint(phases)
-    rep.check("u_deviation", out["uDeviation"], 1e-10)
+    rep.check("u_deviation", out["uDeviation"], TOL_MATRIX)
     rep.check("minpoly_residual", out["minpolyResidual"], args.tol)
     rep.check("unit_residual", out["unitResidual"], args.tol)
     rep.result = {"u": out["u"]}
@@ -664,3 +664,7 @@ def dispatch(argv) -> int:
 
 def main(argv=None):
     sys.exit(dispatch(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

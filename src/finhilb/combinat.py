@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from . import gf
-from .tol import TOL_MATRIX
+from .tol import TOL_INPUT, TOL_MATRIX
 
 
 def latin_from_group(n: int) -> np.ndarray:
@@ -108,13 +108,13 @@ def fourier_matrix(n: int) -> np.ndarray:
 
 def is_complex_hadamard(H) -> bool:
     """Flat unitary test: all entries of modulus 1/sqrt(n) and H unitary,
-    both within 1e-8."""
+    both within TOL_INPUT (1e-8)."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         return False
     n = H.shape[0]
-    flat = np.abs(np.abs(H) - 1 / np.sqrt(n)).max() < 1e-8
-    unitary = np.abs(H @ H.conj().T - np.eye(n)).max() < 1e-8
+    flat = np.abs(np.abs(H) - 1 / np.sqrt(n)).max() < TOL_INPUT
+    unitary = np.abs(H @ H.conj().T - np.eye(n)).max() < TOL_INPUT
     return bool(flat and unitary)
 
 

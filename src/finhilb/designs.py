@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import combinat
-from .tol import TOL_MATRIX, TOL_OVERLAP
+from .tol import TOL_INPUT, TOL_MATRIX, TOL_OVERLAP
 
 
 def _as_family(vectors, t):
@@ -146,7 +146,7 @@ def unitary_design_moment(unitaries, t: int) -> dict:
     for u in mats:
         if u.shape != (n, n):
             raise ValueError("mixed dimensions")
-        combinat.check_unitary(u, 1e-8)
+        combinat.check_unitary(u, TOL_INPUT)
     if t < 1:
         raise ValueError("t must be positive")
     if t <= n:

@@ -189,11 +189,12 @@ def directions(q: int):
     return [(x, 1) for x in range(q)] + [(gf.prime_power(q)[0] - 1, 0)]
 
 
-def subgroup_eigenbases(p: int, k: int = 1):
-    """The complete set of q + 1 MUBs in dimension q = p^k: basis l is the
-    joint eigenbasis of the maximal abelian subgroup of field displacements
-    on the line through the origin in direction d_l = directions(q)[l],
-    generated by the k displacements D(a^i d_l) (element p^i is a^i).
+def subgroup_eigenbases(p: int, k: int = 1) -> np.ndarray:
+    """The complete set of q + 1 MUBs in dimension q = p^k, as one
+    (q + 1, q, q) array whose entry l is basis l: the joint eigenbasis of
+    the maximal abelian subgroup of field displacements on the line
+    through the origin in direction d_l = directions(q)[l], generated by
+    the k displacements D(a^i d_l) (element p^i is a^i).
 
     Column a of basis l has eigenvalue omega^(a_i) under the phased
     generator D(a^i d_l), where a = (a_0 ... a_(k-1)) in base p, a_0
@@ -208,8 +209,8 @@ def subgroup_eigenbases(p: int, k: int = 1):
     u = gf.mul(spec, p ** np.arange(k)[:, None],
                np.array(directions(q))[:, None])
     rows, vals = weyl._field_form(spec, u[..., 0].ravel(), u[..., 1].ravel())
-    return list(_stabilizer_basis(rows.reshape(q + 1, k, q),
-                                  vals.reshape(q + 1, k, q), p))
+    return _stabilizer_basis(rows.reshape(q + 1, k, q),
+                             vals.reshape(q + 1, k, q), p)
 
 
 def bbrv_flower(bases):
@@ -289,11 +290,11 @@ def mermin_landscape() -> dict:
     """
     words = ["".join(t) for t in itertools.product("1XYZ", repeat=2)
              if t != ("1", "1")]
-    # each petal is the nonzero part of a maximal isotropic subspace of
-    # F_2^4, the vector (x1, z1, x2, z2) naming one word
+    # each petal is the nonzero part of a Lagrangian subspace of F_2^4, the
+    # vector (x1, z1, x2, z2) naming one word
     letter = {bits: ch for ch, bits in _XZ_BITS.items()}
     found = {frozenset(letter[v[:2]] + letter[v[2:]] for v in space if any(v))
-             for space in _maximal_isotropic_subspaces(2, 2)}
+             for space in lagrangians(2, 2)}
     if found != {frozenset(t) for t in _PETAL_TABLE}:
         raise RuntimeError("subgroup enumeration disagrees with the "
                            "conventional table")
@@ -361,51 +362,32 @@ def stabilizer_count(p: int, k: int) -> int:
     return count
 
 
-def _maximal_isotropic_subspaces(p: int, k: int) -> set:
-    """Brute-force enumeration of the maximal totally isotropic subspaces
-    of the symplectic space F_p^{2k}, each a frozenset of vectors
-    (x1, z1, ..., xk, zk); the form is weyl.symplectic_exponent summed
-    over the k coordinate pairs."""
-    vectors = list(itertools.product(range(p), repeat=2 * k))
-    x = np.array(vectors).T
-    form = sum(weyl.symplectic_exponent(x[i:i + 2, :, None],
-                                        x[i:i + 2, None, :])
-               for i in range(0, 2 * k, 2))
-    # orthogonal[a, b]: vectors a and b have zero form
-    orthogonal = (form % p == 0).tolist()
-
-    def add(u, v):
-        return tuple((a + b) % p for a, b in zip(u, v))
-
-    zero = vectors[0]
-    found = set()
-
-    def extend(basis, span):
-        if len(basis) == k:
-            found.add(frozenset(span))
-            return
-        for i, v in enumerate(vectors):
-            if v in span or not all(orthogonal[i][b] for b in basis):
-                continue
-            new_span = set(span)
-            for s in list(span):
-                w = s
-                for _ in range(p - 1):
-                    w = add(w, v)
-                    new_span.add(w)
-            extend(basis + [i], new_span)
-
-    extend([], {zero})
-    return found
-
-
-def maximal_isotropic_count(p: int, k: int) -> int:
-    """Number of maximal totally isotropic subspaces of the symplectic
-    space F_p^{2k} (each is the phase-space footprint of one stabilizer
-    basis), by brute force."""
+def lagrangians(p: int, k: int) -> set:
+    """The Lagrangian (maximal totally isotropic) subspaces of the
+    symplectic space F_p^{2k}, p^k <= 8, each the phase-space footprint of
+    one stabilizer basis and a frozenset of its p^k vectors (x1, z1, ...,
+    xk, zk); the form is weyl.symplectic_exponent summed over the k
+    coordinate pairs.  Each lies in one of 2^k charts: for a subset J of
+    the pairs it is the row space of [I | S], S symmetric over F_p, with
+    the pairs in J turned by (x, z) -> (-z, x).  There are
+    prod_{i=1..k} (p^i + 1) of them."""
+    if not gf.is_prime(p):
+        raise ValueError("p must be prime")
     if p ** k > 8:
-        raise ValueError("too large for brute force")
-    return len(_maximal_isotropic_subspaces(p, k))
+        raise ValueError("p^k too large for the enumeration")
+    c = np.array(list(itertools.product(range(p), repeat=k)))
+    iu = np.triu_indices(k)
+    s = np.zeros((p ** len(iu[0]), k, k), int)
+    s[:, iu[0], iu[1]] = s[:, iu[1], iu[0]] = list(
+        itertools.product(range(p), repeat=len(iu[0])))
+    # axes (S, combination c, pair): the vector c [I | S]
+    x, z = np.broadcast_arrays(c, c @ s % p)
+    turn = np.array(list(itertools.product((0, 1), repeat=k)), bool)
+    # axes (J, S, c, pair, (x, z))
+    v = np.stack([np.where(turn[:, None, None], -z % p, x),
+                  np.where(turn[:, None, None], x, z)], -1)
+    return {frozenset(map(tuple, span))
+            for span in v.reshape(-1, p ** k, 2 * k).tolist()}
 
 
 # -- exploratory search for vectors unbiased to two bases in dimension 6 --

@@ -10,3 +10,5 @@ TOL_OVERLAP = 1e-9
 TOL_SIC_GRAM = 1e-8
 # search success: f_sic at a fiducial
 TOL_SEARCH = 1e-12
+# input gates: unit norm, Hermitian, unit trace, unitarity, Hadamard
+TOL_INPUT = 1e-8

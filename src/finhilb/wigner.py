@@ -9,7 +9,7 @@ import functools
 import numpy as np
 
 from . import clifford, combinat, gf, mub, weyl
-from .tol import TOL_MATRIX
+from .tol import TOL_INPUT, TOL_MATRIX
 _MAX_N = 31
 
 
@@ -83,9 +83,9 @@ def wigner_function(rho, pps) -> np.ndarray:
     n = pps.shape[0]
     if rho.shape != (n, n):
         raise ValueError("dimension mismatch")
-    if not np.abs(rho - rho.conj().T).max() <= 1e-8:
+    if not np.abs(rho - rho.conj().T).max() <= TOL_INPUT:
         raise ValueError("rho is not Hermitian")
-    if not abs(np.trace(rho) - 1.0) <= 1e-8:
+    if not abs(np.trace(rho) - 1.0) <= TOL_INPUT:
         raise ValueError("rho does not have unit trace")
     w = np.einsum("rsij,ji->rs", pps, rho) / n
     return w.real
@@ -195,7 +195,7 @@ def mub_line_map(pps) -> list:
     # axes (k, c, i, j): the average over line c of pencil k
     projs = _walk_sum(pps, *_line_table(n)) / n
     # axes (k, c, i): column c of basis k
-    v = np.stack(mub.subgroup_eigenbases(n)).transpose(0, 2, 1)
+    v = mub.subgroup_eigenbases(n).transpose(0, 2, 1)
     res = np.abs(projs - v[..., :, None] * v.conj()[..., None, :]).max(
         axis=(2, 3))
     # written so that a NaN residual is a miss

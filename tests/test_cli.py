@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -414,6 +418,25 @@ def test_mub_verify_nonfinite_entry_fails(capsys, tmp_path, bad):
     code, out, err = run(capsys, "mub", "verify", str(path), "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("module", ["finhilb", "finhilb.cli"])
+def test_python_m_returns_the_cli_exit_code(capsys, tmp_path, module):
+    # `python -m` runs the command line, so a NaN mubset fails closed there
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert run(capsys, "mub", "gen", "--p", "3", "--out", str(good))[0] == 0
+    doc = json.loads(good.read_text())
+    doc["bases"][1][0][0][0] = float("nan")
+    bad.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    for path, code in ((good, 0), (bad, 2)):
+        done = subprocess.run([sys.executable, "-m", module, "mub", "verify",
+                               str(path), "--json"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (path.name, done.stderr)
+    assert "finite" in done.stderr
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

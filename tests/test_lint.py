@@ -99,7 +99,7 @@ def test_env_and_thread_lint_catches_each_form():
 # modules earlier in this order, so no import cycle can form (sic reads no
 # clifford: its Zauner unitary is weyl.metaplectic).
 LAYERS = ("tol", "gf", "weyl", "combinat", "designs", "sic", "clifford",
-          "mub", "wigner", "cli")
+          "mub", "wigner", "cli", "__main__")
 
 
 def _layer_violations(name, tree):

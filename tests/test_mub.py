@@ -629,15 +629,90 @@ def test_isotropic_lines_are_the_pencils():
     for p in (2, 3, 5, 7):
         spans = {frozenset((t * d1 % p, t * d2 % p) for t in range(p))
                  for d1, d2 in mub.directions(p)}
-        assert mub._maximal_isotropic_subspaces(p, 1) == spans
+        assert mub.lagrangians(p, 1) == spans
 
 
 def test_maximal_isotropic_counts():
-    assert mub.maximal_isotropic_count(2, 1) == 3
-    assert mub.maximal_isotropic_count(3, 1) == 4
-    assert mub.maximal_isotropic_count(2, 2) == 15
-    assert mub.maximal_isotropic_count(2, 3) == 135
+    assert len(mub.lagrangians(2, 1)) == 3
+    assert len(mub.lagrangians(3, 1)) == 4
+    assert len(mub.lagrangians(2, 2)) == 15
+    assert len(mub.lagrangians(2, 3)) == 135
     assert mub.stabilizer_count(2, 3) == 135 * 8
+
+
+# every (p, k) the chart enumeration takes: p prime, p^k <= 8
+LAGRANGIAN_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1)]
+
+
+def _orthogonal(vectors, p):
+    """[a, b]: vectors a and b of F_p^{2k}, rows (x1, z1, ..., xk, zk),
+    have zero form, weyl.symplectic_exponent summed over the k pairs."""
+    x = np.array(vectors).T
+    return sum(weyl.symplectic_exponent(x[i:i + 2, :, None],
+                                        x[i:i + 2, None, :])
+               for i in range(0, len(x), 2)) % p == 0
+
+
+@functools.cache
+def _brute_force_lagrangians(p, k):
+    """The reference enumeration: grow every isotropic basis one vector at
+    a time over all of F_p^{2k}, collecting the spans of size p^k."""
+    vectors = list(itertools.product(range(p), repeat=2 * k))
+    orthogonal = _orthogonal(vectors, p).tolist()
+
+    def add(u, v):
+        return tuple((a + b) % p for a, b in zip(u, v))
+
+    found = set()
+
+    def extend(basis, span):
+        if len(basis) == k:
+            found.add(frozenset(span))
+            return
+        for i, v in enumerate(vectors):
+            if v in span or not all(orthogonal[i][b] for b in basis):
+                continue
+            new_span = set(span)
+            for s in list(span):
+                w = s
+                for _ in range(p - 1):
+                    w = add(w, v)
+                    new_span.add(w)
+            extend(basis + [i], new_span)
+
+    extend([], {vectors[0]})
+    return found
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LAGRANGIAN_SIZES))
+@example((2, 1))
+@example((2, 2))
+@example((2, 3))
+@example((3, 1))
+@example((5, 1))
+@example((7, 1))
+def test_lagrangians_match_the_brute_force_recursion(size):
+    p, k = size
+    found = mub.lagrangians(p, k)
+    assert found == _brute_force_lagrangians(p, k)
+    assert len(found) == np.prod([p ** i + 1 for i in range(1, k + 1)])
+    for span in found:
+        assert len(span) == p ** k
+        assert _orthogonal(sorted(span), p).all()
+
+
+@pytest.mark.parametrize("p,k", LAGRANGIAN_SIZES)
+def test_stabilizer_count_is_states_per_lagrangian(p, k):
+    assert mub.stabilizer_count(p, k) == p ** k * len(mub.lagrangians(p, k))
+
+
+def test_lagrangians_guards():
+    with pytest.raises(ValueError, match="prime"):
+        mub.lagrangians(4, 1)
+    for p, k in ((3, 2), (2, 4), (11, 1)):
+        with pytest.raises(ValueError, match="too large"):
+            mub.lagrangians(p, k)
 
 
 def test_search_unbiased6_finds_verified_vectors():
