@@ -237,7 +237,7 @@ def bbrv_flower(bases):
     vecs = np.array([u.reshape(n * n) / np.sqrt(n) for u in ops])
     gram = vecs.conj() @ vecs.T
     res = float(np.abs(gram - np.eye(n * n)).max())
-    if not res <= 1e-8:
+    if not res <= TOL_MATRIX:
         raise ValueError("petal union is not a unitary operator basis "
                          "(residual %g)" % res)
     return petals

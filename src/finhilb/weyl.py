@@ -10,7 +10,7 @@ Conventions, fixed once for the whole package:
   evaluation, which keeps residuals at the 1e-15 level.
 * Every displacement, over Z_N or GF(p^K), is monomial.  One builder turns
   a batch of labels into that (row, phase) form; each dense matrix here
-  writes it out, and the group-law check reads the dense table back.
+  writes it out, and one group-law kernel checks both groups on it.
 * ``metaplectic(G, N)`` is Appleby's Clifford unitary of G in SL(2,
   Z_nbar(N)): ``U_G D_p U_G^dag = D_{Gp}`` up to phase, for every N.
 
@@ -70,11 +70,6 @@ def tau_power(n: int, m: int) -> complex:
 
 def _omega_power(n, m):
     return np.exp(2j * np.pi * (m % n) / n)
-
-
-def clock_shift(n: int):
-    """Return (Z, X) in dimension n: Z the clock, X the cyclic shift."""
-    return displacement(n, 0, 1), displacement(n, 1, 0)
 
 
 def displacement(n: int, r: int, s: int) -> np.ndarray:
@@ -157,55 +152,67 @@ def group_law_residual(n: int, p, q) -> float:
 def group_law_max_residual(n: int) -> float:
     """group_law_residual maximized over all N^2 x N^2 standard index
     pairs, read from the monomial form of ``displacement_table(n)``."""
-    return _monomial_group_law_residual(displacement_table(n))
+    return _monomial_group_law_residual(
+        _dense_form(displacement_table(n)), _table_law(n), n)
 
 
-def _monomial_group_law_residual(table) -> float:
-    """Max-entry group-law residual of a (N*N, N, N) displacement table.
+def _table_law(n):
+    """The label arithmetic of Z_N for _monomial_group_law_residual, one
+    block of first labels a = (r1, 0..N-1) at a time."""
+    r, s = np.divmod(np.arange(n * n), n)
+    sa = np.arange(n)[:, None]
+    for r1 in range(n):
+        rsum, ssum = r1 + r, sa + s
+        om = sa * r - r1 * s
+        e = om + rsum * ssum - (rsum % n) * (ssum % n)
+        yield r1 * n + sa, (rsum % n) * n + ssum % n, e % nbar(n), om % n
 
-    Each D_a is read per column as the row and value of its largest
-    entry; the largest entry off that support counts in the residual.
+
+def _monomial_group_law_residual(form, law, m, signed=False) -> float:
+    """Max-entry group-law residual of the monomial form (rows, vals, res)
+    of all L labels, res the largest modulus off the support.
+
+    law yields blocks (a, c, e, om): first labels a of shape (B, 1), and
+    per pair (a, b) the label c of a + b and the reduced exponents of
+    D_a D_b = tau**e D_c = omega**om D_b D_a, tau and omega of modulus m;
+    with signed each pair's tau residual is minimized over the sign.
     (D_a D_b)[:, j] = val_a[row_b[j]] val_b[j] |row_a[row_b[j]]>.  NaN
     propagates to the result.
     """
-    n = table.shape[1]
-    rows, vals, res = _dense_form(table)
-    taus = tau_power(n, np.arange(nbar(n)))
-    omegas = _omega_power(n, np.arange(n))
-    idx = np.arange(n * n)
-    r, s = np.divmod(idx, n)
-    sa = np.arange(n)[:, None]
-    # one block of a = (r1, 0..N-1) at a time keeps each array at N^4;
-    # each product is compared with tau**e D_{a+b} and omega**Omega D_b D_a
-    for r1 in range(n):
-        a = r1 * n + sa
-        rsum, ssum = r1 + r, sa + s
-        om = sa * r - r1 * s
-        c = (rsum % n) * n + ssum % n
-        e = om + rsum * ssum - (rsum % n) * (ssum % n)
-        # products in place: a fresh N^4 array costs its page faults
+    rows, vals, res = form
+    n = rows.shape[1]
+    taus = tau_power(m, np.arange(nbar(m)))
+    omegas = _omega_power(m, np.arange(m))
+    # every array of a block has B L N entries, and products are taken in
+    # place: a fresh B L N array costs its page faults
+    for a, c, e, om in law:
         k = rows + n * a[..., None]
         ab_row, ab_val = rows.ravel()[k], vals.ravel()[k]
         ab_val *= vals
         t = vals[c]
-        np.multiply(taus[e % len(taus)][..., None], t, out=t)
-        res = _distance(res, ab_row, ab_val, rows[c], t)
-        k = rows[a] + n * idx[:, None]
+        np.multiply(taus[e][..., None], t, out=t)
+        res = np.maximum(res, _distance(ab_row, ab_val, rows[c], t, signed))
+        k = rows[a] + n * np.arange(len(rows))[:, None]
         t = vals.ravel()[k]
-        np.multiply(omegas[om % n][..., None], t, out=t)
+        np.multiply(omegas[om][..., None], t, out=t)
         t *= vals[a]
-        res = _distance(res, ab_row, ab_val, rows.ravel()[k], t)
+        res = np.maximum(res, _distance(ab_row, ab_val, rows.ravel()[k], t))
     return float(res)
 
 
-def _distance(res, rows, vals, t_rows, t_vals):
-    """np.maximum of res and the max-entry distance of two monomial stacks,
-    |difference| where rows agree, else the larger modulus.  Reuses t_vals."""
+def _distance(rows, vals, t_rows, t_vals, signed=False):
+    """Max-entry distance of two monomial stacks, |difference| where rows
+    agree, else the larger modulus; with signed, each pair's (last axis)
+    distance to t or to -t, whichever is smaller.  Reuses t_vals."""
     miss = rows != t_rows
     worse = np.maximum(np.abs(vals[miss]), np.abs(t_vals[miss]))
+    flip = np.abs(t_vals + vals) if signed else None
     dist = np.abs(np.subtract(t_vals, vals, out=t_vals))
     dist[miss] = worse
-    return np.maximum(res, dist.max())
+    if flip is None:
+        return dist.max()
+    flip[miss] = worse
+    return np.minimum(dist.max(axis=-1), flip.max(axis=-1)).max()
 
 
 def orthogonality_max_residual(n: int) -> float:
@@ -246,34 +253,10 @@ def expansion(A):
 
 # -- finite-field displacements ---------------------------------------------
 
-def field_shift(spec, u) -> np.ndarray:
-    """X_u |x> = |x + u> over the canonical element order."""
-    return field_displacement(spec, u, 0)
-
-
-def field_clock(spec, u) -> np.ndarray:
-    """Z_u |x> = omega**tr(x u) |x> with omega = exp(2*pi*i/p)."""
-    return field_displacement(spec, 0, u)
-
-
-def field_displacement(spec, u1, u2) -> np.ndarray:
-    """D_u = tau**tr(u1 u2) X_{u1} Z_{u2} with tau = -exp(i*pi/p), i.e.
-    D_u |x> = tau**tr(u1 u2) omega**tr(x u2) |x + u1>, for the element
-    indices u1, u2 in [0, q).
-
-    Sign convention for p = 2: tau = -i has order four while traces are
-    residues mod 2, so the group law D_u D_v = tau**<u,v> D_{u+v} holds
-    only up to sign, and the residual checks of this module minimize over
-    that sign.  For odd p every phase is exact.
-    """
-    # a negative index would wrap silently in the gathers below
-    if not (0 <= u1 < spec.order and 0 <= u2 < spec.order):
-        raise ValueError("field element index out of range")
-    return _densify(*_field_form(spec, np.array([u1]), np.array([u2])))[0]
-
-
 def _field_form(spec, u1, u2):
-    """The monomial form of D_u for index arrays u1, u2 of shape (K,)."""
+    """The monomial form of D_u = tau**tr(u1 u2) X_{u1} Z_{u2}, i.e. D_u |x>
+    = tau**tr(u1 u2) omega**tr(x u2) |x + u1>, for index arrays u1, u2 of
+    shape (K,), tau = -exp(i*pi/p) and omega = exp(2*pi*i/p)."""
     p, digits = spec.p, gf.digit_table(spec)
     # tr(x y) = cx . G . cy mod p, G the symmetric trace form
     c1, g2 = digits[u1], (digits[u2] @ gf.trace_form(spec)) % p
@@ -281,22 +264,32 @@ def _field_form(spec, u1, u2):
     return _form(p, rows, (c1 * g2).sum(axis=1) % p, g2 @ digits.T)
 
 
-def field_symplectic_exponent(spec, u, v) -> int:
-    """<u, v> = tr(u2 v1 - u1 v2), an integer residue mod p."""
-    return int(gf.field_trace(spec, gf.mul(spec, u[1], v[0]))
-               - gf.field_trace(spec, gf.mul(spec, u[0], v[1]))) % spec.p
+def _field_labels(spec):
+    """All q^2 labels u = (u1, u2), entry u1*q + u2."""
+    return np.divmod(np.arange(spec.order ** 2), spec.order)
 
 
-def field_group_law_residual(spec, u, v) -> float:
-    """Max-entry distance from D_u D_v = tau**<u,v> D_{u+v}, minimized over
-    the overall sign when p = 2 (see :func:`field_displacement`)."""
-    lhs = field_displacement(spec, *u) @ field_displacement(spec, *v)
-    rhs = tau_power(spec.p, field_symplectic_exponent(spec, u, v)) \
-        * field_displacement(spec, *gf.add(spec, u, v))
-    res = np.abs(lhs - rhs).max()
-    if spec.p == 2:
-        res = min(res, np.abs(lhs + rhs).max())
-    return float(res)
+def field_group_law_max_residual(spec) -> float:
+    """group_law_max_residual over GF(q), q <= 32: D_u D_v = tau**<u,v>
+    D_{u+v} = omega**<u,v> D_v D_u with <u, v> = tr(v1 u2) - tr(u1 v2) mod
+    p.  At p = 2, tau = -i has order four while traces are residues mod 2,
+    so each pair's tau residual is minimized over the overall sign."""
+    if spec.order > 32:
+        raise ValueError("field group law capped at q = 32")
+    form = _field_form(spec, *_field_labels(spec))
+    return _monomial_group_law_residual((*form, 0.0), _field_law(spec),
+                                        spec.p, signed=spec.p == 2)
+
+
+def _field_law(spec):
+    """The label arithmetic of GF(q), one block a = (a1, 0..q-1) at a time."""
+    q, x = spec.order, np.arange(spec.order)[:, None]
+    add = gf.add(spec, x, x.T)
+    trace = gf.field_trace(spec, gf.mul(spec, x, x.T))  # tr(x y)
+    v1, v2 = _field_labels(spec)
+    for a1 in range(q):
+        e = (trace[v1, x] - trace[a1, v2]) % spec.p
+        yield a1 * q + x, add[a1, v1] * q + add[x, v2], e, e
 
 
 def tensor_isomorphism(spec):
@@ -306,9 +299,9 @@ def tensor_isomorphism(spec):
 
     Factor i of D_(u1,u2) carries indices (tr(u1*dual_i), tr(u2*e_i)),
     with e_i = a^i the powers of the generator and dual_i their trace
-    dual basis.  Every one of the q^2 displacements is checked.  Returns
-    (S, report); for p = 2 report["max_residual"] is minimized over the
-    overall sign (see :func:`field_displacement`).
+    dual basis.  Every one of the q^2 displacements is checked on monomial
+    forms.  Returns (S, report); for p = 2 report["max_residual"] is
+    minimized per displacement over the overall sign.
     """
     p, k, q = spec.p, spec.k, spec.order
     basis = [p ** d for d in range(k)]
@@ -317,19 +310,23 @@ def tensor_isomorphism(spec):
     # row x, column i: tr(x * dual_i) and tr(x * e_i)
     dual_digits = gf.field_trace(spec, gf.mul(spec, x, dual))
     basis_digits = gf.field_trace(spec, gf.mul(spec, x, basis))
+    radix = p ** np.arange(k - 1, -1, -1)
+    perm = dual_digits @ radix
     S = np.zeros((q, q), dtype=complex)
-    S[dual_digits @ p ** np.arange(k - 1, -1, -1), np.arange(q)] = 1.0
-    pairs = [(u1, u2) for u1 in range(q) for u2 in range(q)]
-    worst = 0.0
-    for u1, u2 in pairs:
-        lhs = S @ field_displacement(spec, u1, u2) @ S.conj().T
-        rhs = functools.reduce(np.kron, _densify(*_standard_form(
-            p, dual_digits[u1], basis_digits[u2])))
-        res = np.abs(lhs - rhs).max()
-        if p == 2:
-            res = min(res, np.abs(lhs + rhs).max())
-        # np.maximum keeps a NaN that Python's max would drop
-        worst = float(np.maximum(worst, res))
-    report = {"max_residual": worst, "pairs_checked": len(pairs),
-              "phase_minimized": p == 2}
+    S[perm, np.arange(q)] = 1.0
+    u1, u2 = _field_labels(spec)
+    # S D_u S^dag: the form with its rows and columns relabelled by perm
+    rows, vals = _field_form(spec, u1, u2)
+    inv = np.argsort(perm)
+    rows, vals = perm[rows[:, inv]], vals[:, inv]
+    # the Kronecker product: column y, digits y_i leading first, takes
+    # row sum_i row_i[y_i] p^(K-1-i) and value prod_i val_i[y_i]
+    f_rows, f_vals = _standard_form(p, dual_digits[u1].ravel(),
+                                    basis_digits[u2].ravel())
+    y = np.arange(k), gf.digit_table(spec)[:, ::-1]
+    t_rows = f_rows.reshape(q * q, k, p)[:, y[0], y[1]] @ radix
+    t_vals = np.prod(f_vals.reshape(q * q, k, p)[:, y[0], y[1]], axis=-1)
+    report = {"max_residual": float(_distance(rows, vals, t_rows, t_vals,
+                                              signed=p == 2)),
+              "pairs_checked": q * q, "phase_minimized": p == 2}
     return S, report

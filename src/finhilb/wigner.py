@@ -199,7 +199,7 @@ def mub_line_map(pps) -> list:
     res = np.abs(projs - v[..., :, None] * v.conj()[..., None, :]).max(
         axis=(2, 3))
     # written so that a NaN residual is a miss
-    miss = np.argwhere(~(res < 1e-8))
+    miss = np.argwhere(~(res <= TOL_MATRIX))
     if miss.size:
         k, c = miss[0]
         raise RuntimeError("line %s,%d misses its MUB projector"
@@ -233,8 +233,3 @@ def covariance_residuals(pps, gs) -> np.ndarray:
         moved -= pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
         out[i] = np.abs(moved).max()
     return out
-
-
-def clifford_covariance_check(pps, g) -> float:
-    """covariance_residuals for one G."""
-    return float(covariance_residuals(pps, [g])[0])

@@ -196,7 +196,7 @@ def test_vector_from_identity():
 
 
 def test_vector_from_shift_matches_entangled_basis():
-    _, X = weyl.clock_shift(3)
+    X = weyl.displacement(3, 1, 0)
     v = combinat.vector_from_unitary(X)
     target = np.zeros(9, dtype=complex)   # (|10> + |21> + |02>)/sqrt(3)
     target[[3, 7, 2]] = 1 / np.sqrt(3)

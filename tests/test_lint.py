@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -387,3 +389,94 @@ def test_optimizer_lint_catches_each_form():
                      ("weyl", "<module>", "multistart")]
     assert gufunc == [("sic", "_lstsq"), ("mub", "descend"),
                       ("weyl", "<module>")]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_MODULES = {stem: importlib.import_module("finhilb." + stem)
+            for stem in LAYERS if stem != "__main__"}
+# builtins, numpy and json, and the sphere optimizer's objective callables,
+# which the README names as arguments rather than as package functions
+# (`probe(psi) -> (f, state)` is a signature, not an expression, and is
+# not read)
+_README_ALLOWED = ("len", "max", "tolist", "json.dumps", "np.*", "numpy.*",
+                   "grad", "jacobian")
+
+
+class _References(ast.NodeVisitor):
+    """Dotted names, and calls of lowercase bare names, in an expression."""
+
+    def __init__(self):
+        self.found = []
+
+    def visit_Attribute(self, node):
+        name = ast.unparse(node)
+        if re.fullmatch(r"[\w.]+", name):
+            self.found.append(name)
+        else:
+            self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id[0].islower():
+            self.found.append(node.func.id)
+        self.generic_visit(node)
+
+
+def _readme_references(text):
+    """The names of _References in each inline code span of `text` that
+    reads as a Python expression; fenced blocks, file paths and formulas
+    such as `tau = -exp(i pi / N)` are not code references."""
+    refs = _References()
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text,
+                                                flags=re.S)):
+        if span.endswith(".py"):
+            continue
+        try:
+            refs.visit(ast.parse(span.replace("\n", " "), mode="eval"))
+        except SyntaxError:
+            continue
+    return refs.found
+
+
+def _resolves(name):
+    """Whether `name` is an attribute of a finhilb module, directly
+    (`sl2_order`) or through one (`mub.directions`, `cli.Report.record`)."""
+    parts = name.split(".")
+    if parts[0] == "finhilb":
+        parts = parts[1:]
+    roots = [_MODULES[parts[0]]] if parts[0] in _MODULES else \
+        [getattr(m, parts[0]) for m in _MODULES.values()
+         if hasattr(m, parts[0])]
+    for obj in roots:
+        for part in parts[1:]:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def _allowed(name):
+    return any(name == a or a.endswith(".*") and name.startswith(a[:-1])
+               for a in _README_ALLOWED)
+
+
+def test_readme_names_resolve():
+    # every function the README names by a call or a dotted name exists,
+    # so a deleted or renamed function cannot linger in the docs
+    stale = sorted({name for name in _readme_references(README.read_text())
+                    if not _allowed(name) and not _resolves(name)})
+    assert not stale, "README names missing from finhilb: %s" % stale
+
+
+def test_readme_name_lint_catches_each_form():
+    text = ("`weyl.stale_kernel` and `stale_clock(spec, u)`, "
+            "`finhilb.gone`, `cli.Report.nothing`, `mub.directions(q)[l]`,\n"
+            "`gf.mul(spec,\nnp.arange(q))`, `tau = -exp(i pi / N)`, "
+            "`Tr(A) / N`, `D[G(r, s)]`, `tests/test_weyl.py`, `len(x)`\n"
+            "```\nprint(weyl.gone(3))\n```\n")
+    assert _readme_references(text) == [
+        "weyl.stale_kernel", "stale_clock", "finhilb.gone",
+        "cli.Report.nothing", "mub.directions", "gf.mul", "np.arange", "len"]
+    assert [name for name in _readme_references(text)
+            if not _allowed(name) and not _resolves(name)] == [
+        "weyl.stale_kernel", "stale_clock", "finhilb.gone",
+        "cli.Report.nothing"]

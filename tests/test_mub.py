@@ -308,8 +308,8 @@ def test_subgroup_eigenbases_match_eigensolver_oracle(p, k):
     bases = mub.subgroup_eigenbases(p, k)
     assert len(bases) == len(directions)
     for di, (b, direction) in enumerate(zip(bases, directions)):
-        mats = [weyl.field_displacement(spec, u1, u2)
-                for u1, u2 in gf.mul(spec, ts, direction)]
+        mats = weyl._densify(*weyl._field_form(
+            spec, *gf.mul(spec, ts, direction).T))
         oracle = mub.canonicalize_basis(_joint_eigenbasis(mats, (7, di)))
         assert np.abs(mub.canonicalize_basis(b) - oracle).max() <= 1e-10
 
@@ -331,7 +331,7 @@ def test_columns_carry_their_eigenvalue_labels(field_line):
     digits = np.array(list(itertools.product(range(p), repeat=k)))
     for i in range(k):
         u = gf.mul(spec, p ** i, np.array(mub.directions(q)[line]))
-        g = weyl.field_displacement(spec, *u.tolist())
+        g = weyl._densify(*weyl._field_form(spec, *u[:, None]))[0]
         g = g / np.linalg.matrix_power(g, p)[0, 0] ** (1.0 / p)
         labels = gf.roots_of_unity(p)[digits[:, i]]
         assert np.abs(g @ basis - basis * labels).max() <= 1e-10
@@ -565,6 +565,15 @@ def test_bbrv_flower_dim3():
         for j, v in enumerate(flat):
             tr = np.trace(u.conj().T @ v)
             assert abs(tr - (3.0 if i == j else 0.0)) < 1e-9
+
+
+def test_bbrv_flower_rejects_a_residual_above_the_matrix_tolerance():
+    # one column scaled by 1 + 7.5e-10 puts 1e-9 in the petal Gram at
+    # n = 3, above TOL_MATRIX and below the 1e-8 the check used to allow
+    bases = mub.subgroup_eigenbases(3).copy()
+    bases[0][:, 0] *= 1 + 0.75e-9
+    with pytest.raises(ValueError, match=r"residual 1e-09\)"):
+        mub.bbrv_flower(bases)
 
 
 def test_bbrv_flower_rejects_incomplete():

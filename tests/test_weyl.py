@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -9,14 +10,18 @@ from finhilb import gf, weyl
 from finhilb.tol import TOL_MATRIX
 
 
+def _clock_shift(n):
+    return weyl.displacement(n, 0, 1), weyl.displacement(n, 1, 0)
+
+
 def test_clock_shift_pauli():
-    Z, X = weyl.clock_shift(2)
+    Z, X = _clock_shift(2)
     assert np.allclose(Z, np.diag([1, -1]))
     assert np.allclose(X, np.array([[0, 1], [1, 0]]))
 
 
 def test_clock_shift_dim3_matrices():
-    Z, X = weyl.clock_shift(3)
+    Z, X = _clock_shift(3)
     w = np.exp(2j * np.pi / 3)
     assert np.allclose(Z, np.diag([1, w, w ** 2]))
     assert np.allclose(X, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
@@ -24,7 +29,7 @@ def test_clock_shift_dim3_matrices():
 
 def test_clock_shift_order_and_commutation():
     for n in [2, 3, 5]:
-        Z, X = weyl.clock_shift(n)
+        Z, X = _clock_shift(n)
         assert np.allclose(np.linalg.matrix_power(Z, n), np.eye(n), atol=1e-12)
         assert np.allclose(np.linalg.matrix_power(X, n), np.eye(n), atol=1e-12)
         assert np.abs(Z @ X - weyl.omega(n) * X @ Z).max() < 1e-12
@@ -32,7 +37,7 @@ def test_clock_shift_order_and_commutation():
 
 def test_clock_shift_rejects_small_dim():
     with pytest.raises(ValueError):
-        weyl.clock_shift(1)
+        _clock_shift(1)
 
 
 def test_displacement_identity():
@@ -142,37 +147,68 @@ _MUTATIONS = [_mutate_phase, _mutate_stray, _mutate_move,
               _mutate_nan_on_support, _mutate_nan_off_support]
 
 
-@pytest.mark.parametrize("n", [4, 5])
+# GF(q) for every q <= 16, the field inputs of the group-law kernel tests
+_FIELDS_TO_16 = [gf.field_make(p, k) for p in (2, 3, 5, 7, 11, 13)
+                 for k in range(1, 5) if p ** k <= 16]
+
+
+def _case_id(case):
+    return str(case) if isinstance(case, int) else "GF%d" % case.order
+
+
+def _table(case):
+    """The dense displacement table of Z_N (case = N) or of all q^2 labels
+    of GF(q) (case = a FieldSpec), entry u1*q + u2 for the latter."""
+    if isinstance(case, int):
+        return weyl.displacement_table(case)
+    return weyl._densify(*weyl._field_form(case, *weyl._field_labels(case)))
+
+
+def _law(case):
+    """The kernel's label arithmetic of a case: (blocks, modulus, signed)."""
+    if isinstance(case, int):
+        return weyl._table_law(case), case, False
+    return weyl._field_law(case), case.p, case.p == 2
+
+
+def _kernel(table, case):
+    return weyl._monomial_group_law_residual(weyl._dense_form(table),
+                                             *_law(case))
+
+
+@pytest.mark.parametrize("case", [4, 5] + _FIELDS_TO_16, ids=_case_id)
 @pytest.mark.parametrize("mutate", _MUTATIONS)
-def test_group_law_kernel_reads_the_table(n, mutate):
-    table = weyl.displacement_table(n).copy()
-    assert weyl._monomial_group_law_residual(table) <= TOL_MATRIX
-    mutate(table, n + 2, 1)
-    assert not weyl._monomial_group_law_residual(table) <= TOL_MATRIX
+def test_group_law_kernel_reads_the_table(case, mutate):
+    table = _table(case).copy()
+    q = table.shape[1]
+    assert _kernel(table, case) <= TOL_MATRIX
+    mutate(table, min(q + 2, q * q - 1), 1)
+    assert not _kernel(table, case) <= TOL_MATRIX
 
 
-def _stack_where_group_law(table):
+def _stack_where_group_law(table, case):
     """Reference group-law residual: the np.stack / np.where kernel that
-    _monomial_group_law_residual replaced, one exp per block."""
+    _monomial_group_law_residual replaced, one exp per block; with a
+    signed law the tau target's residual is minimized per pair over the
+    overall sign."""
     n = table.shape[1]
     rows, vals, res = weyl._dense_form(table)
-    idx = np.arange(n * n)
-    r, s = np.divmod(idx, n)
-    for r1 in range(n):
-        sa = np.arange(n)[:, None]
-        a = r1 * n + sa
-        rsum, ssum = r1 + r, sa + s
-        om = sa * r - r1 * s
-        c = (rsum % n) * n + ssum % n
-        e = om + rsum * ssum - (rsum % n) * (ssum % n)
+    idx = np.arange(len(table))
+    law, m, signed = _law(case)
+    for a, c, e, om in law:
         ab_row = rows[a[..., None], rows]
         ab_val = vals[a[..., None], rows] * vals
         t_row = np.stack([rows[c], rows[idx[:, None], rows[a]]])
-        t_val = np.stack([weyl.tau_power(n, e)[..., None] * vals[c],
-                          weyl._omega_power(n, om)[..., None]
+        t_val = np.stack([weyl.tau_power(m, e)[..., None] * vals[c],
+                          weyl._omega_power(m, om)[..., None]
                           * vals[idx[:, None], rows[a]] * vals[a]])
         dist = np.where(ab_row == t_row, np.abs(ab_val - t_val),
                         np.maximum(np.abs(ab_val), np.abs(t_val)))
+        if signed:
+            flip = np.where(ab_row == t_row[0], np.abs(ab_val + t_val[0]),
+                            np.maximum(np.abs(ab_val), np.abs(t_val[0])))
+            dist[0] = np.minimum(dist[0].max(axis=-1),
+                                 flip.max(axis=-1))[..., None]
         res = np.maximum(res, dist.max())
     return float(res)
 
@@ -181,19 +217,21 @@ def _same_float(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("case", list(range(2, 17)) + _FIELDS_TO_16,
+                         ids=_case_id)
 @settings(max_examples=2, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_group_law_kernel_matches_its_oracle_bit_for_bit(n, data):
-    table = weyl.displacement_table(n)
-    assert weyl._monomial_group_law_residual(table) \
-        == _stack_where_group_law(table)
+def test_group_law_kernel_matches_its_oracle_bit_for_bit(case, data):
+    table = _table(case)
+    n = table.shape[1]
+    assert _kernel(table, case) == _stack_where_group_law(table, case)
     for mutate in _MUTATIONS:
         broken = table.copy()
         mutate(broken, data.draw(st.integers(0, n * n - 1), label="label"),
                data.draw(st.integers(0, n - 1), label="column"))
-        assert _same_float(weyl._monomial_group_law_residual(broken),
-                           _stack_where_group_law(broken)), mutate.__name__
+        assert _same_float(_kernel(broken, case),
+                           _stack_where_group_law(broken, case)), \
+            mutate.__name__
 
 
 def test_group_law_kernel_keeps_its_blocks():
@@ -202,7 +240,7 @@ def test_group_law_kernel_keeps_its_blocks():
     table = weyl.displacement_table(16)
     tracemalloc.start()
     try:
-        weyl._monomial_group_law_residual(table)
+        _kernel(table, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,7 +259,7 @@ def test_even_dim_index_shift():
 
 def test_determinants():
     for n in [2, 3, 4, 5]:
-        Z, X = weyl.clock_shift(n)
+        Z, X = _clock_shift(n)
         expected = (-1.0) ** (n + 1)
         assert abs(np.linalg.det(Z) - expected) < 1e-9
         assert abs(np.linalg.det(X) - expected) < 1e-9
@@ -256,28 +294,95 @@ def test_expand_rejects_non_square():
 
 # -- finite-field displacements ---------------------------------------------
 
+def _field_displacements(spec, u1, u2):
+    """The dense D_u of GF(q) for the label sequences u1, u2."""
+    return weyl._densify(*weyl._field_form(spec, np.array(u1, dtype=int),
+                                           np.array(u2, dtype=int)))
+
+
+def _field_displacement(spec, u1, u2):
+    return _field_displacements(spec, [u1], [u2])[0]
+
+
 def test_field_displacement_identity():
     spec = gf.field_make(3, 2)
-    assert np.allclose(weyl.field_displacement(spec, 0, 0), np.eye(9))
+    assert np.allclose(_field_displacement(spec, 0, 0), np.eye(9))
 
 
 def test_gf4_clock_and_shift_commute():
     spec = gf.field_make(2, 2)
-    X1 = weyl.field_shift(spec, 1)
-    Z1 = weyl.field_clock(spec, 1)
+    X1 = _field_displacement(spec, 1, 0)
+    Z1 = _field_displacement(spec, 0, 1)
     assert np.abs(X1 @ Z1 - Z1 @ X1).max() < 1e-12  # tr(1) = 0 in GF(4)
+
+
+def _field_group_law_residual(spec, u, v):
+    """Reference per-pair residual: the dense D_u D_v against tau**<u,v>
+    D_{u+v}, minimized over the overall sign when p = 2, and against
+    omega**<u,v> D_v D_u."""
+    trace = functools.partial(gf.field_trace, spec)
+    om = int(trace(gf.mul(spec, u[1], v[0]))
+             - trace(gf.mul(spec, u[0], v[1]))) % spec.p
+    du, dv = _field_displacement(spec, *u), _field_displacement(spec, *v)
+    lhs = du @ dv
+    rhs = weyl.tau_power(spec.p, om) \
+        * _field_displacement(spec, *gf.add(spec, u, v))
+    res = np.abs(lhs - rhs).max()
+    if spec.p == 2:
+        res = min(res, np.abs(lhs + rhs).max())
+    return max(res, np.abs(lhs - weyl._omega_power(spec.p, om)
+                           * (dv @ du)).max())
 
 
 def test_field_group_law_gf9_exhaustive():
     spec = gf.field_make(3, 2)
-    worst = 0.0
+    worst = weyl.field_group_law_max_residual(spec)
+    assert worst <= TOL_MATRIX
     for u1 in range(9):
         for u2 in range(9):
             for v1 in range(0, 9, 2):
                 for v2 in range(0, 9, 2):
-                    worst = max(worst, weyl.field_group_law_residual(
-                        spec, (u1, u2), (v1, v2)))
-    assert worst < 1e-10
+                    assert _field_group_law_residual(
+                        spec, (u1, u2), (v1, v2)) <= worst + _ROUNDING_SLACK
+
+
+@pytest.mark.parametrize("spec", _FIELDS_TO_16, ids=_case_id)
+def test_field_group_law_max_residual_within_tolerance(spec):
+    assert weyl.field_group_law_max_residual(spec) <= TOL_MATRIX
+
+
+def test_field_group_law_is_capped():
+    with pytest.raises(ValueError, match="capped"):
+        weyl.field_group_law_max_residual(gf.field_make(37, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_field_group_law_sign_is_minimized_per_pair(k, monkeypatch):
+    # at p = 2 the tau law holds up to one sign per pair: flipping one
+    # column of one D_u breaks it, where a minimum taken per column would
+    # forgive the flip
+    spec = gf.field_make(2, k)
+    table = _table(spec).copy()
+    table[3, :, 1] *= -1
+    assert _kernel(table, spec) > TOL_MATRIX
+    field_form = weyl._field_form
+
+    def flipped(*args):
+        rows, vals = field_form(*args)
+        vals = vals.copy()
+        vals[-1, 1] *= -1
+        return rows, vals
+
+    monkeypatch.setattr(weyl, "_field_form", flipped)
+    assert weyl.tensor_isomorphism(spec)[1]["max_residual"] > TOL_MATRIX
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+def test_prime_field_form_is_the_table_form(p):
+    rows, vals = weyl._field_form(gf.field_make(p, 1),
+                                  *weyl._field_labels(gf.field_make(p, 1)))
+    t_rows, t_vals = weyl._table_form(p)
+    assert _same_bits(rows, t_rows) and _same_bits(vals, t_vals)
 
 
 class _Poly:
@@ -354,14 +459,13 @@ def test_field_displacement_matches_elementwise_loop(p, k):
     pairs = [(u1, u2) for u1 in range(q) for u2 in range(q)]
     if spec.order > 9:
         pairs = random.Random(spec.order).sample(pairs, 48)
-    for u1, u2 in pairs:
-        ref = _field_displacement_loop(spec, u1, u2)
-        assert _same_bits(weyl.field_displacement(spec, u1, u2), ref)
-    for u in range(min(q, 16)):
-        assert _same_bits(weyl.field_shift(spec, u),
-                          _field_displacement_loop(spec, u, 0))
-        assert _same_bits(weyl.field_clock(spec, u),
-                          _field_displacement_loop(spec, 0, u))
+    for d, (u1, u2) in zip(_field_displacements(spec, *zip(*pairs)), pairs):
+        assert _same_bits(d, _field_displacement_loop(spec, u1, u2))
+    us, zeros = range(min(q, 16)), [0] * min(q, 16)
+    for u, shift, clock in zip(us, _field_displacements(spec, us, zeros),
+                               _field_displacements(spec, zeros, us)):
+        assert _same_bits(shift, _field_displacement_loop(spec, u, 0))
+        assert _same_bits(clock, _field_displacement_loop(spec, 0, u))
 
 
 def _displacement_loop(n, r, s):
@@ -383,7 +487,7 @@ def test_displacement_matches_loop_bit_for_bit(n):
     for r, s in ((-1, 2), (n + 1, n - 1), (3 * n, -2 * n - 1), (5, 0)):
         assert _same_bits(weyl.displacement(n, r, s),
                           _displacement_loop(n, r, s))
-    Z, X = weyl.clock_shift(n)
+    Z, X = _clock_shift(n)
     assert _same_bits(Z, _displacement_loop(n, 0, 1))
     assert _same_bits(X, _displacement_loop(n, 1, 0))
 
@@ -392,17 +496,9 @@ def test_field_displacement_dagger():
     spec = gf.field_make(5, 1)
     for u1 in range(5):
         for u2 in range(5):
-            D = weyl.field_displacement(spec, u1, u2)
-            Dd = weyl.field_displacement(spec, gf.neg(spec, u1), gf.neg(spec, u2))
+            D = _field_displacement(spec, u1, u2)
+            Dd = _field_displacement(spec, gf.neg(spec, u1), gf.neg(spec, u2))
             assert np.abs(D.conj().T - Dd).max() < 1e-12
-
-
-def test_field_displacement_index_out_of_range():
-    spec = gf.field_make(3, 2)
-    for bad in (-1, spec.order):
-        for u in ((bad, 1), (1, bad)):
-            with pytest.raises(ValueError, match="out of range"):
-                weyl.field_displacement(spec, *u)
 
 
 def test_tensor_isomorphism_k1_identity():
@@ -428,3 +524,51 @@ def test_tensor_isomorphism_gf4_sign_minimized():
     S, report = weyl.tensor_isomorphism(spec)
     assert report["phase_minimized"]
     assert report["max_residual"] < 1e-10
+
+
+def _dense_tensor_isomorphism(spec):
+    """Reference: S and the per-displacement dense check of S D_u S^dag
+    against the np.kron product of its factors, the loop that
+    tensor_isomorphism replaced."""
+    p, k, q = spec.p, spec.k, spec.order
+    basis = [p ** d for d in range(k)]
+    dual = gf.dual_basis(spec, basis)
+    x = np.arange(q)[:, None]
+    dual_digits = gf.field_trace(spec, gf.mul(spec, x, dual))
+    basis_digits = gf.field_trace(spec, gf.mul(spec, x, basis))
+    S = np.zeros((q, q), dtype=complex)
+    S[dual_digits @ p ** np.arange(k - 1, -1, -1), np.arange(q)] = 1.0
+    worst = 0.0
+    for u1 in range(q):
+        for u2 in range(q):
+            lhs = S @ _field_displacement(spec, u1, u2) @ S.conj().T
+            rhs = functools.reduce(np.kron, weyl._densify(*weyl._standard_form(
+                p, dual_digits[u1], basis_digits[u2])))
+            res = np.abs(lhs - rhs).max()
+            if p == 2:
+                res = min(res, np.abs(lhs + rhs).max())
+            worst = float(np.maximum(worst, res))
+    return S, worst
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 4), (3, 3)])
+def test_tensor_isomorphism_matches_dense_oracle(p, k):
+    spec = gf.field_make(p, k)
+    S, report = weyl.tensor_isomorphism(spec)
+    ref_S, ref_worst = _dense_tensor_isomorphism(spec)
+    assert _same_bits(S, ref_S)
+    assert abs(report["max_residual"] - ref_worst) <= 1e-15
+    assert report["pairs_checked"] == p ** (2 * k)
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 3)])
+def test_tensor_isomorphism_rejects_a_wrong_dual_basis(p, k, monkeypatch):
+    # the basis as its own dual still gives a permutation S, one that is
+    # not an involution at (2, 3) and (3, 2), but not a factorization
+    spec = gf.field_make(p, k)
+    monkeypatch.setattr(gf, "dual_basis", lambda spec, basis: list(basis))
+    S, report = weyl.tensor_isomorphism(spec)
+    assert report["max_residual"] > TOL_MATRIX
+    ref_S, ref_worst = _dense_tensor_isomorphism(spec)
+    assert _same_bits(S, ref_S)
+    assert abs(report["max_residual"] - ref_worst) <= 1e-15

@@ -224,6 +224,15 @@ def test_mub_state_line_sums_are_deterministic():
     assert np.abs(wigner.line_sums(w, 0) - 1 / n).max() < 1e-10
 
 
+def test_mub_line_map_rejects_a_residual_above_the_matrix_tolerance():
+    # 3e-9 on one entry of A_(0,0) moves every line through the origin by
+    # 1e-9, above TOL_MATRIX and below the 1e-8 the check used to allow
+    pps = wigner.phase_point_set(3).copy()
+    pps[0, 0, 0, 0] += 3e-9
+    with pytest.raises(RuntimeError, match="misses its MUB projector"):
+        wigner.mub_line_map(pps)
+
+
 def test_mub_line_map_matches_pencils_to_bases():
     for n in [3, 5]:
         pps = wigner.phase_point_set(n)
@@ -294,16 +303,21 @@ def test_face_point_polytope_bounds_for_mub_mixtures():
             assert -1e-10 <= val <= 1 + 1e-10
 
 
+def _covariance(pps, g):
+    """covariance_residuals for one G."""
+    return float(wigner.covariance_residuals(pps, [g])[0])
+
+
 def test_covariance_identity_and_negation():
     pps = wigner.phase_point_set(3)
-    assert wigner.clifford_covariance_check(pps, np.eye(2, dtype=int)) < 1e-14
-    assert wigner.clifford_covariance_check(pps, -np.eye(2, dtype=int)) < 1e-10
+    assert _covariance(pps, np.eye(2, dtype=int)) < 1e-14
+    assert _covariance(pps, -np.eye(2, dtype=int)) < 1e-10
 
 
 def test_covariance_exhaustive_p3():
     pps = wigner.phase_point_set(3)
     for g in clifford.sl2_enumerate(3):
-        assert wigner.clifford_covariance_check(pps, g) < 1e-10
+        assert _covariance(pps, g) < 1e-10
 
 
 def test_covariance_sampled_p5_p7():
@@ -313,7 +327,7 @@ def test_covariance_sampled_p5_p7():
         els = clifford.sl2_enumerate(p)
         for _ in range(15):
             g = els[rng.integers(len(els))]
-            assert wigner.clifford_covariance_check(pps, g) < 1e-10
+            assert _covariance(pps, g) < 1e-10
 
 
 def _per_call_covariance(pps, g):
@@ -336,8 +350,6 @@ def test_covariance_matches_its_oracle_bit_for_bit(n):
                                                       replace=False)]
     assert wigner.covariance_residuals(pps, group).tolist() \
         == [_per_call_covariance(pps, g) for g in group]
-    assert wigner.clifford_covariance_check(pps, group[-1]) \
-        == _per_call_covariance(pps, group[-1])
 
 
 def test_covariance_sample_reuses_its_buffers():
@@ -359,15 +371,15 @@ def test_covariance_sample_reuses_its_buffers():
 def test_covariance_fails_on_wrong_g(monkeypatch):
     pps = wigner.phase_point_set(5)
     g = np.array([[1, 1], [0, 1]])
-    assert wigner.clifford_covariance_check(pps, g) < 1e-10
+    assert _covariance(pps, g) < 1e-10
     right = weyl.metaplectic
     monkeypatch.setattr(weyl, "metaplectic",
                         lambda g, n: right(np.asarray(g).T, n))
-    assert wigner.clifford_covariance_check(pps, g) > 0.1
+    assert _covariance(pps, g) > 0.1
 
 
 def test_covariance_reads_phase_points():
     pps = wigner.phase_point_set(5).copy()
     pps[1, 2, 0, 0] += 0.3
-    assert wigner.clifford_covariance_check(pps, np.array([[1, 1], [0, 1]])) \
+    assert _covariance(pps, np.array([[1, 1], [0, 1]])) \
         > 0.1
