@@ -12,6 +12,7 @@ from . import weyl
 from .tol import TOL_MATRIX, TOL_SEARCH, TOL_SIC_GRAM
 
 _FTOL = 1e-30
+_DAMPING = 1e-14
 _STALL_WINDOW = 100
 _STALL_RTOL = 1e-12
 _MAX_ITER = 50000
@@ -124,19 +125,14 @@ def _jacobian(state, form, work=None):
     return d, jac
 
 
-def _lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(a, b):
-    """np.linalg.lstsq(a[i], b[i], rcond=None)[0] for every i of the
-    stacked (L, K, M) a and (L, K) b, bit for bit, in one call of the
-    gufunc behind it (np.linalg.lstsq takes one matrix)."""
-    with np.errstate(call=_lstsq_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return np.linalg._umath_linalg.lstsq(
-            a, b[..., None], np.finfo(float).eps * max(a.shape[1:]),
-            signature="ddd->ddid")[0][..., 0]
+def _gn_step(jac, d):
+    """-(J^T J + mu I)^-1 J^T d, mu = _DAMPING tr(J^T J) / M, for each row
+    of the (L, K, M) jac and (L, K) d in one np.linalg.solve, bit for bit
+    as a stack of one; J = 0 solves with mu = 1, which gives a zero step."""
+    a = jac.mT @ jac
+    mu = _DAMPING * np.trace(a, axis1=1, axis2=2) / jac.shape[2]
+    a += np.where(mu == 0.0, 1.0, mu)[:, None, None] * np.eye(jac.shape[2])
+    return np.linalg.solve(a, -np.matvec(jac.mT, d)[..., None])[..., 0]
 
 
 def _retire(w, out, done):
@@ -240,14 +236,16 @@ def descend(psi, probe, grad):
 
 def polish(psi, f, probe, jacobian):
     """Gauss-Newton on the residual vector from every row of the (R, n)
-    block psi, with values f, in lockstep as descend runs; the
-    least-squares step keeps quadratic convergence even where the solution
-    set is a manifold and the Jacobian loses rank.  jacobian(state) returns
-    the residuals d (probe's f is d @ d) and their real Jacobian with
-    respect to [Re psi, Im psi]; each pass takes it once for every row
-    that steps, and solves those rows in one stacked least-squares call.
-    Returns psi, f and per-row "value_calls", "backtracks" (step halvings)
-    and "polish_steps" (Gauss-Newton steps)."""
+    block psi, with values f, in lockstep as descend runs: jacobian(state)
+    gives the residuals d (probe's f is d @ d) and their real Jacobian J in
+    [Re psi, Im psi], and each pass solves every row that steps in one
+    _gn_step.  The damping mu moves the step by about mu / s^2 along a
+    singular value s of J: it is the least-squares step where s^2 >> mu,
+    finite along the phase i psi (s = 0), and shorter where s^2 < mu, as
+    at the n = 4 minima descend stops at (least-squares step ~1e7 long).
+    Of mu = 1e-14 .. 1e-8 times the mean of diag J^T J, 1e-14 converged the
+    most restarts at n = 4 and 5; 1e-12 cost 28% more value calls at n = 3.
+    Returns psi, f and per row "value_calls", "backtracks", "polish_steps"."""
     rows, n = psi.shape
     run = ~(f < _FTOL)
     w = types.SimpleNamespace(
@@ -261,7 +259,7 @@ def polish(psi, f, probe, jacobian):
 
     def newton(new, state):  # a step for the working rows flagged in new
         d, jac = jacobian(tuple(a[new] for a in state))
-        delta = _lstsq(jac, -d)
+        delta = _gn_step(jac, d)
         w.step[new] = delta[:, :n] + 1j * delta[:, n:]
         w.scale[new], w.trials[new] = 1.0, 0
         w.polish_steps += new

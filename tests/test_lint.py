@@ -335,37 +335,57 @@ def _enclosing(tree, line):
     return max(spans)[1] if spans else "<module>"
 
 
+# numpy's private least-squares gufunc, and the wrapper and error callback
+# it needed; the Gauss-Newton step goes through public numpy
+_PRIVATE_SOLVER = ("_umath_linalg", "_lstsq", "_lstsq_error")
+
+
+def _private_solver_lines(tree):
+    """Lines that name or define a _PRIVATE_SOLVER name, or call errstate
+    with a `call` handler."""
+    lines = {line for name in _PRIVATE_SOLVER
+             for line in _names(tree, name) + _defined_functions(tree, name)}
+    lines.update(node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(
+                     node.func, "attr", getattr(node.func, "id", None))
+                 == "errstate" and any(k.arg == "call"
+                                       for k in node.keywords))
+    return sorted(lines)
+
+
 def _optimizer_sites(trees):
-    """Where each optimizer function is defined, which modules name lstsq,
-    every call of an optimizer function from outside sic, and the
-    (module, function) of each line that names numpy's _umath_linalg."""
+    """Where each optimizer function is defined, which modules name a
+    linear or least-squares solver, every call of an optimizer function
+    from outside sic, and the (module, function) of each private-solver
+    line."""
     defined = {name: [(stem, line) for stem, tree in trees.items()
                       for line in _defined_functions(tree, name)]
                for name in _OPTIMIZER}
-    lstsq = [stem for stem, tree in trees.items() if _names(tree, "lstsq")]
+    solvers = [stem for stem, tree in trees.items()
+               if _names(tree, "solve") or _names(tree, "lstsq")]
     calls = [(stem, fn, name) for stem, tree in trees.items() if stem != "sic"
              for name in _OPTIMIZER for fn, _ in _calls_outside(tree, name)]
-    gufunc = [(stem, _enclosing(tree, line)) for stem, tree in trees.items()
-              for line in _names(tree, "_umath_linalg")]
-    return defined, lstsq, calls, gufunc
+    private = [(stem, _enclosing(tree, line)) for stem, tree in trees.items()
+               for line in _private_solver_lines(tree)]
+    return defined, solvers, calls, private
 
 
 def test_one_sphere_optimizer():
     # one lockstep descend and polish, in sic; search6 reaches them only
-    # through multistart, only sic solves least squares, and the private
-    # gufunc behind np.linalg.lstsq is called from one wrapper
+    # through multistart, only sic solves the Gauss-Newton system, and
+    # nothing reaches numpy's private gufuncs or an error callback
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    defined, lstsq, calls, gufunc = _optimizer_sites(trees)
+    defined, solvers, calls, private = _optimizer_sites(trees)
     assert all([stem for stem, _ in sites] == ["sic"]
                for sites in defined.values()), defined
-    assert lstsq == ["sic"]
+    assert solvers == ["sic"]
     assert calls == [("mub", "search_unbiased6", "multistart")]
-    assert gufunc == [("sic", "_lstsq")]
+    assert private == []
 
 
 def test_optimizer_lint_catches_each_form():
     trees = {"sic": ast.parse("def descend(psi):\n"
-                              "    return np.linalg.lstsq(psi, psi)\n"
+                              "    return np.linalg.solve(psi, psi)\n"
                               "def _lstsq(a):\n"
                               "    return np.linalg._umath_linalg.lstsq(\n"
                               "        a)\n"),
@@ -376,19 +396,23 @@ def test_optimizer_lint_catches_each_form():
                               "    return sic.optimize(psi)\n"
                               "def search_unbiased6():\n"
                               "    return sic.multistart(6) + descend(1)\n"),
-             "weyl": ast.parse("x = linalg.lstsq\n"
+             "weyl": ast.parse("x = linalg.solve\n"
                                "y = multistart(2)\n"
-                               "from numpy.linalg import _umath_linalg\n")}
-    defined, lstsq, calls, gufunc = _optimizer_sites(trees)
+                               "from numpy.linalg import _umath_linalg\n"
+                               "with np.errstate(call=_lstsq_error):\n"
+                               "    z = errstate(invalid='ignore')\n"),
+             "gf": ast.parse("from numpy.linalg import solve\n")}
+    defined, solvers, calls, private = _optimizer_sites(trees)
     assert defined["descend"] == [("sic", 1), ("mub", 3)]
     assert defined["polish"] == [("mub", 2)]
-    assert lstsq == ["sic", "mub", "weyl"]
+    assert solvers == ["sic", "mub", "weyl", "gf"]
     assert calls == [("mub", "search_unbiased6", "descend"),
                      ("mub", "polish", "optimize"),
                      ("mub", "search_unbiased6", "multistart"),
                      ("weyl", "<module>", "multistart")]
-    assert gufunc == [("sic", "_lstsq"), ("mub", "descend"),
-                      ("weyl", "<module>")]
+    assert private == [("sic", "_lstsq"), ("sic", "_lstsq"),
+                       ("mub", "descend"), ("weyl", "<module>"),
+                       ("weyl", "<module>")]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -400,6 +424,16 @@ _MODULES = {stem: importlib.import_module("finhilb." + stem)
 # not read)
 _README_ALLOWED = ("len", "max", "tolist", "json.dumps", "np.*", "numpy.*",
                    "grad", "jacobian")
+# bare snake_case names the README gives that are not package names: report
+# check names (with the dropped parity_square, fourier_square and
+# wigner_parity_square), report keys, stats keys and descend's stop reasons
+_README_KEYS = (
+    "design_t1", "design_t2", "design_t3", "fourier_square", "gram_deviation",
+    "gram_identity", "group_law", "line_map", "moment_deviation",
+    "mub_unbiasedness", "parity_square", "reduced_states", "relative_slack",
+    "welch_slack", "werner_gram", "weyl_group_law", "weyl_orthogonality",
+    "wigner_parity_square", "wigner_roundtrip", "final_values", "grad_calls",
+    "polish_steps", "value_calls", "line_search", "no_decrease")
 
 
 class _References(ast.NodeVisitor):
@@ -423,17 +457,21 @@ class _References(ast.NodeVisitor):
 
 def _readme_references(text):
     """The names of _References in each inline code span of `text` that
-    reads as a Python expression; fenced blocks, file paths and formulas
-    such as `tau = -exp(i pi / N)` are not code references."""
+    reads as a Python expression, and each span that is one bare snake_case
+    name; fenced blocks, file paths and formulas such as
+    `tau = -exp(i pi / N)` are not code references."""
     refs = _References()
     for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text,
                                                 flags=re.S)):
         if span.endswith(".py"):
             continue
         try:
-            refs.visit(ast.parse(span.replace("\n", " "), mode="eval"))
+            tree = ast.parse(span.replace("\n", " "), mode="eval")
         except SyntaxError:
             continue
+        if isinstance(tree.body, ast.Name) and "_" in span and span.islower():
+            refs.found.append(span)
+        refs.visit(tree)
     return refs.found
 
 
@@ -455,13 +493,15 @@ def _resolves(name):
 
 
 def _allowed(name):
-    return any(name == a or a.endswith(".*") and name.startswith(a[:-1])
-               for a in _README_ALLOWED)
+    return name in _README_KEYS or any(
+        name == a or a.endswith(".*") and name.startswith(a[:-1])
+        for a in _README_ALLOWED)
 
 
 def test_readme_names_resolve():
-    # every function the README names by a call or a dotted name exists,
-    # so a deleted or renamed function cannot linger in the docs
+    # every function the README names by a call, a dotted name or a bare
+    # snake_case name exists, so a deleted or renamed function cannot
+    # linger in the docs
     stale = sorted({name for name in _readme_references(README.read_text())
                     if not _allowed(name) and not _resolves(name)})
     assert not stale, "README names missing from finhilb: %s" % stale
@@ -472,11 +512,14 @@ def test_readme_name_lint_catches_each_form():
             "`finhilb.gone`, `cli.Report.nothing`, `mub.directions(q)[l]`,\n"
             "`gf.mul(spec,\nnp.arange(q))`, `tau = -exp(i pi / N)`, "
             "`Tr(A) / N`, `D[G(r, s)]`, `tests/test_weyl.py`, `len(x)`\n"
+            "`field_displacement`, `sic_search`, `_gathers`, `no_decrease`, "
+            "`kind`, `TOL_MATRIX`\n"
             "```\nprint(weyl.gone(3))\n```\n")
     assert _readme_references(text) == [
         "weyl.stale_kernel", "stale_clock", "finhilb.gone",
-        "cli.Report.nothing", "mub.directions", "gf.mul", "np.arange", "len"]
+        "cli.Report.nothing", "mub.directions", "gf.mul", "np.arange", "len",
+        "field_displacement", "sic_search", "_gathers", "no_decrease"]
     assert [name for name in _readme_references(text)
             if not _allowed(name) and not _resolves(name)] == [
         "weyl.stale_kernel", "stale_clock", "finhilb.gone",
-        "cli.Report.nothing"]
+        "cli.Report.nothing", "field_displacement"]

@@ -233,7 +233,7 @@ def serial_optimize(psi, probe, grad, jacobian):
             break
         counts["polish_steps"] += 1
         d, jac = (a[0] for a in jacobian(probe(psi[None])[1]))
-        delta = np.linalg.lstsq(jac, -d, rcond=None)[0]
+        delta = sic._gn_step(jac[None], d[None])[0]
         step = delta[:psi.size] + 1j * delta[psi.size:]
         scale = 1.0
         for _ in range(20):
@@ -349,30 +349,24 @@ def test_search_buffer_has_no_more_rows_than_restarts():
     assert peak < sic._block_rows(n) * n ** 3 * 16, peak
 
 
-def _lstsq_each(a, b):
-    # np.linalg.lstsq on each matrix of the stack: the reference for
-    # sic._lstsq
-    return np.array([np.linalg.lstsq(m, v, rcond=None)[0]
-                     for m, v in zip(a, b)]).reshape(len(a), a.shape[2])
-
-
 def _unit_rows(rng, rows, n):
     return sic._unit(rng.standard_normal((rows, n))
                      + 1j * rng.standard_normal((rows, n)))
 
 
 def _polish_system(kind, rows, n, seed):
-    """A stack of least-squares systems (a, b) of the kind polish solves."""
+    """A stack of Jacobians and residuals (jac, d) of the kind polish
+    solves."""
     rng = np.random.default_rng(seed)
     if kind == "sic":  # each Jacobian has the global phase as a null vector
         form = sic._gathers(n)
         d, a = sic._jacobian(sic._probe(_unit_rows(rng, rows, n), form)[1],
                              form)
-        return a, -d
+        return a, d
     if kind == "search6":  # square, 12 x 12
         probe, _, jacobian = mub._unbiased6_objective()
         d, a = jacobian(probe(_unit_rows(rng, rows, 6))[1])
-        return a, -d
+        return a, d
     k, m = n * n, 2 * n
     a = rng.standard_normal((rows, k, m))
     if kind == "null_column":
@@ -386,6 +380,18 @@ def _polish_system(kind, rows, n, seed):
     return a, rng.standard_normal((rows, k))
 
 
+def _gn_step_each(a, d):
+    # sic._gn_step on each row as a stack of one
+    return np.concatenate([sic._gn_step(a[i:i + 1], d[i:i + 1])
+                           for i in range(len(a))])
+
+
+def _lstsq_step(a, d):
+    # np.linalg.lstsq's step for each row, the reference for sic._gn_step
+    return np.array([np.linalg.lstsq(j, -e, rcond=None)[0]
+                     for j, e in zip(a, d)])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(["sic", "search6", "full_rank", "null_column",
                         "near_null"]),
@@ -394,20 +400,88 @@ def _polish_system(kind, rows, n, seed):
 @example("search6", 1, 6, 0)
 @example("null_column", 1, 3, 0)
 @example("near_null", 3, 8, 0)
-def test_stacked_lstsq_is_lstsq_row_by_row(kind, rows, n, seed):
-    a, b = _polish_system(kind, rows, n, seed)
-    x = sic._lstsq(a, b)
+def test_stacked_gn_step_is_gn_step_row_by_row(kind, rows, n, seed):
+    a, d = _polish_system(kind, rows, n, seed)
+    x = sic._gn_step(a, d)
     assert x.shape == (rows, a.shape[2])
-    assert x.tobytes() == _lstsq_each(a, b).tobytes()
+    assert x.tobytes() == _gn_step_each(a, d).tobytes()
 
 
-def test_stacked_lstsq_raises_on_a_nan_row():
-    a, b = _polish_system("sic", 3, 4, 1)
+def _off_phase(x, psi):
+    # x without its component along the global phase direction i psi,
+    # [-Im psi, Re psi] in the real coordinates [Re psi, Im psi]
+    v = np.concatenate([-psi.imag, psi.real], axis=1)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return x - np.vecdot(x, v)[:, None] * v
+
+
+# The damped step solves (J^T J + mu I) x = -J^T d with mu = 1e-14 of the
+# mean diagonal; off the phase direction it is the least-squares step up to
+# about mu / s^2 for the smallest other singular value s.  Measured: at most
+# 6.3e-8 at Haar points (n = 5) and 2.3e-14 at converged points.
+GN_TOL = {"haar": 1e-6, "solution": 1e-12}
+
+
+@pytest.mark.parametrize("where", sorted(GN_TOL))
+@pytest.mark.parametrize("n", [4, 5, 8, 12, "search6"])
+def test_gn_step_is_the_least_squares_step_off_the_phase(n, where):
+    if n == "search6":
+        probe, _, jacobian = mub._unbiased6_objective()
+        out = mub.search_unbiased6(restarts=24, seed=0)
+        solution, n = out["vectors"][:4], 6
+    else:
+        form = sic._gathers(n)
+        probe, jacobian = (functools.partial(fn, form=form)
+                           for fn in (sic._probe, sic._jacobian))
+        out = searched(n, 8, 1)
+        solution = out["fiducial"][None]
+        assert out["converged"]
+    psi = {"haar": _unit_rows(np.random.default_rng(n), 8, n),
+           "solution": solution}[where]
+    d, jac = jacobian(probe(psi)[1])
+    x, ref = (_off_phase(y, psi) for y in (sic._gn_step(jac, d),
+                                           _lstsq_step(jac, d)))
+    rel = np.linalg.norm(x - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert rel.max() <= GN_TOL[where], rel.max()
+
+
+def test_gn_step_is_finite_with_a_second_null_vector():
+    # Jacobians with the phase and one more null direction u planted at
+    # n = 5, and n = 3 Jacobians, which have a second null vector of their
+    # own: the step is finite and fits the residuals as well as the
+    # least-squares step, to 1e-8 of |d|
+    rng = np.random.default_rng(2)
+    psi = _unit_rows(rng, 4, 5)
+    form = sic._gathers(5)
+    d, a = sic._jacobian(sic._probe(psi, form)[1], form)
+    u = _off_phase(rng.standard_normal((4, 10)), psi)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    a -= (a @ u[:, :, None]) * u[:, None, :]
+    form = sic._gathers(3)
+    d3, a3 = sic._jacobian(sic._probe(_unit_rows(rng, 4, 3), form)[1], form)
+    for jac, res in ((a, d), (a3, d3)):
+        x = sic._gn_step(jac, res)
+        fit, best = (np.linalg.norm(np.matvec(jac, y) + res, axis=1)
+                     for y in (x, _lstsq_step(jac, res)))
+        assert np.isfinite(x).all()
+        assert (fit - best <= 1e-8 * np.linalg.norm(res, axis=1)).all()
+
+
+def test_gn_step_of_an_all_zero_jacobian_is_zero():
+    a, d = _polish_system("sic", 3, 4, 1)
+    a[1] = 0.0
+    x = sic._gn_step(a, d)
+    assert not x[1].any()
+    assert x.tobytes() == _gn_step_each(a, d).tobytes()
+
+
+def test_gn_step_of_a_nan_row_is_non_finite_there_only():
+    a, d = _polish_system("sic", 3, 4, 1)
+    clean = sic._gn_step(a, d)
     a[1, 5, 2] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.lstsq(a[1], b[1], rcond=None)
-    with pytest.raises(np.linalg.LinAlgError):
-        sic._lstsq(a, b)
+    x = sic._gn_step(a, d)
+    assert not np.isfinite(x[1]).all()
+    assert x[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
 
 def test_descend_line_search_calls_per_gradient():
@@ -490,6 +564,16 @@ def test_search_threads_agree_where_restarts_stall():
     assert seq["fiducial"].tobytes() == again["fiducial"].tobytes()
     assert (seq["fsic"], seq["restart"]) == (again["fsic"], again["restart"])
     assert seq["stats"] == again["stats"]
+
+
+@pytest.mark.parametrize("n,floor", [(4, 88), (5, 142)])
+def test_damped_polish_converges_restarts_near_a_rank_loss(n, floor):
+    # restarts converged over seeds 0..4; at the local minima where descend
+    # stops, near-null directions of J make the least-squares step too long
+    # for polish's halvings (68 and 86 converge with it) and the damped step
+    # short enough to leave them
+    assert sum(sic.sic_search(n, 32, seed)["stats"]["converged"]
+               for seed in range(5)) >= floor
 
 
 def test_search_zauner_starts():
