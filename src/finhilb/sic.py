@@ -106,21 +106,21 @@ def _grad(state, form, work=None):
 
 
 def _jacobian(state, form, work=None):
-    # row i of the (L, K, 2N) Jacobian goes into the spent row i of the
-    # gather, through two (K, N) temporaries that every row reuses
+    """d and its (L, K, 2N) Jacobian in [Re psi, Im psi] for all L rows in
+    one batched pass, written into the spent gather hc through two (L, K,
+    N) temporaries, dpsi = D_k psi and dc_dy (1 MB each at a full block)."""
     psi, c, d = state
     n = psi.shape[1]
     hc = _shift(psi, form[0], form[1], work)
     np.conj(hc, out=hc)  # conj(D_k^dag psi)
+    dpsi = _shift(psi, form[2], form[3])
+    cc = c.conj()[:, :, None]
+    dc_dy = np.subtract(hc, dpsi)
+    np.multiply(cc, np.multiply(1j, dc_dy, out=dc_dy), out=dc_dy)
+    dc_dx = np.multiply(cc, np.add(dpsi, hc, out=dpsi), out=dpsi)
     jac = hc.view(float)
-    dpsi, dc_dy = np.empty((2,) + hc.shape[1:], complex)
-    for i, cc in enumerate(c.conj()[:, :, None]):
-        _shift(psi[i:i + 1], form[2], form[3], dpsi[None])
-        np.subtract(hc[i], dpsi, out=dc_dy)
-        np.multiply(cc, np.multiply(1j, dc_dy, out=dc_dy), out=dc_dy)
-        dc_dx = np.multiply(cc, np.add(dpsi, hc[i], out=dpsi), out=dpsi)
-        np.multiply(2.0, dc_dx.real, out=jac[i, :, :n])
-        np.multiply(2.0, dc_dy.real, out=jac[i, :, n:])
+    np.multiply(2.0, dc_dx.real, out=jac[..., :n])
+    np.multiply(2.0, dc_dy.real, out=jac[..., n:])
     jac[:, 0, :] = 0.0
     return d, jac
 

@@ -78,20 +78,19 @@ def displacement(n: int, r: int, s: int) -> np.ndarray:
     return _densify(*_standard_form(n, np.array([r]), np.array([s])))[0]
 
 
-@functools.lru_cache(maxsize=16)
 def displacement_table(n: int) -> np.ndarray:
     """All N^2 standard displacements stacked as shape (N*N, N, N); entry
-    r*N + s is D_{r,s}.  Cached; treat as read-only."""
-    if n > 32:
-        raise ValueError("displacement table capped at 32")
-    out = _densify(*_table_form(n))
-    out.setflags(write=False)
-    return out
+    r*N + s is D_{r,s}.  A fresh array, written out of _table_form(n) on
+    each call."""
+    return _densify(*_table_form(n))
 
 
 @functools.lru_cache(maxsize=16)
 def _table_form(n: int):
-    """The monomial form of displacement_table(n), rows and vals (N*N, N)."""
+    """The monomial form of displacement_table(n), rows and vals (N*N, N),
+    for 2 <= N <= 32; cached and read-only, the one cached Z_N basis."""
+    if n > 32:
+        raise ValueError("displacement table capped at 32")
     form = _standard_form(n, *np.divmod(np.arange(n * n), n))
     for a in form:
         a.setflags(write=False)
@@ -151,9 +150,9 @@ def group_law_residual(n: int, p, q) -> float:
 
 def group_law_max_residual(n: int) -> float:
     """group_law_residual maximized over all N^2 x N^2 standard index
-    pairs, read from the monomial form of ``displacement_table(n)``."""
-    return _monomial_group_law_residual(
-        _dense_form(displacement_table(n)), _table_law(n), n)
+    pairs, read from the cached monomial form _table_form(n)."""
+    return _monomial_group_law_residual((*_table_form(n), 0.0),
+                                        _table_law(n), n)
 
 
 def _table_law(n):

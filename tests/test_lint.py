@@ -285,6 +285,46 @@ def test_call_site_lint_catches_each_form():
                                              ("b", 10), ("<module>", 11)]
 
 
+def _dense_table_sites(trees):
+    """(module, function) of each call of _dense_form, and each decorator
+    of a function named displacement_table, as source."""
+    calls = [(stem, fn) for stem, tree in trees.items()
+             for fn, _ in _calls_outside(tree, "_dense_form")]
+    decorators = [ast.unparse(d) for tree in trees.values()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name == "displacement_table"
+                  for d in node.decorator_list]
+    return calls, decorators
+
+
+def test_one_cached_displacement_basis():
+    # _table_form is the one cached Z_N basis: the dense table is written
+    # out on each call, and only matrices built from no form (the Pauli
+    # words of the Mermin landscape) are read back into one
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _dense_table_sites(trees) == ([("mub", "mermin_landscape")], [])
+
+
+def test_dense_table_lint_catches_each_form():
+    trees = {"weyl": ast.parse("@functools.lru_cache(maxsize=16)\n"
+                               "def displacement_table(n):\n"
+                               "    return _densify(*_table_form(n))\n"
+                               "def group_law_max_residual(n):\n"
+                               "    return _dense_form(table(n))\n"
+                               "def _dense_form(mats):\n"
+                               "    return _dense_form(mats[:1])\n"),
+             "mub": ast.parse("def mermin_landscape():\n"
+                              "    return weyl._dense_form(words)\n"),
+             "wigner": ast.parse("@cache\n"
+                                 "def displacement_table(n):\n"
+                                 "    return weyl._dense_form(t)[0]\n")}
+    assert _dense_table_sites(trees) == (
+        [("weyl", "group_law_max_residual"), ("mub", "mermin_landscape"),
+         ("wigner", "displacement_table")],
+        ["functools.lru_cache(maxsize=16)", "cache"])
+
+
 def _matrix_products(tree):
     """(enclosing top-level function or "<module>", line) of each matrix
     product: an @ or @=, or a call of matmul or dot by name or attribute."""

@@ -314,9 +314,9 @@ def test_a_search6_block_runs_each_row_as_its_own_run(restarts, seed, limits):
 
 @pytest.mark.parametrize("n,restarts", [(12, 32), (32, 4)])
 def test_search_memory_stays_in_the_block_budget(n, restarts):
-    # the block's gather buffer (R N^3 complex entries), the two gathers
-    # of one row's Jacobian (N^3 each, and N^3 <= R N^3) and numpy's
-    # temporaries fit in four buffers' worth
+    # the block's gather buffer (R N^3 complex entries), the Jacobian's two
+    # temporaries (R N^3 each at most) and numpy's temporaries fit in four
+    # buffers' worth
     budget = 4 * sic._block_rows(n) * n ** 3 * 16
     sic._gathers(n)
     tracemalloc.start()
@@ -352,6 +352,41 @@ def test_search_buffer_has_no_more_rows_than_restarts():
 def _unit_rows(rng, rows, n):
     return sic._unit(rng.standard_normal((rows, n))
                      + 1j * rng.standard_normal((rows, n)))
+
+
+def _jacobian_row_by_row(state, form, work):
+    # the former loop over rows, the oracle of the batched sic._jacobian
+    psi, c, d = state
+    n = psi.shape[1]
+    hc = sic._shift(psi, form[0], form[1], work)
+    np.conj(hc, out=hc)
+    jac = hc.view(float)
+    dpsi, dc_dy = np.empty((2,) + hc.shape[1:], complex)
+    for i, cc in enumerate(c.conj()[:, :, None]):
+        sic._shift(psi[i:i + 1], form[2], form[3], dpsi[None])
+        np.subtract(hc[i], dpsi, out=dc_dy)
+        np.multiply(cc, np.multiply(1j, dc_dy, out=dc_dy), out=dc_dy)
+        dc_dx = np.multiply(cc, np.add(dpsi, hc[i], out=dpsi), out=dpsi)
+        np.multiply(2.0, dc_dx.real, out=jac[i, :, :n])
+        np.multiply(2.0, dc_dy.real, out=jac[i, :, n:])
+    jac[:, 0, :] = 0.0
+    return d, jac
+
+
+# n = 27 and 32 gather 2^14 or more entries per row, where _shift
+# multiplies in the other order
+@pytest.mark.parametrize("n", [2, 5, 8, 12, 27, 32])
+def test_batched_jacobian_is_the_row_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    form = sic._gathers(n)
+    for rows in sorted({1, 3, sic._block_rows(n)}):
+        state = sic._probe(_unit_rows(rng, rows, n), form)[1]
+        work = np.empty((2, rows, n * n, n), complex)
+        d, jac = sic._jacobian(state, form, work[0])
+        d_ref, jac_ref = _jacobian_row_by_row(state, form, work[1])
+        assert jac.shape == (rows, n * n, 2 * n)
+        assert jac.tobytes() == jac_ref.tobytes()
+        assert d.tobytes() == d_ref.tobytes()
 
 
 def _polish_system(kind, rows, n, seed):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finhilb import gf, weyl
+from finhilb import cli, gf, weyl
 from finhilb.tol import TOL_MATRIX
 
 
@@ -179,7 +179,7 @@ def _kernel(table, case):
 @pytest.mark.parametrize("case", [4, 5] + _FIELDS_TO_16, ids=_case_id)
 @pytest.mark.parametrize("mutate", _MUTATIONS)
 def test_group_law_kernel_reads_the_table(case, mutate):
-    table = _table(case).copy()
+    table = _table(case)
     q = table.shape[1]
     assert _kernel(table, case) <= TOL_MATRIX
     mutate(table, min(q + 2, q * q - 1), 1)
@@ -245,6 +245,31 @@ def test_group_law_kernel_keeps_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 10.2e6
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_group_law_max_residual_is_the_dense_table_path_bit_for_bit(n):
+    # the oracle is the former path: the kernel on the dense table's form
+    assert weyl.group_law_max_residual(n) == _kernel(_table(n), n)
+
+
+def test_group_law_and_table_share_the_cap(capsys):
+    for fn in (weyl.group_law_max_residual, weyl.displacement_table):
+        with pytest.raises(ValueError, match="capped at 32"):
+            fn(33)
+    assert cli.dispatch(["weyl", "check", "--n", "33"]) == 2
+    assert "capped at 32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_displacement_table_is_a_fresh_writable_array(n):
+    first, second = weyl.displacement_table(n), weyl.displacement_table(n)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    first[:] = np.nan
+    second[0, 0, 0] = 7.0
+    assert _same_bits(weyl.displacement_table(n),
+                      weyl._densify(*weyl._table_form(n)))
 
 
 def test_even_dim_index_shift():
@@ -362,7 +387,7 @@ def test_field_group_law_sign_is_minimized_per_pair(k, monkeypatch):
     # column of one D_u breaks it, where a minimum taken per column would
     # forgive the flip
     spec = gf.field_make(2, k)
-    table = _table(spec).copy()
+    table = _table(spec)
     table[3, :, 1] *= -1
     assert _kernel(table, spec) > TOL_MATRIX
     field_form = weyl._field_form
