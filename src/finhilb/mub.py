@@ -245,13 +245,6 @@ def bbrv_flower(bases):
 
 # -- dimension 4: the fifteen maximal abelian two-qubit subgroups --------
 
-_PAULI = {
-    "1": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _XZ_BITS = {"1": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 # conventional numbering: petals 1-6 are the rows and columns of the
@@ -265,15 +258,6 @@ _PETAL_TABLE = [
 ]
 
 
-def pauli_word_matrix(word: str) -> np.ndarray:
-    """Tensor product of single-qubit operators named by the word, e.g.
-    "XZ" -> X (x) Z."""
-    m = _PAULI[word[0]]
-    for ch in word[1:]:
-        m = np.kron(m, _PAULI[ch])
-    return m
-
-
 def mermin_landscape() -> dict:
     """Enumerate the maximal abelian subgroups ("petals") of the
     two-qubit Pauli group modulo phases and every partition of the 15
@@ -284,12 +268,12 @@ def mermin_landscape() -> dict:
             conventional order (petals 1-6 are the magic-square ones);
         flowers: the 6 partitions, each a sorted tuple of five 1-based
             petal indices;
-        eigenbases: one canonical (4, 4) joint eigenbasis per petal;
+        eigenbases: (15, 4, 4), the joint eigenbasis of each petal, its
+            columns labelled by _stabilizer_basis;
         mub_sets: per flower, the five eigenbases (a complete MUB set);
-        stabilizer_states: (60, 4) array of the distinct eigenvectors.
+        stabilizer_states: (60, 4), the columns of the eigenbases petal
+            by petal, each a distinct state.
     """
-    words = ["".join(t) for t in itertools.product("1XYZ", repeat=2)
-             if t != ("1", "1")]
     # each petal is the nonzero part of a Lagrangian subspace of F_2^4, the
     # vector (x1, z1, x2, z2) naming one word
     letter = {bits: ch for ch, bits in _XZ_BITS.items()}
@@ -300,32 +284,21 @@ def mermin_landscape() -> dict:
                            "conventional table")
     petals = list(_PETAL_TABLE)
 
-    flowers = []
-    universe = frozenset(words)
-    sets = [frozenset(t) for t in petals]
-
-    def extend(chosen, covered):
-        if covered == universe:
-            flowers.append(tuple(i + 1 for i in chosen))
-            return
-        start = chosen[-1] + 1 if chosen else 0
-        for i in range(start, 15):
-            if sets[i] & covered:
-                continue
-            extend(chosen + [i], covered | sets[i])
-
-    extend([], frozenset())
-    flowers.sort()
+    # five petals of three words each partition the 15 words when they
+    # cover all of them
+    flowers = [tuple(i + 1 for i in chosen)
+               for chosen in itertools.combinations(range(15), 5)
+               if len(set().union(*(petals[i] for i in chosen))) == 15]
     if len(flowers) != 6:
         raise RuntimeError("expected 6 flowers, got %d" % len(flowers))
 
-    # the first two words of a petal generate its group, read off as forms
-    rows, vals, off = weyl._dense_form(np.array(
-        [pauli_word_matrix(w) for petal in petals for w in petal[:2]]))
-    if not off <= TOL_MATRIX:
-        raise RuntimeError("petal words are not monomial")
-    eigenbases = [canonicalize_basis(b) for b in _stabilizer_basis(
-        rows.reshape(-1, 2, 4), vals.reshape(-1, 2, 4), 2)]
+    # the first two words of a petal generate its group; letter i of a
+    # word is D_{x, z} on qubit i, (x, z) its _XZ_BITS
+    bits = np.array([[_XZ_BITS[ch] for ch in w]
+                     for petal in petals for w in petal[:2]])
+    rows, vals = weyl._tensor_form(2, bits[..., 0], bits[..., 1])
+    eigenbases = _stabilizer_basis(rows.reshape(15, 2, 4),
+                                   vals.reshape(15, 2, 4), 2)
 
     mub_sets = []
     for flower in flowers:
@@ -336,17 +309,9 @@ def mermin_landscape() -> dict:
                                % (flower, report["max_deviation"]))
         mub_sets.append(family)
 
-    states = {}
-    for b in eigenbases:
-        for j in range(4):
-            key = tuple(x for c in b[:, j]
-                        for x in (round(c.real, 6) + 0.0,
-                                  round(c.imag, 6) + 0.0))
-            states.setdefault(key, b[:, j])
-    stabilizer_states = np.array([states[k] for k in sorted(states)])
-
     return {"petals": petals, "flowers": flowers, "eigenbases": eigenbases,
-            "mub_sets": mub_sets, "stabilizer_states": stabilizer_states}
+            "mub_sets": mub_sets, "stabilizer_states": np.concatenate(
+                eigenbases.transpose(0, 2, 1))}
 
 
 def stabilizer_count(p: int, k: int) -> int:

@@ -9,8 +9,9 @@ Conventions, fixed once for the whole package:
   all phase exponents are reduced as exact integers before any floating
   evaluation, which keeps residuals at the 1e-15 level.
 * Every displacement, over Z_N or GF(p^K), is monomial.  One builder turns
-  a batch of labels into that (row, phase) form; each dense matrix here
-  writes it out, and one group-law kernel checks both groups on it.
+  a batch of labels into that (row, phase) form, and one helper takes
+  Kronecker products of Z_p forms; each dense matrix here writes a form
+  out, and one group-law kernel checks both groups on it.
 * ``metaplectic(G, N)`` is Appleby's Clifford unitary of G in SL(2,
   Z_nbar(N)): ``U_G D_p U_G^dag = D_{Gp}`` up to phase, for every N.
 
@@ -28,6 +29,8 @@ import numpy as np
 from . import gf
 
 MAX_DIM = 64
+# entries per array of a group-law block, the budget of sic._block_rows
+_LAW_BLOCK = 2 ** 16
 
 
 def nbar(n: int) -> int:
@@ -113,14 +116,18 @@ def _form(m, rows, tau_exp, omega_exp):
     return rows, taus[:, None] * gf.roots_of_unity(m)[omega_exp % m]
 
 
-def _dense_form(mats):
-    """Rows and values of each column's largest entry of (K, N, N)
-    matrices, and the largest modulus off that support; NaN propagates."""
-    mag = np.abs(mats)
-    rows = np.argmax(mag, axis=1)
-    vals = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0]
-    np.put_along_axis(mag, rows[:, None, :], 0.0, axis=1)
-    return rows, vals, mag.max()
+def _tensor_form(p, x, z):
+    """The monomial form, rows and vals (K, p^k), of the K tensor products
+    D_{x[j, 0], z[j, 0]} (x) ... (x) D_{x[j, k-1], z[j, k-1]} of Z_p
+    displacements, for (K, k) label arrays x, z.  Column y, digits y_i
+    with factor 1 leading, takes row sum_i row_i[y_i] p^(k-1-i) and value
+    prod_i val_i[y_i]."""
+    n, k = x.shape
+    rows, vals = _standard_form(p, x.ravel(), z.ravel())
+    y = np.arange(k), np.indices((p,) * k).reshape(k, -1).T
+    radix = p ** np.arange(k - 1, -1, -1)
+    return (rows.reshape(n, k, p)[:, y[0], y[1]] @ radix,
+            np.prod(vals.reshape(n, k, p)[:, y[0], y[1]], axis=-1))
 
 
 def _densify(rows, vals):
@@ -182,9 +189,12 @@ def _monomial_group_law_residual(form, law, m, signed=False) -> float:
     n = rows.shape[1]
     taus = tau_power(m, np.arange(nbar(m)))
     omegas = _omega_power(m, np.arange(m))
-    # every array of a block has B L N entries, and products are taken in
-    # place: a fresh B L N array costs its page faults
-    for a, c, e, om in law:
+    # a law block is split along its first labels so that every array
+    # holds B L N <= _LAW_BLOCK entries, and products are taken in place:
+    # a fresh B L N array costs its page faults
+    step = max(1, _LAW_BLOCK // rows.size)
+    for a, c, e, om in ([x[j:j + step] for x in block] for block in law
+                        for j in range(0, len(block[0]), step)):
         k = rows + n * a[..., None]
         ab_row, ab_val = rows.ravel()[k], vals.ravel()[k]
         ab_val *= vals
@@ -318,13 +328,7 @@ def tensor_isomorphism(spec):
     rows, vals = _field_form(spec, u1, u2)
     inv = np.argsort(perm)
     rows, vals = perm[rows[:, inv]], vals[:, inv]
-    # the Kronecker product: column y, digits y_i leading first, takes
-    # row sum_i row_i[y_i] p^(K-1-i) and value prod_i val_i[y_i]
-    f_rows, f_vals = _standard_form(p, dual_digits[u1].ravel(),
-                                    basis_digits[u2].ravel())
-    y = np.arange(k), gf.digit_table(spec)[:, ::-1]
-    t_rows = f_rows.reshape(q * q, k, p)[:, y[0], y[1]] @ radix
-    t_vals = np.prod(f_vals.reshape(q * q, k, p)[:, y[0], y[1]], axis=-1)
+    t_rows, t_vals = _tensor_form(p, dual_digits[u1], basis_digits[u2])
     report = {"max_residual": float(_distance(rows, vals, t_rows, t_vals,
                                               signed=p == 2)),
               "pairs_checked": q * q, "phase_minimized": p == 2}

@@ -285,25 +285,35 @@ def test_call_site_lint_catches_each_form():
                                              ("b", 10), ("<module>", 11)]
 
 
-def _dense_table_sites(trees):
-    """(module, function) of each call of _dense_form, and each decorator
-    of a function named displacement_table, as source."""
-    calls = [(stem, fn) for stem, tree in trees.items()
-             for fn, _ in _calls_outside(tree, "_dense_form")]
+def _displacement_sites(trees):
+    """(module, function) of each definition or call of _dense_form, each
+    decorator of a function named displacement_table, as source, and
+    (module, function) of each call of _tensor_form."""
+    def functions(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    dense = sorted({(stem, node.name) for stem, tree in trees.items()
+                    for node in functions(tree)
+                    if node.name == "_dense_form"}
+                   | {(stem, fn) for stem, tree in trees.items()
+                      for fn, _ in _calls_outside(tree, "_dense_form")})
     decorators = [ast.unparse(d) for tree in trees.values()
-                  for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and node.name == "displacement_table"
+                  for node in functions(tree)
+                  if node.name == "displacement_table"
                   for d in node.decorator_list]
-    return calls, decorators
+    tensor = sorted({(stem, fn) for stem, tree in trees.items()
+                     for fn, _ in _calls_outside(tree, "_tensor_form")})
+    return dense, decorators, tensor
 
 
 def test_one_cached_displacement_basis():
-    # _table_form is the one cached Z_N basis: the dense table is written
-    # out on each call, and only matrices built from no form (the Pauli
-    # words of the Mermin landscape) are read back into one
+    # _table_form is the one cached Z_N basis and the dense table is
+    # written out on each call; no matrix is read back into a form, and
+    # both tensor products of Z_p displacements come from one builder
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _dense_table_sites(trees) == ([("mub", "mermin_landscape")], [])
+    assert _displacement_sites(trees) == (
+        [], [], [("mub", "mermin_landscape"), ("weyl", "tensor_isomorphism")])
 
 
 def test_dense_table_lint_catches_each_form():
@@ -313,16 +323,19 @@ def test_dense_table_lint_catches_each_form():
                                "def group_law_max_residual(n):\n"
                                "    return _dense_form(table(n))\n"
                                "def _dense_form(mats):\n"
-                               "    return _dense_form(mats[:1])\n"),
+                               "    return _dense_form(mats[:1])\n"
+                               "def tensor_isomorphism(spec):\n"
+                               "    return np.kron(*_standard_form(2))\n"),
              "mub": ast.parse("def mermin_landscape():\n"
-                              "    return weyl._dense_form(words)\n"),
+                              "    return weyl._tensor_form(2, x, z)\n"),
              "wigner": ast.parse("@cache\n"
                                  "def displacement_table(n):\n"
                                  "    return weyl._dense_form(t)[0]\n")}
-    assert _dense_table_sites(trees) == (
-        [("weyl", "group_law_max_residual"), ("mub", "mermin_landscape"),
+    assert _displacement_sites(trees) == (
+        [("weyl", "_dense_form"), ("weyl", "group_law_max_residual"),
          ("wigner", "displacement_table")],
-        ["functools.lru_cache(maxsize=16)", "cache"])
+        ["functools.lru_cache(maxsize=16)", "cache"],
+        [("mub", "mermin_landscape")])
 
 
 def _matrix_products(tree):

@@ -337,12 +337,25 @@ def test_columns_carry_their_eigenvalue_labels(field_line):
         assert np.abs(g @ basis - basis * labels).max() <= 1e-10
 
 
+# the single-qubit Pauli matrices written out by hand, the petal tests'
+# oracle for the words the landscape builds as forms
+_PAULI = {"1": np.eye(2, dtype=complex),
+          "X": np.array([[0, 1], [1, 0]], dtype=complex),
+          "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+          "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def _pauli_word(word):
+    """The Kronecker product of the word's Pauli matrices, "XZ" -> X (x) Z."""
+    return functools.reduce(np.kron, [_PAULI[ch] for ch in word])
+
+
 def test_petal_eigenbases_match_eigensolver_oracle():
     land = mub.mermin_landscape()
     for i, (petal, b) in enumerate(zip(land["petals"], land["eigenbases"])):
-        mats = [mub.pauli_word_matrix(w) for w in petal]
+        mats = [_pauli_word(w) for w in petal]
         oracle = mub.canonicalize_basis(_joint_eigenbasis(mats, (11, i)))
-        assert np.abs(b - oracle).max() <= 1e-10
+        assert np.abs(mub.canonicalize_basis(b) - oracle).max() <= 1e-10
 
 
 def _dense_stabilizer_basis(gens, p):
@@ -384,11 +397,25 @@ def test_stabilizer_basis_matches_dense_oracle(p, k):
             <= 1e-12
 
 
+def _petal_forms():
+    """Forms (15, 2, 4) of the first two words of each petal, built as the
+    landscape builds them, from the words' symplectic vectors."""
+    bits = np.array([[mub._XZ_BITS[ch] for ch in w]
+                     for petal in mub.mermin_landscape()["petals"]
+                     for w in petal[:2]])
+    rows, vals = weyl._tensor_form(2, bits[..., 0], bits[..., 1])
+    return rows.reshape(15, 2, 4), vals.reshape(15, 2, 4)
+
+
 def test_petal_stabilizer_basis_matches_dense_oracle():
-    for petal in mub.mermin_landscape()["petals"]:
-        mats = np.array([mub.pauli_word_matrix(w) for w in petal[:2]])
-        rows, vals, off = weyl._dense_form(mats)
-        assert off == 0.0
+    petals = mub.mermin_landscape()["petals"]
+    for petal, rows, vals in zip(petals, *_petal_forms()):
+        mats = weyl._densify(rows, vals)
+        # each form is its Pauli word up to sign: D_{1,1} = -Y, to
+        # rounding in tau = -exp(i pi / 2)
+        for m, w in zip(mats, petal):
+            assert min(np.abs(m - s * _pauli_word(w)).max()
+                       for s in (1, -1)) <= 1e-15
         assert np.abs(_one_set(rows, vals, 2)
                       - _dense_stabilizer_basis(mats, 2)).max() <= 1e-12
 
@@ -423,13 +450,10 @@ def test_stabilizer_basis_memory_is_blocked():
 
 
 def test_blocked_petal_stabilizer_basis_equals_one_call_per_petal():
-    mats = np.array([mub.pauli_word_matrix(w)
-                     for petal in mub.mermin_landscape()["petals"]
-                     for w in petal[:2]]).reshape(15, 2, 4, 4)
-    forms = [weyl._dense_form(m)[:2] for m in mats]
-    rows, vals = (np.array(f) for f in zip(*forms))
+    rows, vals = _petal_forms()
     blocked = mub._stabilizer_basis(rows, vals, 2)
-    for b, (r, v) in zip(blocked, forms):
+    assert np.array_equal(blocked, mub.mermin_landscape()["eigenbases"])
+    for b, r, v in zip(blocked, rows, vals):
         assert np.array_equal(b, _one_set(r, v, 2))
 
 
@@ -462,22 +486,6 @@ def test_stabilizer_basis_rejects_nan_generator(entry):
     vals[entry] = np.nan
     with pytest.raises(RuntimeError, match="joint eigenbasis"):
         _one_set(rows, vals, 2)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, 0.5])
-def test_petal_words_off_their_support_raise(monkeypatch, bad):
-    # a NaN or nonzero entry off a word's monomial support fails closed
-    word_matrix = mub.pauli_word_matrix
-
-    def poisoned(word):
-        m = np.array(word_matrix(word))
-        m.flat[np.flatnonzero(m == 0)[0]] = bad
-        return m
-
-    monkeypatch.setattr(mub, "pauli_word_matrix", poisoned)
-    with pytest.raises(RuntimeError, match="not monomial"):
-        mub.mermin_landscape()
 
 
 def test_subgroup_eigenbases_guards():
@@ -607,7 +615,7 @@ def test_mermin_eigenbases_diagonalize_petals():
     land = mub.mermin_landscape()
     for petal, basis in zip(land["petals"], land["eigenbases"]):
         for wd in petal:
-            m = basis.conj().T @ mub.pauli_word_matrix(wd) @ basis
+            m = basis.conj().T @ _pauli_word(wd) @ basis
             assert np.abs(m - np.diag(np.diag(m))).max() < 1e-10
 
 
@@ -617,8 +625,15 @@ def test_mermin_mub_sets_and_states():
     for family in land["mub_sets"]:
         report = mub.unbiasedness_check(family)
         assert report["pass"]
-    assert land["stabilizer_states"].shape == (60, 4)
+    states = land["stabilizer_states"]
+    assert states.shape == (60, 4)
     assert mub.stabilizer_count(2, 2) == 60
+    # the columns of the 15 bases, petal by petal, are 60 distinct states:
+    # two of them overlap with |<a|b>|^2 of 0, 1/4 or 1/2
+    assert np.array_equal(states[4 * 7:4 * 8], land["eigenbases"][7].T)
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    assert np.abs(np.diag(overlaps) - 1).max() <= 1e-12
+    assert (overlaps[~np.eye(60, dtype=bool)] <= 0.5 + 1e-12).all()
 
 
 def test_stabilizer_count_values():

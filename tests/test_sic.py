@@ -668,9 +668,10 @@ def test_zauner_unitary_order3_clifford(n):
     assert np.array_equal(u, _zauner_closed_form(n))
     assert np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-12
     assert _cube_off_scalar(u) <= 1e-12
-    # U D U^dag is a displacement up to phase: monomial for every label
+    # U D U^dag is a displacement up to phase: monomial for every label,
+    # so each column's second-largest modulus vanishes
     moved = u @ weyl.displacement_table(n) @ u.conj().T
-    assert weyl._dense_form(moved)[2] <= TOL_MATRIX
+    assert np.sort(np.abs(moved), axis=1)[:, -2].max() <= TOL_MATRIX
     proj = sic._zauner_projector(n)
     assert np.linalg.matrix_rank(proj, tol=1e-8) == -(-(n + 1) // 3)
     assert np.abs(proj @ proj - proj).max() <= 1e-12

@@ -171,8 +171,19 @@ def _law(case):
     return weyl._field_law(case), case.p, case.p == 2
 
 
+def _dense_form(mats):
+    """Rows and values of each column's largest entry of (K, N, N)
+    matrices, and the largest modulus off that support; NaN propagates.
+    The kernel's oracles read dense tables back into forms with it."""
+    mag = np.abs(mats)
+    rows = np.argmax(mag, axis=1)
+    vals = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0]
+    np.put_along_axis(mag, rows[:, None, :], 0.0, axis=1)
+    return rows, vals, mag.max()
+
+
 def _kernel(table, case):
-    return weyl._monomial_group_law_residual(weyl._dense_form(table),
+    return weyl._monomial_group_law_residual(_dense_form(table),
                                              *_law(case))
 
 
@@ -192,7 +203,7 @@ def _stack_where_group_law(table, case):
     signed law the tau target's residual is minimized per pair over the
     overall sign."""
     n = table.shape[1]
-    rows, vals, res = weyl._dense_form(table)
+    rows, vals, res = _dense_form(table)
     idx = np.arange(len(table))
     law, m, signed = _law(case)
     for a, c, e, om in law:
@@ -245,6 +256,33 @@ def test_group_law_kernel_keeps_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 10.2e6
+
+
+@pytest.mark.parametrize("case", [6, 9, gf.field_make(2, 3),
+                                  gf.field_make(3, 2)], ids=_case_id)
+@pytest.mark.parametrize("mutate", _MUTATIONS)
+def test_split_group_law_blocks_are_bit_identical(case, mutate, monkeypatch):
+    # one first label per block against the whole N^4 (q^4) block
+    table = _table(case)
+    mutate(table, 3, 1)
+    whole = _kernel(table, case)
+    monkeypatch.setattr(weyl, "_LAW_BLOCK", 1)
+    assert _same_float(_kernel(table, case), whole)
+
+
+@pytest.mark.parametrize("check, arg", [
+    (weyl.group_law_max_residual, 24),
+    (weyl.field_group_law_max_residual, gf.field_make(5, 2))])
+def test_group_law_blocks_stay_in_their_budget(check, arg):
+    # 2^16-entry blocks peak near 5 MiB here; one N^4 (q^4) block took
+    # 23.8 MiB at N = 24 and 27.4 MiB at q = 25
+    tracemalloc.start()
+    try:
+        assert check(arg) <= TOL_MATRIX
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -475,9 +513,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19,
-                                                   23, 29, 31)
-                                  for k in range(1, 6) if p ** k <= 32])
+_FIELDS_TO_32 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                 for k in range(1, 6) if p ** k <= 32]
+
+
+@pytest.mark.parametrize("p, k", _FIELDS_TO_32)
 def test_field_displacement_matches_elementwise_loop(p, k):
     spec = gf.field_make(p, k)
     q = spec.order
@@ -574,6 +614,23 @@ def _dense_tensor_isomorphism(spec):
                 res = min(res, np.abs(lhs + rhs).max())
             worst = float(np.maximum(worst, res))
     return S, worst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_FIELDS_TO_32).flatmap(lambda pk: st.tuples(
+    st.just(pk), st.lists(st.lists(st.tuples(st.integers(-70, 70),
+                                             st.integers(-70, 70)),
+                                   min_size=pk[1], max_size=pk[1]),
+                          min_size=1, max_size=4))))
+def test_tensor_form_is_the_kron_of_displacements(case):
+    (p, k), labels = case
+    x, z = np.moveaxis(np.array(labels), -1, 0)
+    kron = [functools.reduce(np.kron, [weyl.displacement(p, *xz)
+                                       for xz in word]) for word in labels]
+    # np.kron multiplies zeros by phases, which can give -0.0; adding
+    # 0.0 clears only the sign of a zero
+    assert _same_bits(weyl._densify(*weyl._tensor_form(p, x, z)) + 0.0,
+                      np.array(kron) + 0.0)
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 4), (3, 3)])
