@@ -314,6 +314,16 @@ def mermin_landscape() -> dict:
                 eigenbases.transpose(0, 2, 1))}
 
 
+def stabilizer_overlap_deviation(states) -> float:
+    """The largest distance of an off-diagonal |<a|b>|^2 of two-qubit
+    stabilizer states, the rows of states, from the nearest of 0, 1/4 and
+    1/2, or of a diagonal one from 1; NaN propagates."""
+    gram = np.abs(np.asarray(states).conj() @ np.transpose(states)) ** 2
+    dist = np.abs(gram[..., None] - np.array([0.0, 0.25, 0.5])).min(axis=-1)
+    np.fill_diagonal(dist, np.abs(gram.diagonal() - 1))
+    return float(np.max(dist))
+
+
 def stabilizer_count(p: int, k: int) -> int:
     """Number of stabilizer states in dimension p^k:
     p^k * prod_{i=1..k} (p^i + 1)."""

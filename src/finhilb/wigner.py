@@ -37,35 +37,39 @@ def parity_operator(n: int) -> np.ndarray:
     return a
 
 
-def phase_point_set(n: int) -> np.ndarray:
-    """All n^2 phase-point operators A_{r,s} = D_{r,s} A_{0,0}
-    D_{r,s}^dag as an (n, n, n, n) array indexed [r, s].
+def _phase_point_form(n: int):
+    """The monomial form (rows, vals) of A_{r,s} = D_{r,s} P D_{r,s}^dag,
+    label r*n + s, P: |y> -> |-y>, by gathers on weyl._table_form(n); at
+    odd n, A_{r,s}|y> = omega**(2s(r - y)) |2r - y>."""
+    rows, vals = weyl._table_form(n)
+    # D^dag|y> = conj(vals[x]) |x> with rows[x] = y, and P|x> = |-x>
+    k, x = np.arange(n * n)[:, None], np.argsort(rows, axis=1)
+    return rows[k, -x % n], vals[k, -x % n] * vals[k, x].conj()
 
-    Construction-time checks: Hermitian, squares to identity (so
-    eigenvalues are +-1 with multiplicities m, m-1 where n = 2m-1),
-    unit trace, and Tr(A_{0,0} A_{r,s}) = n delta.
-    """
+
+def phase_point_set(n: int) -> np.ndarray:
+    """All n^2 phase-point operators A_{r,s} = D_{r,s} A_{0,0} D_{r,s}^dag
+    as an (n, n, n, n) array indexed [r, s], written out of
+    _phase_point_form(n).  Construction-time checks: Hermitian, squares to
+    identity, unit trace, Tr(A_{0,0} A_{r,s}) = n delta, and the parity
+    A_{0,0} has eigenvalues -1 and +1 of multiplicities m - 1 and m, n =
+    2m - 1."""
     if n > _MAX_N:
         raise ValueError("n too large")
     a00 = parity_operator(n)
-    table = weyl.displacement_table(n).reshape(n, n, n, n)
-    pps = table @ a00 @ table.conj().transpose(0, 1, 3, 2)
+    pps = weyl._densify(*_phase_point_form(n)).reshape(n, n, n, n)
     herm = np.abs(pps - pps.conj().transpose(0, 1, 3, 2)).max()
     invol = np.abs(pps @ pps - np.eye(n)).max()
     tr_dev = np.abs(np.einsum("rsaa->rs", pps) - 1.0).max()
     ortho = np.einsum("ab,rsba->rs", a00, pps)
     ortho[0, 0] -= n
     ortho_dev = np.abs(ortho).max()
+    m = (n + 1) // 2
+    spec = np.abs(np.linalg.eigvalsh(a00) - np.repeat([-1, 1], [m - 1, m]))
     # np.max keeps a NaN that Python's max would drop
-    worst = np.max([herm, invol, tr_dev, ortho_dev])
+    worst = np.max([herm, invol, tr_dev, ortho_dev, spec.max()])
     if not worst <= TOL_MATRIX:
         raise RuntimeError("phase-point invariants violated: %g" % worst)
-    vals = np.linalg.eigvalsh(a00)
-    m = (n + 1) // 2
-    if not (np.abs(vals[:m - 1] + 1).max() <= TOL_MATRIX
-            and np.abs(vals[m - 1:] - 1).max() <= TOL_MATRIX):
-        raise RuntimeError("parity eigenvalue multiplicities are not "
-                           "(%d, %d)" % (m, m - 1))
     pps.setflags(write=False)
     return pps
 
@@ -120,7 +124,7 @@ def invariants(n: int, rng) -> dict:
             "roundtrip": roundtrip(rho, pps)[1]["roundtrip"],
             "line_map": float(np.max([e["max_residual"]
                                       for e in mub_line_map(pps)])),
-            "covariance": float(np.max(covariance_residuals(pps, gs)))}
+            "covariance": float(np.max(covariance_residuals(n, gs)))}
 
 
 @functools.lru_cache(maxsize=16)
@@ -221,15 +225,8 @@ def face_point_operator(mubs, choice) -> np.ndarray:
     return out
 
 
-def covariance_residuals(pps, gs) -> np.ndarray:
-    """Per G in gs, max over phase-space points of ||U_G A_{r,s} U_G^dag -
-    A_{G(r,s)}||, phase-free; two (n, n, n, n) buffers serve every G."""
-    n = pps.shape[0]
-    half, moved = np.empty_like(pps), np.empty_like(pps)
-    out = np.empty(len(gs))
-    for i, g in enumerate(gs):
-        u = weyl.metaplectic(g, n)
-        np.matmul(np.matmul(u, pps, out=half), u.conj().T, out=moved)
-        moved -= pps[clifford.sl2_apply(g, np.indices((n, n)), n)]
-        out[i] = np.abs(moved).max()
-    return out
+def covariance_residuals(n: int, gs) -> np.ndarray:
+    """Per G in gs, the residual of U_G A_a U_G^dag = A_{Ga} with no free
+    phase: clifford.normalizer_residual on _phase_point_form(n)."""
+    form = _phase_point_form(n)
+    return np.array([clifford.normalizer_residual(g, n, form) for g in gs])

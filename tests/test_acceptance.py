@@ -131,14 +131,12 @@ def test_criterion_06_discrete_wigner():
                     c = (d2 * r - d1 * s) % n
                     acc += wigner.line_average(pps, direction, c)
                 assert np.max(np.abs(acc - pps[r, s])) < 1e-10
-    pps3 = wigner.phase_point_set(3)
     assert wigner.covariance_residuals(
-        pps3, clifford.sl2_enumerate(3)).max() < 1e-10
+        3, clifford.sl2_enumerate(3)).max() < 1e-10
     for p in (5, 7):
-        pps = wigner.phase_point_set(p)
         group = clifford.sl2_enumerate(p)
         picks = rng.choice(len(group), size=50, replace=False)
-        assert wigner.covariance_residuals(pps, group[picks]).max() < 1e-10
+        assert wigner.covariance_residuals(p, group[picks]).max() < 1e-10
     _done(6, "discrete wigner", t0, 60.0)
 
 

@@ -192,6 +192,35 @@ def test_normalizer_matches_its_oracle_bit_for_bit(n):
             == _two_index_normalizer(g, n), g
 
 
+# (N, G, the displacement normalizer residual as float.hex), computed by the
+# check before it took other forms (numpy 2.4, x86-64): two elements of
+# SL(2, Z_nbar) per N, with beta a unit, beta = 0 (N = 31) and neither
+_NORMALIZER_PINS = [
+    (2, (1, 1, 0, 1), "0x1.2b8388e82ab20p-52"),
+    (2, (3, 1, 3, 0), "0x1.8f5a0be038ed6p-53"),
+    (3, (0, 1, 2, 2), "0x1.7618fceaeef3cp-51"),
+    (3, (2, 1, 0, 2), "0x1.99ccc999fff00p-52"),
+    (4, (5, 6, 6, 1), "0x1.752e50db3a3a1p-52"),
+    (4, (7, 5, 2, 5), "0x1.0f876ccdf6cdap-52"),
+    (6, (5, 6, 8, 5), "0x1.3b91bf663f039p-50"),
+    (6, (6, 11, 7, 3), "0x1.f627c54f1e0abp-51"),
+    (7, (6, 4, 1, 2), "0x1.58a68a4a8d9f3p-53"),
+    (7, (4, 3, 0, 2), "0x1.ad5336963eefcp-53"),
+    (12, (14, 23, 7, 3), "0x1.49d93405be849p-51"),
+    (12, (6, 1, 11, 6), "0x1.cd6f22532c914p-51"),
+    (31, (28, 0, 1, 10), "0x1.e7ac0990559a7p-50"),
+    (31, (17, 0, 14, 11), "0x1.04760c95db310p-49"),
+    (32, (56, 19, 37, 8), "0x1.678e26e30fc22p-52"),
+    (32, (10, 25, 17, 49), "0x1.6a09e667f3bcdp-52"),
+]
+
+
+@pytest.mark.parametrize("n, g, value", _NORMALIZER_PINS)
+def test_normalizer_keeps_its_pinned_values(n, g, value):
+    assert clifford.normalizer_residual(np.reshape(g, (2, 2)), n) \
+        == float.fromhex(value)
+
+
 def test_normalizer_identity_zero():
     assert clifford.normalizer_residual(np.eye(2, dtype=int), 5) < 1e-14
 

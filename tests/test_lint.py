@@ -170,9 +170,9 @@ def _names(tree, name):
                   and any(a.name.split(".")[-1] == name for a in node.names))
 
 
-@pytest.mark.parametrize("stem", ["clifford", "sic"])
+@pytest.mark.parametrize("stem", ["clifford", "sic", "wigner"])
 def test_no_dense_displacement_table(stem):
-    # both read the monomial form; the dense N^4 table stays in weyl
+    # each reads the monomial form; the dense N^4 table stays in weyl
     path = Path(finhilb.__file__).parent / ("%s.py" % stem)
     lines = _names(ast.parse(path.read_text()), "displacement_table")
     assert not lines, "%s names displacement_table at line(s) %s" % (

@@ -636,6 +636,31 @@ def test_mermin_mub_sets_and_states():
     assert (overlaps[~np.eye(60, dtype=bool)] <= 0.5 + 1e-12).all()
 
 
+def test_stabilizer_overlaps_take_three_values():
+    # of the 60 * 59 ordered pairs, 900 are orthogonal, 1920 unbiased and
+    # 720 overlap with 1/2
+    states = mub.mermin_landscape()["stabilizer_states"]
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    values, counts = np.unique(
+        np.round(4 * overlaps[~np.eye(60, dtype=bool)]), return_counts=True)
+    assert values.tolist() == [0, 1, 2] and counts.tolist() == [900, 1920,
+                                                                 720]
+    assert mub.stabilizer_overlap_deviation(states) <= 1e-15
+
+
+@pytest.mark.parametrize("defect, deviation", [
+    (lambda s: s.__setitem__(1, s[0]), 0.5),
+    (lambda s: s.__setitem__(7, 1.1 * s[7]), 1.1 ** 4 - 1),
+    (lambda s: s.__setitem__((3, 0), np.nan), np.nan)],
+    ids=["repeated", "unnormalized", "nan"])
+def test_stabilizer_overlap_deviation_sees_a_wrong_state(defect, deviation):
+    states = mub.mermin_landscape()["stabilizer_states"].copy()
+    defect(states)
+    found = mub.stabilizer_overlap_deviation(states)
+    assert np.isnan(found) if np.isnan(deviation) else \
+        found == pytest.approx(deviation)
+
+
 def test_stabilizer_count_values():
     assert mub.stabilizer_count(2, 3) == 1080
     assert mub.stabilizer_count(3, 1) == 12

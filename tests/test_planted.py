@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from finhilb import cli, weyl, wigner
+from finhilb import cli, mub, weyl, wigner
 
 
 def _moved_entry(densify):
@@ -44,6 +44,16 @@ def _swapped_points(phase_point_set):
     return wrapped
 
 
+def _rows_for_columns(mermin_landscape):
+    """The stabilizer states read from the rows of the 15 bases, not from
+    their columns."""
+    def wrapped():
+        land = mermin_landscape()
+        return dict(land, stabilizer_states=np.concatenate(
+            land["eigenbases"]))
+    return wrapped
+
+
 def _negated_column(tensor_form):
     """Column 1 of every tensor product negated."""
     def wrapped(*args):
@@ -73,15 +83,21 @@ ROWS = [
      {"orthogonality", "group_law"}) for n in ("5", "12")
 ] + [
     (["clifford", "check", "--p", n], weyl, "metaplectic", _transposed_g,
-     {"normalizer"}) for n in ("5", "7")
+     {"normalizer"}) for n in ("5", "7", "11")
 ] + [
-    (["wigner", "check", "--n", "5"], weyl, "metaplectic", _transposed_g,
-     {"covariance"}),
-    # line_map raises on the first line whose average misses its projector
+    (["wigner", "check", "--n", n], weyl, "metaplectic", _transposed_g,
+     {"covariance"}) for n in ("5", "11")
+] + [
+    # line_map raises on the first line whose average misses its projector:
+    # A_{4,4} conjugated is A_{4,1}, so phase_point_set's checks still pass
+    (["wigner", "check", "--n", "5"], wigner, "_phase_point_form",
+     _conjugated_label, "misses its MUB projector"),
     (["wigner", "check", "--n", "5"], wigner, "phase_point_set",
      _swapped_points, "misses its MUB projector"),
     (["mub", "mermin"], weyl, "_tensor_form", _negated_column,
      "no joint eigenbasis (residual 2)"),
+    (["mub", "mermin"], mub, "mermin_landscape", _rows_for_columns,
+     {"stabilizer_overlaps"}),
 ]
 
 # argv, the patched module and function, its defect, and why it survives

@@ -153,14 +153,11 @@ def test_lines_need_a_prime_n():
     assert wigner.line_points(2, (1, 1), 1) == [(1, 0), (0, 1)]
 
 
-def _phase_points_from_nan_table(monkeypatch):
-    table = weyl.displacement_table
-
-    def poisoned(n):
-        out = table(n).copy()
-        out[5, 0, 0] = np.nan
-        return out
-    monkeypatch.setattr(weyl, "displacement_table", poisoned)
+def _phase_points_from_nan_form(monkeypatch):
+    rows, vals = weyl._table_form(5)
+    vals = vals.copy()
+    vals[5, 0] = np.nan
+    monkeypatch.setattr(weyl, "_table_form", lambda n: (rows, vals))
     return wigner.phase_point_set(5)
 
 
@@ -173,7 +170,7 @@ _NAN3 = np.full((3, 3), np.nan, dtype=complex)
 
 
 @pytest.mark.parametrize("call, error", [
-    (_phase_points_from_nan_table, "phase-point invariants"),
+    (_phase_points_from_nan_form, "phase-point invariants"),
     (lambda mp: wigner.wigner_function(_NAN3, wigner.phase_point_set(3)),
      "not Hermitian"),
     (lambda mp: combinat.vector_from_unitary(_NAN3), "not unitary"),
@@ -303,36 +300,46 @@ def test_face_point_polytope_bounds_for_mub_mixtures():
             assert -1e-10 <= val <= 1 + 1e-10
 
 
-def _covariance(pps, g):
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_phase_point_form_is_the_closed_form(n):
+    # the form composed from the displacements is A_{r,s}|y> = omega**(2s(r
+    # - y)) |2r - y>, up to the rounding of the two tau**(rs) that cancel:
+    # at most 1.4e-15 at n <= 31
+    rows, vals = wigner._phase_point_form(n)
+    r, s = (a[:, None] for a in np.divmod(np.arange(n * n), n))
+    y = np.arange(n)
+    assert np.array_equal(rows, (2 * r - y) % n)
+    closed = np.exp(2j * np.pi * (2 * s * (r - y) % n) / n)
+    assert np.abs(vals - closed).max() <= 2e-15
+
+
+def _covariance(n, g):
     """covariance_residuals for one G."""
-    return float(wigner.covariance_residuals(pps, [g])[0])
+    return float(wigner.covariance_residuals(n, [g])[0])
 
 
 def test_covariance_identity_and_negation():
-    pps = wigner.phase_point_set(3)
-    assert _covariance(pps, np.eye(2, dtype=int)) < 1e-14
-    assert _covariance(pps, -np.eye(2, dtype=int)) < 1e-10
+    assert _covariance(3, np.eye(2, dtype=int)) < 1e-14
+    assert _covariance(3, -np.eye(2, dtype=int)) < 1e-10
 
 
 def test_covariance_exhaustive_p3():
-    pps = wigner.phase_point_set(3)
     for g in clifford.sl2_enumerate(3):
-        assert _covariance(pps, g) < 1e-10
+        assert _covariance(3, g) < 1e-10
 
 
 def test_covariance_sampled_p5_p7():
     rng = np.random.default_rng(5)
     for p in [5, 7]:
-        pps = wigner.phase_point_set(p)
         els = clifford.sl2_enumerate(p)
         for _ in range(15):
             g = els[rng.integers(len(els))]
-            assert _covariance(pps, g) < 1e-10
+            assert _covariance(p, g) < 1e-10
 
 
-def _per_call_covariance(pps, g):
-    """Reference covariance residual: the fresh u @ pps @ u^dag of each
-    call that covariance_residuals replaced."""
+def _dense_covariance(pps, g):
+    """Reference covariance residual on the dense stack: max |U A_a U^dag -
+    A_{Ga}|."""
     n = pps.shape[0]
     u = weyl.metaplectic(g, n)
     moved = u @ pps @ u.conj().T
@@ -340,28 +347,50 @@ def _per_call_covariance(pps, g):
     return float(np.abs(moved - targets).max())
 
 
+def _two_index_covariance(g, n):
+    """Reference kernel residual: max |A_{Ga}^dag U A_a - U| by a row and
+    column gather of U on the phase-point form."""
+    u = weyl.metaplectic(g, n)
+    rows, vals = wigner._phase_point_form(n)
+    r, s = clifford.sl2_apply(g, np.divmod(np.arange(n * n), n), n)
+    t = r * n + s
+    w = u[rows[t][:, :, None], rows[:, None, :]]
+    w *= vals[t].conj()[:, :, None] * vals[:, None, :]
+    return float(np.abs(w - u).max())
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
-def test_covariance_matches_its_oracle_bit_for_bit(n):
-    # phase points need an odd prime: all of SL(2, Z_3), 30 elements above
+def test_covariance_matches_its_oracle_bit_for_bit(n, monkeypatch):
+    # phase points need an odd prime: all of SL(2, Z_3), 30 elements above.
+    # The kernel is the two-index gather bit for bit; the dense residual
+    # measures the same relation with other rounding, and both see a U_G
+    # built for G transposed
     pps = _phase_points(n)
     group = clifford.sl2_enumerate(n)
     if n > 3:
         group = group[np.random.default_rng(n).choice(len(group), 30,
                                                       replace=False)]
-    assert wigner.covariance_residuals(pps, group).tolist() \
-        == [_per_call_covariance(pps, g) for g in group]
+    kernel = wigner.covariance_residuals(n, group)
+    assert kernel.tolist() == [_two_index_covariance(g, n) for g in group]
+    assert kernel.max() <= 1e-13
+    assert max(_dense_covariance(pps, g) for g in group) <= 1e-13
+    right = weyl.metaplectic
+    monkeypatch.setattr(weyl, "metaplectic",
+                        lambda g, n: right(np.asarray(g).T, n))
+    moved = [g for g in group if not np.array_equal(g, g.T)]
+    assert wigner.covariance_residuals(n, moved).min() > 0.1
+    assert min(_dense_covariance(pps, g) for g in moved) > 0.1
 
 
 def test_covariance_sample_reuses_its_buffers():
-    # the parent's 50 per-call checks at p = 13 peaked at 1.6 MB traced; one
-    # (n, n, n, n) array is 0.46 MB
-    pps = _phase_points(13)
+    # the dense check's 50 elements at p = 13 peaked at 1.6 MB traced; one
+    # (n^2, n, n) complex array is 0.46 MB
     group = clifford.sl2_enumerate(13)
     group = group[np.random.default_rng(13).choice(len(group), 50,
                                                    replace=False)]
     tracemalloc.start()
     try:
-        wigner.covariance_residuals(pps, group)
+        wigner.covariance_residuals(13, group)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,17 +398,17 @@ def test_covariance_sample_reuses_its_buffers():
 
 
 def test_covariance_fails_on_wrong_g(monkeypatch):
-    pps = wigner.phase_point_set(5)
     g = np.array([[1, 1], [0, 1]])
-    assert _covariance(pps, g) < 1e-10
+    assert _covariance(5, g) < 1e-10
     right = weyl.metaplectic
     monkeypatch.setattr(weyl, "metaplectic",
                         lambda g, n: right(np.asarray(g).T, n))
-    assert _covariance(pps, g) > 0.1
+    assert _covariance(5, g) > 0.1
 
 
-def test_covariance_reads_phase_points():
-    pps = wigner.phase_point_set(5).copy()
-    pps[1, 2, 0, 0] += 0.3
-    assert _covariance(pps, np.array([[1, 1], [0, 1]])) \
-        > 0.1
+def test_covariance_reads_phase_points(monkeypatch):
+    # A_{1,2}'s first column off by 0.3 in the form the check reads
+    rows, vals = wigner._phase_point_form(5)
+    vals[1 * 5 + 2, 0] += 0.3
+    monkeypatch.setattr(wigner, "_phase_point_form", lambda n: (rows, vals))
+    assert _covariance(5, np.array([[1, 1], [0, 1]])) > 0.1
