@@ -451,6 +451,14 @@ def cmd_suite(args, rep):
     rep.check("weyl_orthogonality", weyl.orthogonality_max_residual(n),
               TOL_MATRIX)
     rep.check("weyl_group_law", weyl.group_law_max_residual(n), TOL_MATRIX)
+    # at k = 1 the field law is the Z_p law bit for bit
+    p, k = gf.prime_power(n) or (n, 1)
+    if k > 1:
+        spec = gf.field_make(p, k)
+        rep.check("field_group_law", weyl.field_group_law_max_residual(spec),
+                  TOL_MATRIX)
+        rep.check("tensor_isomorphism", weyl.tensor_isomorphism(spec)[1][
+            "max_residual"], TOL_MATRIX)
     prime = gf.is_prime(n)
     if prime:
         bases = mub.subgroup_eigenbases(n)

@@ -96,16 +96,6 @@ def order3_elements(n: int) -> np.ndarray:
     return np.stack([a, b, c, d], axis=1)[keep].reshape(-1, 2, 2)
 
 
-def zauner_invariance(psi, g, n: int) -> float:
-    """Phase-minimized ||U_G psi - psi|| for one symplectic G."""
-    psi = np.asarray(psi, dtype=complex)
-    with np.errstate(invalid="ignore"):  # a NaN or inf norm gives NaN psi
-        psi = psi / np.linalg.norm(psi)
-    ov = abs(np.vdot(psi, weyl.metaplectic(g, n) @ psi))
-    # np.maximum keeps a NaN that Python's max would drop
-    return float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * ov)))
-
-
 def zauner_scan(psi, n: int) -> dict:
     """Scan every order-3 symplectic G together with every displacement
     prefactor D_b and return the smallest phase-minimized invariance

@@ -38,27 +38,6 @@ def is_latin(L) -> bool:
     return True
 
 
-def are_orthogonal(L1, L2) -> bool:
-    """True iff all n^2 ordered symbol pairs (L1(i,j), L2(i,j)) are distinct."""
-    L1 = np.asarray(L1)
-    L2 = np.asarray(L2)
-    if L1.shape != L2.shape:
-        raise ValueError("order mismatch")
-    n = L1.shape[0]
-    pairs = {(int(a), int(b)) for a, b in zip(L1.ravel(), L2.ravel())}
-    return len(pairs) == n * n
-
-
-def latin_reduce(L) -> np.ndarray:
-    """Normalize to reduced form: first row 0..n-1 (by renaming symbols),
-    then rows sorted so the first column reads 0..n-1."""
-    L = np.asarray(L)
-    rename = np.empty(L.shape[0], dtype=int)
-    rename[L[0]] = np.arange(L.shape[0])
-    L = rename[L]
-    return L[np.argsort(L[:, 0])]
-
-
 def count_reduced_latin(n: int) -> int:
     """Brute-force count of reduced Latin squares (first row and first
     column in natural order); desk scale n <= 5."""

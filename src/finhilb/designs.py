@@ -1,11 +1,10 @@
 """Projective and unitary t-design diagnostics: moment tests against
-the Fubini-Study average, Welch bounds, frame operators on the t-fold
-tensor space, and the lower bound on tight-design sizes.
+the Fubini-Study average, Welch bounds, and the lower bound on
+tight-design sizes.
 
 Vector families are (K, n) arrays with rows as vectors.
 """
 
-from functools import reduce
 import math
 import sys
 
@@ -51,12 +50,6 @@ def _moments(v, ts):
             sums[i] += float(p[:width].sum()) + 2 * float(p[width:].sum())
         diag += float((np.diagonal(g).real ** ts[-1]).sum())
     return sums, diag
-
-
-def design_moment(vectors, t: int) -> float:
-    """(1/K^2) sum_{I,J} |<I|J>|^{2t}, diagonal terms included."""
-    v = _as_family(vectors, t)
-    return _moments(v, [t])[0][0] / len(v) ** 2
 
 
 def design_target(n: int, t: int) -> float:
@@ -106,24 +99,6 @@ def welch_bound(vectors, t: int) -> dict:
         raise RuntimeError("Welch bound violated: slack %g" % slack)
     return {"lhs": lhs, "rhs": rhs, "slack": slack,
             "relative_slack": relative}
-
-
-def frame_operator(vectors, t: int) -> np.ndarray:
-    """F = sum_I |Psi_I^(ox t)><Psi_I^(ox t)| on the t-fold tensor
-    space.  Tr F = K; for a t-design the nonzero spectrum is flat at
-    K / C(n+t-1, t)."""
-    v = _as_family(vectors, t)
-    _check_unit_norms(v)
-    n = v.shape[1]
-    # n**13 > 4096 for every n >= 2, so no large integer is formed
-    if n ** min(t, 13) > 4096:
-        raise ValueError("tensor power too large")
-    dim = n ** t
-    f = np.zeros((dim, dim), dtype=complex)
-    for row in v:
-        big = reduce(np.kron, [row] * t)
-        f += np.outer(big, big.conj())
-    return f
 
 
 def tight_bound(n: int, t: int) -> int:

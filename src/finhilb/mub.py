@@ -107,23 +107,6 @@ def unbiasedness_check(bases, tol: float = TOL_OVERLAP) -> dict:
     return rep
 
 
-def canonicalize_basis(basis) -> np.ndarray:
-    """Fix per-vector phases (first component above 1e-8 made positive
-    real) and sort columns lexicographically, so bases that agree up to
-    these freedoms compare equal."""
-    b = np.array(basis, dtype=complex)
-    above = np.abs(b) > 1e-8
-    lead = b[np.argmax(above, axis=0), np.arange(b.shape[1])]
-    # a column with no entry above 1e-8 keeps its phase
-    lead[~above.any(axis=0)] = 1.0
-    b *= lead.conj() / np.abs(lead)
-    # keys re(b[0]), im(b[0]), re(b[1]), ...; lexsort's primary key is last
-    r = np.round(b, 8)
-    keys = np.empty((2 * b.shape[0], b.shape[1]))
-    keys[0::2], keys[1::2] = r.real + 0.0, r.imag + 0.0
-    return b[:, np.lexsort(keys[::-1])]
-
-
 def _stabilizer_basis(rows, vals, p):
     """Joint eigenbases of L sets of commuting displacements G_1..G_k, in
     monomial form G_i[rows[l, i, x], x] = vals[l, i, x], each generating
@@ -341,11 +324,10 @@ def lagrangians(p: int, k: int) -> set:
     """The Lagrangian (maximal totally isotropic) subspaces of the
     symplectic space F_p^{2k}, p^k <= 8, each the phase-space footprint of
     one stabilizer basis and a frozenset of its p^k vectors (x1, z1, ...,
-    xk, zk); the form is weyl.symplectic_exponent summed over the k
-    coordinate pairs.  Each lies in one of 2^k charts: for a subset J of
-    the pairs it is the row space of [I | S], S symmetric over F_p, with
-    the pairs in J turned by (x, z) -> (-z, x).  There are
-    prod_{i=1..k} (p^i + 1) of them."""
+    xk, zk); the form is sum_i (z_i x'_i - x_i z'_i).  Each lies in one
+    of 2^k charts: for a subset J of the pairs it is the row space of
+    [I | S], S symmetric over F_p, with the pairs in J turned by (x, z) ->
+    (-z, x).  There are prod_{i=1..k} (p^i + 1) of them."""
     if not gf.is_prime(p):
         raise ValueError("p must be prime")
     if p ** k > 8:

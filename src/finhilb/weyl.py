@@ -60,10 +60,6 @@ def metaplectic(g, n: int) -> np.ndarray:
         @ metaplectic([[-x, 1], [-1, 0]], n)
 
 
-def omega(n: int) -> complex:
-    return np.exp(2j * np.pi / n)
-
-
 def tau_power(n: int, m: int) -> complex:
     """tau**m with tau = -exp(i*pi/n), evaluated from the exact integer
     exponent reduced mod nbar(n); elementwise for an integer array m."""
@@ -137,27 +133,11 @@ def _densify(rows, vals):
     return out
 
 
-def symplectic_exponent(p, q) -> int:
-    """Omega(p, q) = p2*q1 - p1*q2 for index pairs p = (r, s)."""
-    return p[1] * q[0] - p[0] * q[1]
-
-
-def group_law_residual(n: int, p, q) -> float:
-    """Max-entry distance from both forms of the composition law:
-    D_p D_q = tau**Omega(p,q) D_{p+q}  and  D_p D_q = omega**Omega D_q D_p.
-    """
-    Dp = displacement(n, *p)
-    Dq = displacement(n, *q)
-    lhs = Dp @ Dq
-    om = symplectic_exponent(p, q)
-    res_a = np.abs(lhs - tau_power(n, om) * displacement(n, p[0] + q[0], p[1] + q[1])).max()
-    res_b = np.abs(lhs - _omega_power(n, om) * (Dq @ Dp)).max()
-    return float(np.maximum(res_a, res_b))
-
-
 def group_law_max_residual(n: int) -> float:
-    """group_law_residual maximized over all N^2 x N^2 standard index
-    pairs, read from the cached monomial form _table_form(n)."""
+    """Max-entry distance from both forms of the composition law, D_p D_q
+    = tau**Omega(p,q) D_{p+q} = omega**Omega D_q D_p with Omega(p, q) =
+    p2*q1 - p1*q2, over all N^2 x N^2 standard index pairs, read from the
+    cached monomial form _table_form(n)."""
     return _monomial_group_law_residual((*_table_form(n), 0.0),
                                         _table_law(n), n)
 

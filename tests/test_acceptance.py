@@ -51,10 +51,12 @@ def test_criterion_03_ivanovic_mubs():
                             [w ** 2, w ** 2, 1]]).T,
               s * np.array([[1, w, w], [w, 1, w], [w, w, 1]]).T,
               s * np.array([[1, 1, 1], [1, w, w ** 2], [1, w ** 2, w]]).T]
+    # equal up to column phases and order: |<b_i|t_j>|^2 is a permutation
     for built, target in zip(mub.subgroup_eigenbases(3), golden):
-        canon_b = mub.canonicalize_basis(built)
-        canon_t = mub.canonicalize_basis(target)
-        assert np.abs(canon_b - canon_t).max() < 1e-10
+        ov = np.abs(built.conj().T @ target) ** 2
+        assert np.abs(ov - np.round(ov)).max() < 1e-10
+        assert (np.round(ov).sum(axis=0) == 1).all()
+        assert (np.round(ov).sum(axis=1) == 1).all()
     _done(3, "ivanovic mubs", t0, 30.0)
 
 

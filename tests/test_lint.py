@@ -360,8 +360,7 @@ def test_designs_forms_a_gram_only_in_the_blocked_pass():
     # formed beside it
     path = Path(finhilb.__file__).parent / "designs.py"
     found = _matrix_products(ast.parse(path.read_text()))
-    assert found and {fn for fn, _ in found} <= {"_moments",
-                                                 "frame_operator"}, found
+    assert found and {fn for fn, _ in found} == {"_moments"}, found
 
 
 def test_matrix_product_lint_catches_each_form():
@@ -481,7 +480,8 @@ _README_ALLOWED = ("len", "max", "tolist", "json.dumps", "np.*", "numpy.*",
 # check names (with the dropped parity_square, fourier_square and
 # wigner_parity_square), report keys, stats keys and descend's stop reasons
 _README_KEYS = (
-    "design_t1", "design_t2", "design_t3", "fourier_square", "gram_deviation",
+    "design_t1", "design_t2", "design_t3", "field_group_law",
+    "fourier_square", "gram_deviation",
     "gram_identity", "group_law", "line_map", "moment_deviation",
     "mub_unbiasedness", "parity_square", "reduced_states", "relative_slack",
     "welch_slack", "werner_gram", "weyl_group_law", "weyl_orthogonality",
@@ -576,3 +576,181 @@ def test_readme_name_lint_catches_each_form():
             if not _allowed(name) and not _resolves(name)] == [
         "weyl.stale_kernel", "stale_clock", "finhilb.gone",
         "cli.Report.nothing", "field_displacement"]
+
+
+# -- the library surface ------------------------------------------------------
+# Every function in src is on a command path (reachable by name from a cmd_*
+# function or from module-level code, which runs main) or on the README's
+# Library surface allowlist, or reached from a listed name.
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _functions(trees):
+    """(module, name) of each top-level function, and (module,
+    "Class.method") of each method, with its node."""
+    out = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                out[stem, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                out.update(((stem, "%s.%s" % (node.name, sub.name)), sub)
+                           for sub in node.body
+                           if isinstance(sub, ast.FunctionDef))
+    return out
+
+
+def _reached(trees, functions, keys):
+    """The (module, name) keys of functions reachable from keys and from
+    the module-level code of trees.  A bare name reaches the function of
+    that name in its module or the one it imports under that name (for a
+    class, its dunder methods); module.attr reaches that module's
+    function; any other attribute reaches every method of that name.  So
+    np.add.at reaches no gf.add, and a local variable named inverse no
+    gf.inverse."""
+    imports = {stem: {a.asname or a.name: (node.module, a.name)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level
+                      and node.module in trees for a in node.names}
+               for stem, tree in trees.items()}
+    seen = set(keys)
+    todo = [(key[0], functions[key]) for key in seen] + [
+        (stem, node) for stem, tree in trees.items() for node in tree.body
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    while todo:
+        stem, node = todo.pop()
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                mod, name = imports[stem].get(sub.id, (stem, sub.id))
+                found.update(k for k in functions if k[0] == mod and (
+                    k[1] == name or k[1].startswith(name + ".__")))
+            elif isinstance(sub, ast.Attribute):
+                mod = getattr(sub.value, "id", None)
+                found.update(k for k in functions if k == (mod, sub.attr)
+                             or mod not in trees
+                             and k[1].endswith("." + sub.attr))
+        for key in found - seen:
+            seen.add(key)
+            todo.append((key[0], functions[key]))
+    return seen
+
+
+def _surface_problems(trees, listed):
+    """("unlisted", name) for each function on no command path and not
+    reached from a listed name, ("stale", name) for each listed name that
+    no module defines, and ("on a command path", name) for each listed
+    name a command already reaches; names are module.function."""
+    functions = _functions(trees)
+    commands = {key for key in functions
+                if key[0] == "cli" and key[1].startswith("cmd_")}
+    on_path = _reached(trees, functions, commands)
+    keys = {tuple(name.split(".", 1)) for name in listed}
+    reached = _reached(trees, functions, commands | (keys & set(functions)))
+    return [(kind, "%s.%s" % key) for kind, found in (
+        ("unlisted", set(functions) - reached),
+        ("stale", keys - set(functions)),
+        ("on a command path", keys & on_path)) for key in sorted(found)]
+
+
+def _surface_allowlist(text):
+    """{module.function: [tests/<file>::<test>, ...]} from the table of the
+    README's Library surface section: the name in the first column, the
+    covering tests in the last."""
+    section = text.split("\n## Library surface\n", 1)[1].split("\n## ")[0]
+    out = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        name = re.fullmatch(r" `(\w+\.\w+)` ", cells[1]) if len(cells) > 3 \
+            else None
+        if name:
+            out[name.group(1)] = re.findall(r"`tests/(test_\w+\.py::\w+)`",
+                                            cells[-2])
+    return out
+
+
+def test_library_surface_is_commands_or_listed():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    listed = _surface_allowlist(README.read_text())
+    assert len(listed) >= 19
+    problems = _surface_problems(trees, listed)
+    assert not problems, "library surface: %s" % problems
+
+
+def test_listed_names_name_tests_that_call_them():
+    # each allowlisted function names at least one test, and that test
+    # calls it as module.function
+    for name, tests in _surface_allowlist(README.read_text()).items():
+        module, fn = name.split(".")
+        assert tests, "%s names no covering test" % name
+        for test in tests:
+            path, test_name = test.split("::")
+            body = [node for node in ast.parse((TESTS / path).read_text()).body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == test_name]
+            assert body, "%s: no test %s" % (name, test)
+            assert any(isinstance(n, ast.Attribute) and n.attr == fn
+                       and getattr(n.value, "id", None) == module
+                       for n in ast.walk(body[0])), \
+                "%s does not call %s" % (test, name)
+
+
+def test_surface_lint_catches_each_form():
+    trees = {"cli": ast.parse(
+                 "from .gf import field_make as make\n"
+                 "class Report:\n"
+                 "    def __init__(self):\n"
+                 "        self.rows = []\n"
+                 "    def check(self, x):\n"
+                 "        return persist(x)\n"
+                 "    def unused(self):\n"
+                 "        return 0\n"
+                 "def persist(x):\n"
+                 "    return x\n"
+                 "def cmd_a(args, rep):\n"
+                 "    inverse = make(args.p)\n"
+                 "    np.add.at(inverse, 0, 1)\n"
+                 "    rep.check(weyl.kept(inverse))\n"
+                 "def main():\n"
+                 "    return Report()\n"
+                 "if __name__ == '__main__':\n"
+                 "    main()\n"),
+             "gf": ast.parse("def field_make(p):\n"
+                             "    return p\n"
+                             "def add(x, y):\n"
+                             "    return x\n"
+                             "def inverse(x):\n"
+                             "    return x\n"),
+             "weyl": ast.parse("def kept(x):\n"
+                               "    return _helper(x)\n"
+                               "def _helper(x):\n"
+                               "    return x\n"
+                               "def listed(x):\n"
+                               "    return _listed_helper(x)\n"
+                               "def _listed_helper(x):\n"
+                               "    return x\n"
+                               "def planted(x):\n"
+                               "    return x\n")}
+    unlisted = [("unlisted", "cli.Report.unused"), ("unlisted", "gf.add"),
+                ("unlisted", "gf.inverse")]
+    # a planted unlisted public function fails; listed, it passes
+    assert _surface_problems(trees, ["weyl.listed"]) \
+        == unlisted + [("unlisted", "weyl.planted")]
+    assert _surface_problems(trees, ["weyl.listed", "weyl.planted"]) \
+        == unlisted
+    # a listed name that no longer exists fails, as does one a command
+    # already reaches
+    assert _surface_problems(trees, ["weyl.listed", "weyl.planted",
+                                     "weyl.gone", "weyl.kept"]) \
+        == unlisted + [("stale", "weyl.gone"),
+                       ("on a command path", "weyl.kept")]
+    text = ("## Library surface\n\n| name | purpose | tests |\n"
+            "| --- | --- | --- |\n"
+            "| `weyl.listed` | a | `tests/test_weyl.py::test_a` |\n"
+            "| `gf.add` | b, c | `tests/test_gf.py::test_b`, "
+            "`tests/test_gf.py::test_c` |\n\n## Next\n"
+            "| `weyl.planted` | d | `tests/test_weyl.py::test_d` |\n")
+    assert _surface_allowlist("# x\n" + text) == {
+        "weyl.listed": ["test_weyl.py::test_a"],
+        "gf.add": ["test_gf.py::test_b", "test_gf.py::test_c"]}

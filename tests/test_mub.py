@@ -165,19 +165,37 @@ def test_qubit_mubs_octahedron():
         assert np.abs(m @ b - b * signs[None, :]).max() < 1e-12
 
 
+def canonicalize_basis(basis):
+    """Fix per-vector phases (first component above 1e-8 made positive
+    real) and sort columns lexicographically, so bases that agree up to
+    these freedoms compare equal: the oracle that compares a built basis
+    with a reference one."""
+    b = np.array(basis, dtype=complex)
+    above = np.abs(b) > 1e-8
+    lead = b[np.argmax(above, axis=0), np.arange(b.shape[1])]
+    # a column with no entry above 1e-8 keeps its phase
+    lead[~above.any(axis=0)] = 1.0
+    b *= lead.conj() / np.abs(lead)
+    # keys re(b[0]), im(b[0]), re(b[1]), ...; lexsort's primary key is last
+    r = np.round(b, 8)
+    keys = np.empty((2 * b.shape[0], b.shape[1]))
+    keys[0::2], keys[1::2] = r.real + 0.0, r.imag + 0.0
+    return b[:, np.lexsort(keys[::-1])]
+
+
 def test_canonicalize_strips_phase_and_order():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u, _ = np.linalg.qr(a)
     phases = np.exp(2j * np.pi * rng.random(4))
     scrambled = (u * phases[None, :])[:, rng.permutation(4)]
-    assert np.abs(mub.canonicalize_basis(u)
-                  - mub.canonicalize_basis(scrambled)).max() < 1e-12
+    assert np.abs(canonicalize_basis(u)
+                  - canonicalize_basis(scrambled)).max() < 1e-12
 
 
 def _canonicalize_loop(basis, tol=1e-8):
     """The column-by-column canonicalize_basis, kept as an oracle for the
-    vectorized one."""
+    vectorized one above."""
     b = np.array(basis, dtype=complex)
     n, m = b.shape
     for j in range(m):
@@ -207,7 +225,7 @@ def test_canonicalize_matches_loop_oracle(p, k):
     rng = np.random.default_rng(p ** k)
     for b in mub.subgroup_eigenbases(p, k):
         x = _scrambled(b, rng)
-        assert np.abs(mub.canonicalize_basis(x)
+        assert np.abs(canonicalize_basis(x)
                       - _canonicalize_loop(x)).max() <= 1e-12
 
 
@@ -215,19 +233,19 @@ def test_canonicalize_matches_loop_oracle_petals_and_edge_cases():
     rng = np.random.default_rng(11)
     for b in mub.mermin_landscape()["eigenbases"]:
         x = _scrambled(b, rng)
-        assert np.abs(mub.canonicalize_basis(x)
+        assert np.abs(canonicalize_basis(x)
                       - _canonicalize_loop(x)).max() <= 1e-12
     # a column with nothing above tol keeps its phase; tied keys keep
     # their input order, as a stable sort does
     odd = np.array([[1e-9j, 0.5j, 0.5j, -0.0],
                     [0.0, 1.0, 1.0, 2j],
                     [0.0, 0.0, 0.0, 0.0]])
-    assert np.array_equal(mub.canonicalize_basis(odd), _canonicalize_loop(odd))
+    assert np.array_equal(canonicalize_basis(odd), _canonicalize_loop(odd))
 
 
 def match_families(fam1, fam2, tol=1e-8):
-    fam1 = [mub.canonicalize_basis(b) for b in fam1]
-    fam2 = [mub.canonicalize_basis(b) for b in fam2]
+    fam1 = [canonicalize_basis(b) for b in fam1]
+    fam2 = [canonicalize_basis(b) for b in fam2]
     used = set()
     for b in fam1:
         hit = None
@@ -310,8 +328,8 @@ def test_subgroup_eigenbases_match_eigensolver_oracle(p, k):
     for di, (b, direction) in enumerate(zip(bases, directions)):
         mats = weyl._densify(*weyl._field_form(
             spec, *gf.mul(spec, ts, direction).T))
-        oracle = mub.canonicalize_basis(_joint_eigenbasis(mats, (7, di)))
-        assert np.abs(mub.canonicalize_basis(b) - oracle).max() <= 1e-10
+        oracle = canonicalize_basis(_joint_eigenbasis(mats, (7, di)))
+        assert np.abs(canonicalize_basis(b) - oracle).max() <= 1e-10
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,8 +372,8 @@ def test_petal_eigenbases_match_eigensolver_oracle():
     land = mub.mermin_landscape()
     for i, (petal, b) in enumerate(zip(land["petals"], land["eigenbases"])):
         mats = [_pauli_word(w) for w in petal]
-        oracle = mub.canonicalize_basis(_joint_eigenbasis(mats, (11, i)))
-        assert np.abs(mub.canonicalize_basis(b) - oracle).max() <= 1e-10
+        oracle = canonicalize_basis(_joint_eigenbasis(mats, (11, i)))
+        assert np.abs(canonicalize_basis(b) - oracle).max() <= 1e-10
 
 
 def _dense_stabilizer_basis(gens, p):
@@ -463,8 +481,8 @@ def test_stabilizer_basis_fixes_generator_phases(p, k):
     # spans the same eigenbasis
     rows, vals = _line_forms(gf.field_make(p, k), (1, 1))
     phased = np.exp(1j * (0.7 + np.arange(k)))[:, None] * vals
-    assert np.abs(mub.canonicalize_basis(_one_set(rows, phased, p))
-                  - mub.canonicalize_basis(_one_set(rows, vals, p))
+    assert np.abs(canonicalize_basis(_one_set(rows, phased, p))
+                  - canonicalize_basis(_one_set(rows, vals, p))
                   ).max() <= 1e-12
 
 
@@ -696,10 +714,10 @@ LAGRANGIAN_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1)]
 
 def _orthogonal(vectors, p):
     """[a, b]: vectors a and b of F_p^{2k}, rows (x1, z1, ..., xk, zk),
-    have zero form, weyl.symplectic_exponent summed over the k pairs."""
+    have zero form, sum_i (z_i x'_i - x_i z'_i) over the k pairs."""
     x = np.array(vectors).T
-    return sum(weyl.symplectic_exponent(x[i:i + 2, :, None],
-                                        x[i:i + 2, None, :])
+    return sum(x[i + 1, :, None] * x[i, None, :]
+               - x[i, :, None] * x[i + 1, None, :]
                for i in range(0, len(x), 2)) % p == 0
 
 

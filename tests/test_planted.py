@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from finhilb import cli, mub, weyl, wigner
+from finhilb import cli, mub, sic, weyl, wigner
 
 
 def _moved_entry(densify):
@@ -33,6 +33,21 @@ def _conjugated_label(form):
 def _transposed_g(metaplectic):
     """U_G built for G transposed, so the targets indexed by G miss it."""
     return lambda g, n: metaplectic(np.asarray(g).T, n)
+
+
+def _negated_g(metaplectic):
+    """U_G built for -G: a sign slip that turns every order-3 element into
+    one of trace +1."""
+    return lambda g, n: metaplectic(-np.asarray(g), n)
+
+
+def _negated_entry(form):
+    """Entry 0 of the last label's values negated."""
+    def wrapped(*args):
+        rows, vals = form(*args)
+        vals[-1, 0] *= -1
+        return rows, vals
+    return wrapped
 
 
 def _swapped_points(phase_point_set):
@@ -71,6 +86,15 @@ def _conjugated(tensor_form):
     return wrapped
 
 
+def _conjugated_phase(overlap_phases):
+    """The overlap phase (0, 1), the fingerprint's u, conjugated."""
+    def wrapped(cand):
+        out = overlap_phases(cand)
+        out["phases"][0, 1] = out["phases"][0, 1].conjugate()
+        return out
+    return wrapped
+
+
 # argv, the patched module and function, its defect, and what catches it:
 # the set of checks that fail, or the error a check raises.  The group law
 # reads the cached form and never the dense table, so a defect in writing
@@ -98,6 +122,18 @@ ROWS = [
      "no joint eigenbasis (residual 2)"),
     (["mub", "mermin"], mub, "mermin_landscape", _rows_for_columns,
      {"stabilizer_overlaps"}),
+    (["sic", "fingerprint"], sic, "overlap_phases", _conjugated_phase,
+     {"u_deviation"}),
+    (["suite", "--n", "9"], weyl, "_field_form", _conjugated_label,
+     {"field_group_law", "tensor_isomorphism"}),
+    (["suite", "--n", "16"], weyl, "_field_form", _negated_entry,
+     {"field_group_law", "tensor_isomorphism"}),
+] + [
+    (["suite", "--n", n], weyl, "_tensor_form", _negated_column,
+     {"tensor_isomorphism"}) for n in ("9", "16")
+] + [
+    (["clifford", "zauner", "--fiducial", "fid%s.json" % n], weyl,
+     "metaplectic", _negated_g, {"zauner_residual"}) for n in ("4", "5")
 ]
 
 # argv, the patched module and function, its defect, and why it survives
@@ -106,11 +142,38 @@ SURVIVORS = [
     # word to +-itself: the petals keep their groups and eigenbases
     (["mub", "mermin"], weyl, "_tensor_form", _conjugated,
      "conjugation maps each Pauli word to +-itself"),
+    # at p = 2 a field displacement's entries are all real or all
+    # imaginary, so conjugating one negates it or leaves it, and the p = 2
+    # checks minimize each residual over that sign
+    (["suite", "--n", "16"], weyl, "_field_form", _conjugated_label,
+     "conjugation fixes or negates a GF(2^k) displacement"),
+] + [
+    # G and its transpose have the same trace and determinant, so the
+    # order-3 elements the scan runs over are the same set, transposed
+    (["clifford", "zauner", "--fiducial", "fid%s.json" % n], weyl,
+     "metaplectic", _transposed_g, "the order-3 elements are closed under "
+     "transposition") for n in ("4", "5")
 ]
 
 
 def _ids(rows):
     return ["%s%s-%s" % (row[0][0], row[0][-1], row[2]) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def fiducials(tmp_path_factory):
+    # fid4.json: the exact dimension-4 fiducial; fid5.json: a searched one
+    work = tmp_path_factory.mktemp("fiducials")
+    assert cli.dispatch(["sic", "search", "--n", "5", "--seed", "1",
+                         "--out", str(work / "fid5.json")]) == 0
+    cli.persist({"kind": "sic", "version": cli.FORMAT_VERSION, "n": 4,
+                 "fiducial": sic.dim4_fiducial()}, str(work / "fid4.json"))
+    return work
+
+
+@pytest.fixture(autouse=True)
+def in_fiducials(fiducials, monkeypatch):
+    monkeypatch.chdir(fiducials)
 
 
 @pytest.fixture
