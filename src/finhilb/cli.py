@@ -388,6 +388,8 @@ def cmd_clifford_zauner(args, rep):
            else _checked(doc, ("sic",))["fiducial"])
     scan = clifford.zauner_scan(psi, psi.size)
     rep.check("zauner_residual", scan["residual"], args.tol)
+    rep.check("normalizer", clifford.normalizer_residual(scan["g"], psi.size),
+              TOL_MATRIX)
     rep.result = {"g": scan["g"], "b": scan["b"]}
 
 

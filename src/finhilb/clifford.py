@@ -1,10 +1,9 @@
 """The symplectic group SL(2, Z_nbar(N)) for every dimension 2 <= N <= 32,
-one conjugation check of its unitaries weyl.metaplectic on monomial forms
-(the normalizer of the displacements, the covariance of the Wigner phase
-points), and order-3 symmetry scans for candidate fiducials.  Group
-elements are (2, 2) integer arrays [[alpha, beta], [gamma, delta]] of unit
-determinant, reduced mod nbar(N) = N for odd N, 2N for even N.
-"""
+one exact conjugation check of its unitaries weyl.metaplectic on monomial
+forms (the displacements' normalizer, the Wigner phase points' covariance)
+and order-3 symmetry scans for candidate fiducials.  Group elements are
+(2, 2) integer arrays [[alpha, beta], [gamma, delta]] of unit determinant,
+reduced mod nbar(N) = N for odd N, 2N for even N."""
 
 import numpy as np
 
@@ -49,24 +48,24 @@ def sl2_apply(g, point, p: int):
 
 
 def normalizer_residual(g, n: int, form=None) -> float:
-    """Max over points p of |X_{Gp}^dag U X_p - lam_p U|, U =
-    weyl.metaplectic(G, N), for the N^2 operators X_p of a monomial form
-    (rows, vals) labelled r*N + s, with Gp reduced mod N.  By default X_p =
-    D_p, and lam_p absorbs the phase of U D_p U^dag = D_{Gp} and its sign
-    at even N; a form given must map exactly, lam_p = 1."""
+    """Max over points p of |X_{Gp}^dag U X_p - U|, U = weyl.metaplectic(G,
+    N), for the N^2 operators X_p of a monomial form (rows, vals) labelled
+    r*N + s, by default the displacements, with U D_p U^dag = D_{Gp} exact
+    for Gp in Z_nbar(N)^2 (Appleby 2005): X_{Gp} for Gp = (r + N x, s + N y)
+    is the form's X_{r,s} times tau**(N (x s + y r)) = (-1)**(x s + y r)."""
     u = weyl.metaplectic(g, n)
     rows, vals = weyl._table_form(n) if form is None else form
-    r, s = sl2_apply(g, np.divmod(np.arange(n * n), n), n)
+    (x, y), (r, s) = np.divmod(
+        sl2_apply(g, np.divmod(np.arange(n * n), n), weyl.nbar(n)), n)
     t = r * n + s
+    vt = np.where(((x * s + y * r) % 2 == 1)[:, None], -vals[t], vals[t])
     # X_t^dag U X_p by one gather of U: X_t is monomial with unit entries,
-    # so its distance from lam U is that of U X_p from lam X_t U.  The index
-    # frees above w, not as a hole below it; "clip" writes w unbuffered
+    # so its distance from U is that of U X_p from X_t U.  The index frees
+    # above w, not as a hole below it; "clip" writes w unbuffered
     w = np.empty((n * n, n, n), dtype=complex)
     np.take(u, n * rows[t][:, :, None] + rows[:, None, :], out=w, mode="clip")
-    w *= vals[t].conj()[:, :, None] * vals[:, None, :]
-    # lam_p, the overlap's phase, is 1 where the overlap vanishes
-    w -= np.exp(1j * np.angle(np.einsum("ij,kij->k", u.conj(), w)))[
-        :, None, None] * u if form is None else u
+    w *= vt.conj()[:, :, None] * vals[:, None, :]
+    w -= u
     return float(np.abs(w).max())
 
 

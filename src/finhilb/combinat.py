@@ -82,7 +82,7 @@ def fourier_matrix(n: int) -> np.ndarray:
     if not 1 <= n <= 128:
         raise ValueError("order must be between 1 and 128")
     jk = np.outer(np.arange(n), np.arange(n)) % n
-    return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
+    return gf.roots_of_unity(n)[jk] / np.sqrt(n)
 
 
 def is_complex_hadamard(H) -> bool:

@@ -210,7 +210,7 @@ def bbrv_flower(bases):
     if len(mats) != n + 1:
         raise ValueError("expected a complete set of %d bases, got %d"
                          % (n + 1, len(mats)))
-    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w = gf.roots_of_unity(n)
     petals = []
     for b in mats:
         petals.append([b @ np.diag(w ** r) @ b.conj().T for r in range(n)])

@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 
-from . import weyl
+from . import gf, weyl
 from .tol import TOL_MATRIX, TOL_SEARCH, TOL_SIC_GRAM
 
 _FTOL = 1e-30
@@ -312,7 +312,7 @@ def _zauner_projector(n):
     u = u / (np.trace(u @ u @ u) / n) ** (1.0 / 3.0)
     usq = u @ u
     projs = [(np.eye(n) + np.conj(lam) * u + np.conj(lam) ** 2 * usq) / 3.0
-             for lam in (np.exp(2j * np.pi * m / 3.0) for m in range(3))]
+             for lam in gf.roots_of_unity(3)]
     return max(projs, key=lambda proj: round(float(np.trace(proj).real)))
 
 

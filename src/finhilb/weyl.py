@@ -13,7 +13,8 @@ Conventions, fixed once for the whole package:
   Kronecker products of Z_p forms; each dense matrix here writes a form
   out, and one group-law kernel checks both groups on it.
 * ``metaplectic(G, N)`` is Appleby's Clifford unitary of G in SL(2,
-  Z_nbar(N)): ``U_G D_p U_G^dag = D_{Gp}`` up to phase, for every N.
+  Z_nbar(N)): ``U_G D_p U_G^dag = D_{Gp}`` exactly, Gp taken mod nbar(N),
+  and D_{r + N x, s + N y} = (-1)**(x s + y r) D_{r,s} at even N.
 
 The finite-field variants label displacements by elements of GF(p^K),
 each given as its enumeration index in :mod:`finhilb.gf`.
@@ -39,7 +40,8 @@ def nbar(n: int) -> int:
 
 def metaplectic(g, n: int) -> np.ndarray:
     """U_G for G = [[alpha, beta], [gamma, delta]] in SL(2, Z_nbar(N)), 2 <= N
-    <= 32 (Appleby 2005).  For beta a unit mod nbar, U[r, s] = tau**(beta^-1
+    <= 32 (Appleby 2005), with U_G D_p U_G^dag = D_{Gp} exactly for Gp
+    taken mod nbar.  For beta a unit mod nbar, U[r, s] = tau**(beta^-1
     (alpha s^2 - 2 r s + delta r^2)) / sqrt(N).  Otherwise G = (G L_x J)
     (J^-1 L_-x) with L_x = [[1, 0], [x, 1]], J = [[0, -1], [1, 0]] and x the
     first with alpha + beta x a unit; both factors have a unit beta."""
@@ -65,10 +67,6 @@ def tau_power(n: int, m: int) -> complex:
     exponent reduced mod nbar(n); elementwise for an integer array m."""
     m = m % nbar(n)
     return (-1.0) ** m * np.exp(1j * np.pi * m / n)
-
-
-def _omega_power(n, m):
-    return np.exp(2j * np.pi * (m % n) / n)
 
 
 def displacement(n: int, r: int, s: int) -> np.ndarray:
@@ -168,7 +166,6 @@ def _monomial_group_law_residual(form, law, m, signed=False) -> float:
     rows, vals, res = form
     n = rows.shape[1]
     taus = tau_power(m, np.arange(nbar(m)))
-    omegas = _omega_power(m, np.arange(m))
     # a law block is split along its first labels so that every array
     # holds B L N <= _LAW_BLOCK entries, and products are taken in place:
     # a fresh B L N array costs its page faults
@@ -183,7 +180,7 @@ def _monomial_group_law_residual(form, law, m, signed=False) -> float:
         res = np.maximum(res, _distance(ab_row, ab_val, rows[c], t, signed))
         k = rows[a] + n * np.arange(len(rows))[:, None]
         t = vals.ravel()[k]
-        np.multiply(omegas[om][..., None], t, out=t)
+        np.multiply(gf.roots_of_unity(m)[om][..., None], t, out=t)
         t *= vals[a]
         res = np.maximum(res, _distance(ab_row, ab_val, rows.ravel()[k], t))
     return float(res)

@@ -162,13 +162,40 @@ def test_normalizer_residual_on_random_sl2(n, seed):
         a, b, c, d = (int(x) for x in rng.integers(m, size=4))
         if (a * d - b * c) % m == 1:
             break
-    assert clifford.normalizer_residual(np.array([[a, b], [c, d]]), n) \
-        <= TOL_MATRIX
+    g = np.array([[a, b], [c, d]])
+    assert clifford.normalizer_residual(g, n) <= TOL_MATRIX
+    # the exact relation U D_{r,s} U^dag = D_{G(r,s)}, no free phase, with
+    # the target built densely on the unreduced labels in Z_nbar
+    u, worst = weyl.metaplectic(g, n), 0.0
+    for r, s in itertools.product(range(n), repeat=2):
+        target = weyl.displacement(n, *clifford.sl2_apply(g, (r, s), m))
+        worst = max(worst, np.abs(u @ weyl.displacement(n, r, s) @ u.conj().T
+                                  - target).max())
+    assert worst <= TOL_MATRIX
 
 
 def _two_index_normalizer(g, n):
-    """Reference normalizer residual: the row and column gather of U by two
-    broadcast index arrays that normalizer_residual replaced."""
+    """Reference normalizer residual of the exact relation: the row and
+    column gather of U by two broadcast index arrays, Gp reduced mod
+    nbar(N) and the table's D_{Gp mod N} negated where tau**N = -1 makes
+    it -D_{Gp}."""
+    u = weyl.metaplectic(g, n)
+    rows, vals = weyl._table_form(n)
+    gr, gs = clifford.sl2_apply(g, np.divmod(np.arange(n * n), n),
+                                weyl.nbar(n))
+    r, s = gr % n, gs % n
+    t = r * n + s
+    odd = ((gr // n) * s + (gs // n) * r) % 2 == 1
+    w = u[rows[t][:, :, None], rows[:, None, :]]
+    w *= np.where(odd[:, None], -vals[t], vals[t]).conj()[:, :, None] \
+        * vals[:, None, :]
+    w -= u
+    return float(np.abs(w).max())
+
+
+def _fitted_normalizer(g, n):
+    """The definition normalizer_residual had before the exact relation:
+    Gp reduced mod N, and a free phase lam_p per point, the overlap's."""
     u = weyl.metaplectic(g, n)
     rows, vals = weyl._table_form(n)
     r, s = clifford.sl2_apply(g, np.divmod(np.arange(n * n), n), n)
@@ -192,33 +219,40 @@ def test_normalizer_matches_its_oracle_bit_for_bit(n):
             == _two_index_normalizer(g, n), g
 
 
-# (N, G, the displacement normalizer residual as float.hex), computed by the
-# check before it took other forms (numpy 2.4, x86-64): two elements of
-# SL(2, Z_nbar) per N, with beta a unit, beta = 0 (N = 31) and neither
+# (N, G, the residual of the fitted definition, and of the exact relation,
+# as float.hex), computed on numpy 2.4, x86-64: two elements of SL(2,
+# Z_nbar) per N, with beta a unit, beta = 0 (N = 31) and neither.  The
+# fitted values, pinned before the exact relation replaced that definition,
+# name the tests and still hold for _fitted_normalizer, so the inputs U and
+# the table form have not moved since
 _NORMALIZER_PINS = [
-    (2, (1, 1, 0, 1), "0x1.2b8388e82ab20p-52"),
-    (2, (3, 1, 3, 0), "0x1.8f5a0be038ed6p-53"),
-    (3, (0, 1, 2, 2), "0x1.7618fceaeef3cp-51"),
-    (3, (2, 1, 0, 2), "0x1.99ccc999fff00p-52"),
-    (4, (5, 6, 6, 1), "0x1.752e50db3a3a1p-52"),
-    (4, (7, 5, 2, 5), "0x1.0f876ccdf6cdap-52"),
-    (6, (5, 6, 8, 5), "0x1.3b91bf663f039p-50"),
-    (6, (6, 11, 7, 3), "0x1.f627c54f1e0abp-51"),
-    (7, (6, 4, 1, 2), "0x1.58a68a4a8d9f3p-53"),
-    (7, (4, 3, 0, 2), "0x1.ad5336963eefcp-53"),
-    (12, (14, 23, 7, 3), "0x1.49d93405be849p-51"),
-    (12, (6, 1, 11, 6), "0x1.cd6f22532c914p-51"),
-    (31, (28, 0, 1, 10), "0x1.e7ac0990559a7p-50"),
-    (31, (17, 0, 14, 11), "0x1.04760c95db310p-49"),
-    (32, (56, 19, 37, 8), "0x1.678e26e30fc22p-52"),
-    (32, (10, 25, 17, 49), "0x1.6a09e667f3bcdp-52"),
+    (2, (1, 1, 0, 1), "0x1.2b8388e82ab20p-52", "0x1.2b8388e82ab20p-52"),
+    (2, (3, 1, 3, 0), "0x1.8f5a0be038ed6p-53", "0x1.2b8388e82ab20p-52"),
+    (3, (0, 1, 2, 2), "0x1.7618fceaeef3cp-51", "0x1.3b29d7d635662p-51"),
+    (3, (2, 1, 0, 2), "0x1.99ccc999fff00p-52", "0x1.0f876ccdf6cdap-51"),
+    (4, (5, 6, 6, 1), "0x1.752e50db3a3a1p-52", "0x1.99ccc999fff00p-52"),
+    (4, (7, 5, 2, 5), "0x1.0f876ccdf6cdap-52", "0x1.1a62633145c06p-52"),
+    (6, (5, 6, 8, 5), "0x1.3b91bf663f039p-50", "0x1.90f5773e410e4p-50"),
+    (6, (6, 11, 7, 3), "0x1.f627c54f1e0abp-51", "0x1.2de32c6628741p-50"),
+    (7, (6, 4, 1, 2), "0x1.58a68a4a8d9f3p-53", "0x1.cd82b446159f4p-53"),
+    (7, (4, 3, 0, 2), "0x1.ad5336963eefcp-53", "0x1.cd82b446159f4p-53"),
+    (12, (14, 23, 7, 3), "0x1.49d93405be849p-51", "0x1.c51d19a043913p-51"),
+    (12, (6, 1, 11, 6), "0x1.cd6f22532c914p-51", "0x1.03662a70264fcp-50"),
+    (31, (28, 0, 1, 10), "0x1.e7ac0990559a7p-50", "0x1.33c42213ee0c9p-49"),
+    (31, (17, 0, 14, 11), "0x1.04760c95db310p-49", "0x1.33c42213ee0c9p-49"),
+    (32, (56, 19, 37, 8), "0x1.678e26e30fc22p-52", "0x1.9b5bd559e3700p-52"),
+    (32, (10, 25, 17, 49), "0x1.6a09e667f3bcdp-52", "0x1.ae841693db8b5p-52"),
 ]
 
 
-@pytest.mark.parametrize("n, g, value", _NORMALIZER_PINS)
-def test_normalizer_keeps_its_pinned_values(n, g, value):
-    assert clifford.normalizer_residual(np.reshape(g, (2, 2)), n) \
-        == float.fromhex(value)
+@pytest.mark.parametrize(
+    "n, g, fitted, value", _NORMALIZER_PINS,
+    ids=["%d-g%d-%s" % (row[0], i, row[2])
+         for i, row in enumerate(_NORMALIZER_PINS)])
+def test_normalizer_keeps_its_pinned_values(n, g, fitted, value):
+    g = np.reshape(g, (2, 2))
+    assert _fitted_normalizer(g, n) == float.fromhex(fitted)
+    assert clifford.normalizer_residual(g, n) == float.fromhex(value)
 
 
 def test_normalizer_identity_zero():
@@ -407,6 +441,17 @@ def test_normalizer_fails_on_wrong_g(monkeypatch):
     assert clifford.normalizer_residual(g, 5) < 1e-10
     _wrong_g_metaplectic(monkeypatch)
     assert clifford.normalizer_residual(g, 5) > 0.1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_normalizer_fails_on_a_displaced_unitary(n, monkeypatch):
+    # U_G D_(1,0) maps D_p to D_{Gp} only up to the phase omega**(-s), a
+    # phase a per-point fit would absorb; the exact relation reads it
+    right = weyl.metaplectic
+    monkeypatch.setattr(weyl, "metaplectic", lambda g, n: right(g, n)
+                        @ weyl.displacement(n, 1, 0))
+    g = np.array([[1, 1], [0, 1]])
+    assert clifford.normalizer_residual(g, n) > 0.1
 
 
 def test_normalizer_reads_table_form(monkeypatch):

@@ -467,6 +467,33 @@ def test_optimizer_lint_catches_each_form():
                        ("weyl", "<module>")]
 
 
+
+def _root_of_unity_sites(trees):
+    """(module, function) of each product 2j * np.pi, in either order."""
+    return [(stem, _enclosing(tree, node.lineno))
+            for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and sorted(map(ast.unparse, (node.left, node.right)))
+            == ["2j", "np.pi"]]
+
+
+def test_one_roots_of_unity_table():
+    # exp(2 pi i k / n) is evaluated in gf.roots_of_unity alone; every other
+    # root of unity is a gather on its table
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _root_of_unity_sites(trees) == [("gf", "roots_of_unity")]
+
+
+def test_root_of_unity_lint_catches_each_form():
+    trees = {"gf": ast.parse("def roots_of_unity(p):\n"
+                             "    return np.exp(2j * np.pi * k / p)\n"),
+             "sic": ast.parse("w = np.exp(np.pi * 2j / 3)\n"
+                              "def f(m):\n"
+                              "    x = np.exp(1j * np.pi * m)\n"
+                              "    return np.exp(2j * np.pi * m)\n")}
+    assert _root_of_unity_sites(trees) == [
+        ("gf", "roots_of_unity"), ("sic", "<module>"), ("sic", "f")]
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = {stem: importlib.import_module("finhilb." + stem)
             for stem in LAYERS if stem != "__main__"}
@@ -485,7 +512,8 @@ _README_KEYS = (
     "gram_identity", "group_law", "line_map", "moment_deviation",
     "mub_unbiasedness", "parity_square", "reduced_states", "relative_slack",
     "welch_slack", "werner_gram", "weyl_group_law", "weyl_orthogonality",
-    "wigner_parity_square", "wigner_roundtrip", "final_values", "grad_calls",
+    "wigner_parity_square", "wigner_roundtrip", "zauner_residual",
+    "final_values", "grad_calls",
     "polish_steps", "value_calls", "line_search", "no_decrease")
 
 

@@ -35,6 +35,12 @@ def _transposed_g(metaplectic):
     return lambda g, n: metaplectic(np.asarray(g).T, n)
 
 
+def _displaced_u(metaplectic):
+    """U_G D_(1,0): it maps D_p to D_{Gp} up to a phase omega**(-s), which
+    a phase fitted per point would absorb."""
+    return lambda g, n: metaplectic(g, n) @ weyl.displacement(n, 1, 0)
+
+
 def _negated_g(metaplectic):
     """U_G built for -G: a sign slip that turns every order-3 element into
     one of trace +1."""
@@ -132,8 +138,19 @@ ROWS = [
     (["suite", "--n", n], weyl, "_tensor_form", _negated_column,
      {"tensor_isomorphism"}) for n in ("9", "16")
 ] + [
+    # U_{-I} D_(1,0) is not the parity either
+    (["clifford", "check", "--p", n], weyl, "metaplectic", _displaced_u,
+     {"normalizer", "parity"}) for n in ("3", "4", "5", "7")
+] + [
     (["clifford", "zauner", "--fiducial", "fid%s.json" % n], weyl,
-     "metaplectic", _negated_g, {"zauner_residual"}) for n in ("4", "5")
+     "metaplectic", _negated_g, {"zauner_residual", "normalizer"})
+    for n in ("4", "5")
+] + [
+    # the scan's order-3 elements are closed under transposition, so it
+    # still finds the fiducial's symmetry; U_G of the G it reports does not
+    # conjugate the displacements as G does
+    (["clifford", "zauner", "--fiducial", "fid%s.json" % n], weyl,
+     "metaplectic", _transposed_g, {"normalizer"}) for n in ("4", "5")
 ]
 
 # argv, the patched module and function, its defect, and why it survives
@@ -147,17 +164,17 @@ SURVIVORS = [
     # checks minimize each residual over that sign
     (["suite", "--n", "16"], weyl, "_field_form", _conjugated_label,
      "conjugation fixes or negates a GF(2^k) displacement"),
-] + [
-    # G and its transpose have the same trace and determinant, so the
-    # order-3 elements the scan runs over are the same set, transposed
-    (["clifford", "zauner", "--fiducial", "fid%s.json" % n], weyl,
-     "metaplectic", _transposed_g, "the order-3 elements are closed under "
-     "transposition") for n in ("4", "5")
 ]
 
 
 def _ids(rows):
-    return ["%s%s-%s" % (row[0][0], row[0][-1], row[2]) for row in rows]
+    """command, last argument and patched name; a repeat adds the defect."""
+    out = []
+    for row in rows:
+        out.append("%s%s-%s" % (row[0][0], row[0][-1], row[2]))
+        if out[-1] in out[:-1]:
+            out[-1] += "-" + row[3].__name__.strip("_")
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -234,7 +234,7 @@ def _stack_where_group_law(table, case):
         ab_val = vals[a[..., None], rows] * vals
         t_row = np.stack([rows[c], rows[idx[:, None], rows[a]]])
         t_val = np.stack([weyl.tau_power(m, e)[..., None] * vals[c],
-                          weyl._omega_power(m, om)[..., None]
+                          gf.roots_of_unity(m)[om % m][..., None]
                           * vals[idx[:, None], rows[a]] * vals[a]])
         dist = np.where(ab_row == t_row, np.abs(ab_val - t_val),
                         np.maximum(np.abs(ab_val), np.abs(t_val)))
@@ -416,7 +416,7 @@ def _field_group_law_residual(spec, u, v):
     res = np.abs(lhs - rhs).max()
     if spec.p == 2:
         res = min(res, np.abs(lhs + rhs).max())
-    return max(res, np.abs(lhs - weyl._omega_power(spec.p, om)
+    return max(res, np.abs(lhs - gf.roots_of_unity(spec.p)[om]
                            * (dv @ du)).max())
 
 
