@@ -91,15 +91,15 @@ def unbiasedness_check(bases, tol: float = TOL_OVERLAP) -> dict:
         | |<e|f>|^2 - 1/n |, NaN for non-finite input) and ``pass``.
 
     Raises:
-        ValueError: if some member is not an orthonormal basis, naming it.
-        RuntimeError: if more than n + 1 bases pass, which no dimension n
+        RuntimeError: if some member is not an orthonormal basis, naming
+            it, or if more than n + 1 bases pass, which no dimension n
             admits (tol is too loose).
     """
     rep = family_deviations(bases)
     for i, orth in enumerate(rep.pop("orthonormality")):
         # NaN here comes from non-finite input and fails `pass` below
         if orth > TOL_MATRIX:
-            raise ValueError("basis %d is not orthonormal" % i)
+            raise RuntimeError("basis %d is not orthonormal" % i)
     rep["pass"] = bool(rep["max_deviation"] <= tol)
     if rep["pass"] and rep["bases"] > rep["n"] + 1:
         raise RuntimeError("%d bases passed in dimension %d, more than n + 1"

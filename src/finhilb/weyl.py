@@ -133,72 +133,66 @@ def _densify(rows, vals):
 
 def group_law_max_residual(n: int) -> float:
     """Max-entry distance from both forms of the composition law, D_p D_q
-    = tau**Omega(p,q) D_{p+q} = omega**Omega D_q D_p with Omega(p, q) =
-    p2*q1 - p1*q2, over all N^2 x N^2 standard index pairs, read from the
-    cached monomial form _table_form(n)."""
-    return _monomial_group_law_residual((*_table_form(n), 0.0),
-                                        _table_law(n), n)
+    = tau**e D_{p+q} = omega**Omega D_q D_p with Omega(p, q) = p2*q1 -
+    p1*q2, over all N^2 x N^2 standard index pairs: _group_law_residual
+    on the cached monomial form _table_form(n), pairing r*s."""
+    x = np.arange(n)
+    return _group_law_residual((*_table_form(n), 0.0), (x + x[:, None]) % n,
+                               np.outer(x, x), n)
 
 
-def _table_law(n):
-    """The label arithmetic of Z_N for _monomial_group_law_residual, one
-    block of first labels a = (r1, 0..N-1) at a time."""
-    r, s = np.divmod(np.arange(n * n), n)
-    sa = np.arange(n)[:, None]
-    for r1 in range(n):
-        rsum, ssum = r1 + r, sa + s
-        om = sa * r - r1 * s
-        e = om + rsum * ssum - (rsum % n) * (ssum % n)
-        yield r1 * n + sa, (rsum % n) * n + ssum % n, e % nbar(n), om % n
-
-
-def _monomial_group_law_residual(form, law, m, signed=False) -> float:
+def _group_law_residual(form, add, pair, m) -> float:
     """Max-entry group-law residual of the monomial form (rows, vals, res)
-    of all L labels, res the largest modulus off the support.
+    of all N^2 labels u = (u1, u2), entry u1*N + u2, res the largest
+    modulus off the support.
 
-    law yields blocks (a, c, e, om): first labels a of shape (B, 1), and
-    per pair (a, b) the label c of a + b and the reduced exponents of
-    D_a D_b = tau**e D_c = omega**om D_b D_a, tau and omega of modulus m;
-    with signed each pair's tau residual is minimized over the sign.
+    add and pair are the (N, N) addition and pairing tables of the label
+    coordinates, pair[u1, u2] the exponent t_u of tau in D_u's form.  For
+    c = a + b the law is exact: D_a D_b = tau**e D_c = omega**om D_b D_a
+    with e = t_a + t_b - t_c + 2 pair(b1, a2) mod nbar(m) and om =
+    pair(b1, a2) - pair(a1, b2) mod m, tau and omega of modulus m.
     (D_a D_b)[:, j] = val_a[row_b[j]] val_b[j] |row_a[row_b[j]]>.  NaN
     propagates to the result.
     """
     rows, vals, res = form
     n = rows.shape[1]
+    labels = np.arange(n * n)[:, None]
+    u1, u2 = np.divmod(labels[:, 0], n)
+    t = pair[u1, u2]
     taus = tau_power(m, np.arange(nbar(m)))
-    # a law block is split along its first labels so that every array
-    # holds B L N <= _LAW_BLOCK entries, and products are taken in place:
-    # a fresh B L N array costs its page faults
-    step = max(1, _LAW_BLOCK // rows.size)
-    for a, c, e, om in ([x[j:j + step] for x in block] for block in law
-                        for j in range(0, len(block[0]), step)):
+    # blocks of at most N first labels, each array holding B L N <=
+    # _LAW_BLOCK entries, and products taken in place: a fresh B L N array
+    # costs its page faults
+    step = int(np.clip(_LAW_BLOCK // rows.size, 1, n))
+    for j in range(0, n * n, step):
+        a = labels[j:j + step]
+        c = add[u1[a], u1] * n + add[u2[a], u2]
+        cross = pair[u1, u2[a]]
+        e = (t[a] + t - t[c] + 2 * cross) % nbar(m)
+        om = (cross - pair[u1[a], u2]) % m
         k = rows + n * a[..., None]
         ab_row, ab_val = rows.ravel()[k], vals.ravel()[k]
         ab_val *= vals
-        t = vals[c]
-        np.multiply(taus[e][..., None], t, out=t)
-        res = np.maximum(res, _distance(ab_row, ab_val, rows[c], t, signed))
+        target = vals[c]
+        np.multiply(taus[e][..., None], target, out=target)
+        res = np.maximum(res, _distance(ab_row, ab_val, rows[c], target))
         k = rows[a] + n * np.arange(len(rows))[:, None]
-        t = vals.ravel()[k]
-        np.multiply(gf.roots_of_unity(m)[om][..., None], t, out=t)
-        t *= vals[a]
-        res = np.maximum(res, _distance(ab_row, ab_val, rows.ravel()[k], t))
+        target = vals.ravel()[k]
+        np.multiply(gf.roots_of_unity(m)[om][..., None], target, out=target)
+        target *= vals[a]
+        res = np.maximum(res, _distance(ab_row, ab_val, rows.ravel()[k],
+                                        target))
     return float(res)
 
 
-def _distance(rows, vals, t_rows, t_vals, signed=False):
+def _distance(rows, vals, t_rows, t_vals):
     """Max-entry distance of two monomial stacks, |difference| where rows
-    agree, else the larger modulus; with signed, each pair's (last axis)
-    distance to t or to -t, whichever is smaller.  Reuses t_vals."""
+    agree, else the larger modulus.  Reuses t_vals."""
     miss = rows != t_rows
     worse = np.maximum(np.abs(vals[miss]), np.abs(t_vals[miss]))
-    flip = np.abs(t_vals + vals) if signed else None
     dist = np.abs(np.subtract(t_vals, vals, out=t_vals))
     dist[miss] = worse
-    if flip is None:
-        return dist.max()
-    flip[miss] = worse
-    return np.minimum(dist.max(axis=-1), flip.max(axis=-1)).max()
+    return dist.max()
 
 
 def orthogonality_max_residual(n: int) -> float:
@@ -256,26 +250,17 @@ def _field_labels(spec):
 
 
 def field_group_law_max_residual(spec) -> float:
-    """group_law_max_residual over GF(q), q <= 32: D_u D_v = tau**<u,v>
-    D_{u+v} = omega**<u,v> D_v D_u with <u, v> = tr(v1 u2) - tr(u1 v2) mod
-    p.  At p = 2, tau = -i has order four while traces are residues mod 2,
-    so each pair's tau residual is minimized over the overall sign."""
+    """group_law_max_residual over GF(q), q <= 32, pairing tr(x y) as a
+    residue 0..p-1: D_u D_v = tau**e D_{u+v} = omega**<u,v> D_v D_u with
+    <u, v> = tr(v1 u2) - tr(u1 v2) mod p.  At odd p, e = <u, v> mod p; at
+    p = 2, tau = -i has order four and e is read exactly, mod 4."""
     if spec.order > 32:
         raise ValueError("field group law capped at q = 32")
     form = _field_form(spec, *_field_labels(spec))
-    return _monomial_group_law_residual((*form, 0.0), _field_law(spec),
-                                        spec.p, signed=spec.p == 2)
-
-
-def _field_law(spec):
-    """The label arithmetic of GF(q), one block a = (a1, 0..q-1) at a time."""
-    q, x = spec.order, np.arange(spec.order)[:, None]
-    add = gf.add(spec, x, x.T)
-    trace = gf.field_trace(spec, gf.mul(spec, x, x.T))  # tr(x y)
-    v1, v2 = _field_labels(spec)
-    for a1 in range(q):
-        e = (trace[v1, x] - trace[a1, v2]) % spec.p
-        yield a1 * q + x, add[a1, v1] * q + add[x, v2], e, e
+    x = np.arange(spec.order)[:, None]
+    return _group_law_residual((*form, 0.0), gf.add(spec, x, x.T),
+                               gf.field_trace(spec, gf.mul(spec, x, x.T)),
+                               spec.p)
 
 
 def tensor_isomorphism(spec):
@@ -286,8 +271,10 @@ def tensor_isomorphism(spec):
     Factor i of D_(u1,u2) carries indices (tr(u1*dual_i), tr(u2*e_i)),
     with e_i = a^i the powers of the generator and dual_i their trace
     dual basis.  Every one of the q^2 displacements is checked on monomial
-    forms.  Returns (S, report); for p = 2 report["max_residual"] is
-    minimized per displacement over the overall sign.
+    forms against the exact target S D_u S^dag = tau**(tr(u1 u2) - x.z)
+    (x)_i D_{x_i, z_i}, x_i and z_i the factors' indices; tr(u1 u2) = x.z
+    mod p, so the factor is 1 at odd p and +-1 at p = 2.  Returns (S,
+    report).
     """
     p, k, q = spec.p, spec.k, spec.order
     basis = [p ** d for d in range(k)]
@@ -305,8 +292,10 @@ def tensor_isomorphism(spec):
     rows, vals = _field_form(spec, u1, u2)
     inv = np.argsort(perm)
     rows, vals = perm[rows[:, inv]], vals[:, inv]
-    t_rows, t_vals = _tensor_form(p, dual_digits[u1], basis_digits[u2])
-    report = {"max_residual": float(_distance(rows, vals, t_rows, t_vals,
-                                              signed=p == 2)),
-              "pairs_checked": q * q, "phase_minimized": p == 2}
+    x, z = dual_digits[u1], basis_digits[u2]
+    t_rows, t_vals = _tensor_form(p, x, z)
+    t_vals *= tau_power(p, gf.field_trace(spec, gf.mul(spec, u1, u2))
+                        - (x * z).sum(axis=1))[:, None]
+    report = {"max_residual": float(_distance(rows, vals, t_rows, t_vals)),
+              "pairs_checked": q * q}
     return S, report

@@ -494,6 +494,50 @@ def test_root_of_unity_lint_catches_each_form():
     assert _root_of_unity_sites(trees) == [
         ("gf", "roots_of_unity"), ("sic", "<module>"), ("sic", "f")]
 
+
+_RESIDUAL_KERNELS = (("clifford", "normalizer_residual"),
+                     ("weyl", "_distance"), ("weyl", "_group_law_residual"),
+                     ("weyl", "tensor_isomorphism"))
+_FITS = ("np.minimum", "min", "np.angle")
+
+
+def _fitted_calls(trees):
+    """(module, function, callee) of each call of np.minimum, min or
+    np.angle, the forms of a fitted sign or phase, in the residual
+    kernels."""
+    functions = _functions(trees)
+    return [(stem, name, ast.unparse(node.func))
+            for stem, name in _RESIDUAL_KERNELS
+            for node in ast.walk(functions[stem, name])
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in _FITS]
+
+
+def test_residual_kernels_fit_no_sign_or_phase():
+    # each law is exact: a sign or phase minimized per pair or per point
+    # would forgive a displacement negated or rephased
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _fitted_calls(trees) == []
+
+
+def test_fit_lint_catches_each_form():
+    trees = {"clifford": ast.parse(
+                 "def normalizer_residual(g, n):\n"
+                 "    return np.exp(-1j * np.angle(g))\n"),
+             "weyl": ast.parse(
+                 "def _distance(a, b):\n"
+                 "    return np.minimum(a, b).max()\n"
+                 "def _group_law_residual(form, add, pair, m):\n"
+                 "    return min(form, add)\n"
+                 "def tensor_isomorphism(spec):\n"
+                 "    return np.maximum(spec, 0).min()\n"
+                 "def helper(x):\n"
+                 "    return np.angle(x), min(x, 0)\n")}
+    assert _fitted_calls(trees) == [
+        ("clifford", "normalizer_residual", "np.angle"),
+        ("weyl", "_distance", "np.minimum"),
+        ("weyl", "_group_law_residual", "min")]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = {stem: importlib.import_module("finhilb." + stem)
             for stem in LAYERS if stem != "__main__"}

@@ -35,7 +35,9 @@ def test_unbiasedness_repeated_basis_fails():
 def test_unbiasedness_rejects_bad_member():
     bad = np.eye(3, dtype=complex)
     bad[0, 0] = 2.0
-    with pytest.raises(ValueError, match="basis 1 is not orthonormal"):
+    # a library-built family that is not orthonormal is a construction
+    # fault, not a usage error: RuntimeError, exit 1
+    with pytest.raises(RuntimeError, match="basis 1 is not orthonormal"):
         mub.unbiasedness_check([np.eye(3), bad])
 
 

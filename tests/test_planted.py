@@ -47,6 +47,24 @@ def _negated_g(metaplectic):
     return lambda g, n: metaplectic(-np.asarray(g), n)
 
 
+def _negated_label(form):
+    """The last label's values negated."""
+    def wrapped(*args):
+        rows, vals = form(*args)
+        vals[-1] *= -1
+        return rows, vals
+    return wrapped
+
+
+def _swapped_columns(stabilizer_basis):
+    """Column 0 of bases 0 and 1 swapped, so neither is orthonormal."""
+    def wrapped(*args):
+        bases = stabilizer_basis(*args)
+        bases[[0, 1], :, 0] = bases[[1, 0], :, 0]
+        return bases
+    return wrapped
+
+
 def _negated_entry(form):
     """Entry 0 of the last label's values negated."""
     def wrapped(*args):
@@ -124,6 +142,9 @@ ROWS = [
      _conjugated_label, "misses its MUB projector"),
     (["wigner", "check", "--n", "5"], wigner, "phase_point_set",
      _swapped_points, "misses its MUB projector"),
+    # a library-built set that is not orthonormal is a construction fault
+    (["mub", "gen", "--p", "2", "--k", "2"], mub, "_stabilizer_basis",
+     _swapped_columns, "basis 0 is not orthonormal"),
     (["mub", "mermin"], weyl, "_tensor_form", _negated_column,
      "no joint eigenbasis (residual 2)"),
     (["mub", "mermin"], mub, "mermin_landscape", _rows_for_columns,
@@ -134,6 +155,15 @@ ROWS = [
      {"field_group_law", "tensor_isomorphism"}),
     (["suite", "--n", "16"], weyl, "_field_form", _negated_entry,
      {"field_group_law", "tensor_isomorphism"}),
+    # at p = 2 a field displacement's entries are all real or all
+    # imaginary, so conjugating the last label of GF(16) negates it; that
+    # of GF(32) is real, so n = 32 would plant no defect
+    (["suite", "--n", "16"], weyl, "_field_form", _conjugated_label,
+     {"field_group_law", "tensor_isomorphism"}),
+] + [
+    # the exact p = 2 laws fit no sign that would forgive a negation
+    (["suite", "--n", n], weyl, "_field_form", _negated_label,
+     {"field_group_law", "tensor_isomorphism"}) for n in ("4", "8")
 ] + [
     (["suite", "--n", n], weyl, "_tensor_form", _negated_column,
      {"tensor_isomorphism"}) for n in ("9", "16")
@@ -156,14 +186,11 @@ ROWS = [
 # argv, the patched module and function, its defect, and why it survives
 SURVIVORS = [
     # X and Z are real and Y is imaginary, so conjugation maps each Pauli
-    # word to +-itself: the petals keep their groups and eigenbases
+    # word to +-itself.  -G has the eigenvectors of G, so each petal keeps
+    # its group and its basis up to the order and phases of its columns,
+    # which the stabilizer overlaps do not read; no sign is fitted
     (["mub", "mermin"], weyl, "_tensor_form", _conjugated,
      "conjugation maps each Pauli word to +-itself"),
-    # at p = 2 a field displacement's entries are all real or all
-    # imaginary, so conjugating one negates it or leaves it, and the p = 2
-    # checks minimize each residual over that sign
-    (["suite", "--n", "16"], weyl, "_field_form", _conjugated_label,
-     "conjugation fixes or negates a GF(2^k) displacement"),
 ]
 
 

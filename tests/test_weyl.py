@@ -166,8 +166,14 @@ def _mutate_nan_off_support(t, k, col):
     t[k, np.flatnonzero(t[k, :, col] == 0)[0], col] = np.nan
 
 
+def _mutate_negate(t, k, col):
+    # the whole label: a law read up to one sign per pair would forgive it
+    t[k] *= -1
+
+
 _MUTATIONS = [_mutate_phase, _mutate_stray, _mutate_move,
-              _mutate_nan_on_support, _mutate_nan_off_support]
+              _mutate_nan_on_support, _mutate_nan_off_support,
+              _mutate_negate]
 
 
 # GF(q) for every q <= 16, the field inputs of the group-law kernel tests
@@ -188,10 +194,16 @@ def _table(case):
 
 
 def _law(case):
-    """The kernel's label arithmetic of a case: (blocks, modulus, signed)."""
+    """The kernel's label tables of a case: (add, pair, modulus), the
+    coordinates' addition and the pairing whose diagonal is the tau
+    exponent of each label's form, r*s unreduced for Z_N, tr(xy) for
+    GF(q)."""
     if isinstance(case, int):
-        return weyl._table_law(case), case, False
-    return weyl._field_law(case), case.p, case.p == 2
+        x = np.arange(case)
+        return (x + x[:, None]) % case, np.outer(x, x), case
+    x = np.arange(case.order)[:, None]
+    return (gf.add(case, x, x.T), gf.field_trace(case, gf.mul(case, x, x.T)),
+            case.p)
 
 
 def _dense_form(mats):
@@ -206,8 +218,7 @@ def _dense_form(mats):
 
 
 def _kernel(table, case):
-    return weyl._monomial_group_law_residual(_dense_form(table),
-                                             *_law(case))
+    return weyl._group_law_residual(_dense_form(table), *_law(case))
 
 
 @pytest.mark.parametrize("case", [4, 5] + _FIELDS_TO_16, ids=_case_id)
@@ -222,14 +233,19 @@ def test_group_law_kernel_reads_the_table(case, mutate):
 
 def _stack_where_group_law(table, case):
     """Reference group-law residual: the np.stack / np.where kernel that
-    _monomial_group_law_residual replaced, one exp per block; with a
-    signed law the tau target's residual is minimized per pair over the
-    overall sign."""
+    the gather kernel replaced, one exp per block of first labels a =
+    (a1, 0..N-1), its exact exponents written out label by label."""
     n = table.shape[1]
     rows, vals, res = _dense_form(table)
     idx = np.arange(len(table))
-    law, m, signed = _law(case)
-    for a, c, e, om in law:
+    add, pair, m = _law(case)
+    b1, b2 = np.divmod(idx, n)
+    for a1 in range(n):
+        a2 = np.arange(n)[:, None]
+        a, c1, c2 = a1 * n + a2, add[a1, b1], add[a2, b2]
+        c = c1 * n + c2
+        e = pair[a1, a2] + pair[b1, b2] - pair[c1, c2] + 2 * pair[b1, a2]
+        om = pair[b1, a2] - pair[a1, b2]
         ab_row = rows[a[..., None], rows]
         ab_val = vals[a[..., None], rows] * vals
         t_row = np.stack([rows[c], rows[idx[:, None], rows[a]]])
@@ -238,11 +254,6 @@ def _stack_where_group_law(table, case):
                           * vals[idx[:, None], rows[a]] * vals[a]])
         dist = np.where(ab_row == t_row, np.abs(ab_val - t_val),
                         np.maximum(np.abs(ab_val), np.abs(t_val)))
-        if signed:
-            flip = np.where(ab_row == t_row[0], np.abs(ab_val + t_val[0]),
-                            np.maximum(np.abs(ab_val), np.abs(t_val[0])))
-            dist[0] = np.minimum(dist[0].max(axis=-1),
-                                 flip.max(axis=-1))[..., None]
         res = np.maximum(res, dist.max())
     return float(res)
 
@@ -402,22 +413,25 @@ def test_gf4_clock_and_shift_commute():
     assert np.abs(X1 @ Z1 - Z1 @ X1).max() < 1e-12  # tr(1) = 0 in GF(4)
 
 
+def _trace_product(spec, x, y):
+    """tr(x y) as an integer residue 0..p-1."""
+    return int(gf.field_trace(spec, gf.mul(spec, x, y)))
+
+
 def _field_group_law_residual(spec, u, v):
-    """Reference per-pair residual: the dense D_u D_v against tau**<u,v>
-    D_{u+v}, minimized over the overall sign when p = 2, and against
-    omega**<u,v> D_v D_u."""
-    trace = functools.partial(gf.field_trace, spec)
-    om = int(trace(gf.mul(spec, u[1], v[0]))
-             - trace(gf.mul(spec, u[0], v[1]))) % spec.p
+    """Reference per-pair residual: the dense D_u D_v against tau**e
+    D_{u+v}, e = tr(u1 u2) + tr(v1 v2) - tr(w1 w2) + 2 tr(v1 u2) for w =
+    u + v, and against omega**<u,v> D_v D_u."""
+    w = gf.add(spec, u, v)
+    cross = _trace_product(spec, v[0], u[1])
+    e = _trace_product(spec, *u) + _trace_product(spec, *v) \
+        - _trace_product(spec, *w) + 2 * cross
+    om = (cross - _trace_product(spec, u[0], v[1])) % spec.p
     du, dv = _field_displacement(spec, *u), _field_displacement(spec, *v)
     lhs = du @ dv
-    rhs = weyl.tau_power(spec.p, om) \
-        * _field_displacement(spec, *gf.add(spec, u, v))
-    res = np.abs(lhs - rhs).max()
-    if spec.p == 2:
-        res = min(res, np.abs(lhs + rhs).max())
-    return max(res, np.abs(lhs - gf.roots_of_unity(spec.p)[om]
-                           * (dv @ du)).max())
+    rhs = weyl.tau_power(spec.p, e) * _field_displacement(spec, *w)
+    return max(np.abs(lhs - rhs).max(),
+               np.abs(lhs - gf.roots_of_unity(spec.p)[om] * (dv @ du)).max())
 
 
 def test_field_group_law_gf9_exhaustive():
@@ -443,10 +457,10 @@ def test_field_group_law_is_capped():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_field_group_law_sign_is_minimized_per_pair(k, monkeypatch):
-    # at p = 2 the tau law holds up to one sign per pair: flipping one
-    # column of one D_u breaks it, where a minimum taken per column would
-    # forgive the flip
+def test_field_group_law_catches_one_flipped_column(k, monkeypatch):
+    # at p = 2 the tau law is exact, tau = -i read mod 4: flipping one
+    # column of one D_u breaks it, and so does flipping one entry of one
+    # displacement against its tensor product
     spec = gf.field_make(2, k)
     table = _table(spec)
     table[3, :, 1] *= -1
@@ -604,20 +618,29 @@ def test_tensor_isomorphism_gf9():
     assert set(np.abs(S).ravel()) <= {0.0, 1.0}
     assert report["pairs_checked"] == 81
     assert report["max_residual"] < 1e-10
-    assert not report["phase_minimized"]
+    assert set(report) == {"max_residual", "pairs_checked"}
 
 
-def test_tensor_isomorphism_gf4_sign_minimized():
+def test_tensor_isomorphism_gf4_is_exact(monkeypatch):
+    # the target carries the exact factor tau**(tr(u1 u2) - x.z), +-1 at
+    # p = 2; no sign is fitted, so one displacement negated is caught
     spec = gf.field_make(2, 2)
     S, report = weyl.tensor_isomorphism(spec)
-    assert report["phase_minimized"]
-    assert report["max_residual"] < 1e-10
+    assert set(report) == {"max_residual", "pairs_checked"}
+    assert report["max_residual"] <= 1e-15
+    field_form = weyl._field_form
+
+    def negated(*args):
+        rows, vals = field_form(*args)
+        return rows, np.concatenate([vals[:-1], -vals[-1:]])
+
+    monkeypatch.setattr(weyl, "_field_form", negated)
+    assert weyl.tensor_isomorphism(spec)[1]["max_residual"] > TOL_MATRIX
 
 
-def _dense_tensor_isomorphism(spec):
-    """Reference: S and the per-displacement dense check of S D_u S^dag
-    against the np.kron product of its factors, the loop that
-    tensor_isomorphism replaced."""
+def _dense_tensor_setup(spec):
+    """S and the factors' index tables: row x, column i, tr(x * dual_i)
+    and tr(x * e_i)."""
     p, k, q = spec.p, spec.k, spec.order
     basis = [p ** d for d in range(k)]
     dual = gf.dual_basis(spec, basis)
@@ -626,17 +649,49 @@ def _dense_tensor_isomorphism(spec):
     basis_digits = gf.field_trace(spec, gf.mul(spec, x, basis))
     S = np.zeros((q, q), dtype=complex)
     S[dual_digits @ p ** np.arange(k - 1, -1, -1), np.arange(q)] = 1.0
+    return S, dual_digits, basis_digits
+
+
+def _dense_tensor_residual(spec, setup, u1, u2):
+    """max |S D_u S^dag - tau**(tr(u1 u2) - x.z) (x)_i D_{x_i, z_i}|, the
+    Kronecker product taken by np.kron."""
+    S, dual_digits, basis_digits = setup
+    x, z = dual_digits[u1], basis_digits[u2]
+    lhs = S @ _field_displacement(spec, u1, u2) @ S.conj().T
+    rhs = weyl.tau_power(spec.p, _trace_product(spec, u1, u2) - x @ z) \
+        * functools.reduce(np.kron, weyl._densify(
+            *weyl._standard_form(spec.p, x, z)))
+    return np.abs(lhs - rhs).max()
+
+
+def _dense_tensor_isomorphism(spec):
+    """Reference: S and the per-displacement dense check of S D_u S^dag
+    against its exact tensor target, the loop that tensor_isomorphism
+    replaced."""
+    setup = _dense_tensor_setup(spec)
     worst = 0.0
-    for u1 in range(q):
-        for u2 in range(q):
-            lhs = S @ _field_displacement(spec, u1, u2) @ S.conj().T
-            rhs = functools.reduce(np.kron, weyl._densify(*weyl._standard_form(
-                p, dual_digits[u1], basis_digits[u2])))
-            res = np.abs(lhs - rhs).max()
-            if p == 2:
-                res = min(res, np.abs(lhs + rhs).max())
-            worst = float(np.maximum(worst, res))
-    return S, worst
+    for u1 in range(spec.order):
+        for u2 in range(spec.order):
+            worst = float(np.maximum(worst, _dense_tensor_residual(
+                spec, setup, u1, u2)))
+    return setup[0], worst
+
+
+_LAW_FIELDS = [gf.field_make(p, k) for p, k in
+               ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_LAW_FIELDS).flatmap(lambda spec: st.tuples(
+    st.just(spec), st.lists(st.integers(0, spec.order - 1), min_size=4,
+                            max_size=4))))
+def test_exact_law_holds_on_dense_matrices(case):
+    # D_a D_b = tau**e D_{a+b} and S D_a S^dag = its exact tensor target,
+    # each within TOL_MATRIX with no sign fitted
+    spec, (a1, a2, b1, b2) = case
+    assert _field_group_law_residual(spec, (a1, a2), (b1, b2)) <= TOL_MATRIX
+    setup = _dense_tensor_setup(spec)
+    assert _dense_tensor_residual(spec, setup, a1, a2) <= TOL_MATRIX
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
